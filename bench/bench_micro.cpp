@@ -214,6 +214,28 @@ void BM_FuzzOracleProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_FuzzOracleProgram)->Unit(benchmark::kMillisecond);
 
+// One fuzz round's worth of programs (FuzzOptions.batch = 32) as one
+// lane-packed oracle pass; items/s is programs/s, comparable to the
+// single-program bench above.
+void BM_FuzzOracleBatch(benchmark::State& state) {
+  const pdat::Netlist& nl = ibex_netlist();
+  const pdat::fuzz::Rv32Generator gen(pdat::isa::rv32_subset_named("rv32imc"));
+  pdat::fuzz::Rv32DiffOracle oracle(gen, nl, nullptr);
+  std::vector<pdat::fuzz::AbsProgram> programs(32);
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    for (pdat::fuzz::AbsProgram& p : programs) p = gen.generate(seed++);
+    const auto outs = oracle.run(programs, {});
+    for (const auto& out : outs) {
+      if (out.status == pdat::fuzz::RunOutcome::Status::Diverge)
+        state.SkipWithError("healthy core diverged from the ISS");
+    }
+    benchmark::DoNotOptimize(outs.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(programs.size()));
+}
+BENCHMARK(BM_FuzzOracleBatch)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

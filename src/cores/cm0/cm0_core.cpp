@@ -585,7 +585,7 @@ Cm0Core build_cm0(const Cm0Config& cfg) {
 
   // ------------------------------------------------------------------ flags --
   const NetId is_addsub_flags = b.any(Bus{d_adds, d_subs, d_adds3, d_subs3, d_adds8, d_subs8,
-                                          d_cmp8, d_cmpr, d_cmn, d_adcs, d_sbcs, d_rsbs});
+                                          d_cmp8, d_cmpr, d_cmphi, d_cmn, d_adcs, d_sbcs, d_rsbs});
   const NetId is_shift_any = b.or_(is_shift_imm, is_shift_reg);
   Bus nz_bus = sum;
   nz_bus = b.mux(is_shift_any, nz_bus, sh_res);

@@ -8,8 +8,7 @@
 
 namespace pdat::cores {
 
-Cm0Testbench::Cm0Testbench(const Netlist& nl, std::size_t mem_bytes)
-    : nl_(nl), sim_(nl), mem_(mem_bytes, 0) {
+Cm0Testbench::Cm0Testbench(const Netlist& nl) : nl_(nl), sim_(nl) {
   auto in = [&](const char* n) {
     const Port* p = nl_.find_input(n);
     if (p == nullptr) throw PdatError(std::string("cm0 tb: missing input ") + n);
@@ -33,28 +32,31 @@ Cm0Testbench::Cm0Testbench(const Netlist& nl, std::size_t mem_bytes)
   out_reg_wdata_ = out("reg_wdata");
   out_halted_ = out("halted");
   out_flags_ = out("flags");
+  reset();
 }
 
-void Cm0Testbench::load_halfwords(std::uint32_t addr, const std::vector<std::uint16_t>& halves) {
+void Cm0Testbench::load_halfwords(std::uint32_t addr, const std::vector<std::uint16_t>& halves,
+                                  unsigned lane) {
   for (std::size_t i = 0; i < halves.size(); ++i) {
     const std::uint32_t a = addr + static_cast<std::uint32_t>(2 * i);
-    mem_[a % mem_.size()] = static_cast<std::uint8_t>(halves[i]);
-    mem_[(a + 1) % mem_.size()] = static_cast<std::uint8_t>(halves[i] >> 8);
+    mem_.write(lane, a, static_cast<std::uint8_t>(halves[i]));
+    mem_.write(lane, a + 1, static_cast<std::uint8_t>(halves[i] >> 8));
   }
 }
 
-void Cm0Testbench::reset() {
+void Cm0Testbench::reset(unsigned lanes) {
+  if (lanes == 0 || lanes > kMaxLanes) throw PdatError("cm0 tb: pack of 1..64 programs");
   sim_.reset();
-  reg_writes_.clear();
-  mem_writes_.clear();
+  // Memory inputs start at 0 so that a pack never sees the previous pack's.
+  sim_.set_port_uniform(*in_imem_, 0);
+  sim_.set_port_uniform(*in_dmem_, 0);
+  mem_.clear();
+  for (Lane& l : lanes_) l = Lane{};
+  running_ = lanes == 64 ? ~0ULL : (1ULL << lanes) - 1;
 }
 
-void Cm0Testbench::clear_memory() { std::fill(mem_.begin(), mem_.end(), 0); }
-
-bool Cm0Testbench::halted() const { return sim_.read_port(*out_halted_, 0) != 0; }
-
-std::uint32_t Cm0Testbench::fetch_half(std::uint32_t addr) const {
-  std::uint32_t hw = read_word(addr) & 0xffff;
+std::uint32_t Cm0Testbench::fetch_half(unsigned lane, std::uint32_t addr) const {
+  std::uint32_t hw = mem_.read_word(lane, addr) & 0xffff;
   // Chaos hook emulating a decoder fault: corrupt the Rm index of fetched
   // data-processing-register halfwords. The fuzzer's mutation self-check
   // arms this and must find + shrink the resulting ISS/core divergence.
@@ -62,67 +64,96 @@ std::uint32_t Cm0Testbench::fetch_half(std::uint32_t addr) const {
   return hw;
 }
 
-std::uint32_t Cm0Testbench::read_word(std::uint32_t addr) const {
-  std::uint32_t v = 0;
-  for (int k = 0; k < 4; ++k)
-    v |= static_cast<std::uint32_t>(mem_[(addr + static_cast<std::uint32_t>(k)) % mem_.size()])
-         << (8 * k);
-  return v;
-}
-
-bool Cm0Testbench::cycle() {
+std::uint64_t Cm0Testbench::cycle() {
+  const std::uint64_t ran = running_;
+  if (ran == 0) return 0;
   sim_.eval();
-  auto imem_addr = static_cast<std::uint32_t>(sim_.read_port(*out_imem_addr_, 0));
-  const auto dmem_addr = static_cast<std::uint32_t>(sim_.read_port(*out_dmem_addr_, 0));
-  sim_.set_port_uniform(*in_imem_, fetch_half(imem_addr));
-  sim_.set_port_uniform(*in_dmem_, read_word(dmem_addr & ~3u));
+  std::array<std::uint64_t, kMaxLanes> imem_addr, dmem_addr;
+  sim_.read_port_per_slot(*out_imem_addr_, imem_addr.data());
+  sim_.read_port_per_slot(*out_dmem_addr_, dmem_addr.data());
+  std::array<std::uint64_t, kMaxLanes> ihalf{}, dword{};
+  for_each_lane(ran, [&](unsigned l) {
+    ihalf[l] = fetch_half(l, static_cast<std::uint32_t>(imem_addr[l]));
+    dword[l] = mem_.read_word(l, static_cast<std::uint32_t>(dmem_addr[l]) & ~3u);
+  });
+  sim_.set_port_per_slot(*in_imem_, ihalf.data());
+  sim_.set_port_per_slot(*in_dmem_, dword.data());
   sim_.eval();
   // pop {.., pc} makes the next fetch address depend on the loaded data —
-  // re-serve the instruction word if the address moved and settle again.
-  const auto imem_addr2 = static_cast<std::uint32_t>(sim_.read_port(*out_imem_addr_, 0));
-  if (imem_addr2 != imem_addr) {
-    imem_addr = imem_addr2;
-    sim_.set_port_uniform(*in_imem_, fetch_half(imem_addr));
+  // re-serve the instruction word of every lane whose address moved and
+  // settle again. Lanes that did not move see the same inputs, so the extra
+  // eval leaves them unchanged.
+  std::array<std::uint64_t, kMaxLanes> imem_addr2;
+  sim_.read_port_per_slot(*out_imem_addr_, imem_addr2.data());
+  std::uint64_t moved = 0;
+  for_each_lane(ran, [&](unsigned l) {
+    const auto addr2 = static_cast<std::uint32_t>(imem_addr2[l]);
+    if (addr2 != static_cast<std::uint32_t>(imem_addr[l])) {
+      moved |= 1ULL << l;
+      ihalf[l] = fetch_half(l, addr2);
+    }
+  });
+  if (moved != 0) {
+    sim_.set_port_per_slot(*in_imem_, ihalf.data());
     sim_.eval();
   }
-  const bool halted_now = sim_.read_port(*out_halted_, 0) != 0;
-  if (sim_.read_port(*out_reg_we_, 0) != 0) {
-    reg_writes_.push_back({static_cast<unsigned>(sim_.read_port(*out_reg_waddr_, 0)),
-                           static_cast<std::uint32_t>(sim_.read_port(*out_reg_wdata_, 0))});
+  const std::uint64_t halted_now = lanes_nonzero(sim_, *out_halted_) & ran;
+  const std::uint64_t reg_we = lanes_nonzero(sim_, *out_reg_we_) & ran;
+  const std::uint64_t writing = lanes_nonzero(sim_, *out_dmem_we_) & ran;
+  if (reg_we != 0) {
+    std::array<std::uint64_t, kMaxLanes> waddr, wdata;
+    sim_.read_port_per_slot(*out_reg_waddr_, waddr.data());
+    sim_.read_port_per_slot(*out_reg_wdata_, wdata.data());
+    for_each_lane(reg_we, [&](unsigned l) {
+      lanes_[l].reg_writes.push_back(
+          {static_cast<unsigned>(waddr[l]), static_cast<std::uint32_t>(wdata[l])});
+    });
   }
-  if (sim_.read_port(*out_dmem_we_, 0) != 0) {
-    const auto be = static_cast<unsigned>(sim_.read_port(*out_dmem_be_, 0));
-    const auto wdata = static_cast<std::uint32_t>(sim_.read_port(*out_dmem_wdata_, 0));
-    const std::uint32_t base = dmem_addr & ~3u;
-    unsigned first = 4, count = 0;
-    for (unsigned k = 0; k < 4; ++k) {
-      if ((be >> k) & 1) {
-        mem_[(base + k) % mem_.size()] = static_cast<std::uint8_t>(wdata >> (8 * k));
-        if (first == 4) first = k;
-        ++count;
+  if (writing != 0) {
+    std::array<std::uint64_t, kMaxLanes> be, wdata;
+    sim_.read_port_per_slot(*out_dmem_be_, be.data());
+    sim_.read_port_per_slot(*out_dmem_wdata_, wdata.data());
+    for_each_lane(writing, [&](unsigned l) {
+      const std::uint32_t base = static_cast<std::uint32_t>(dmem_addr[l]) & ~3u;
+      unsigned first = 4, count = 0;
+      for (unsigned k = 0; k < 4; ++k) {
+        if ((be[l] >> k) & 1) {
+          mem_.write(l, base + k, static_cast<std::uint8_t>(wdata[l] >> (8 * k)));
+          if (first == 4) first = k;
+          ++count;
+        }
       }
-    }
-    std::uint32_t value = 0;
-    for (unsigned k = 0; k < count; ++k) {
-      value |= static_cast<std::uint32_t>(mem_[(base + first + k) % mem_.size()]) << (8 * k);
-    }
-    mem_writes_.push_back({base + first, value, count});
+      std::uint32_t value = 0;
+      for (unsigned k = 0; k < count; ++k)
+        value |= static_cast<std::uint32_t>(mem_.read(l, base + first + k)) << (8 * k);
+      lanes_[l].mem_writes.push_back({base + first, value, count});
+    });
   }
   sim_.latch();
-  return !halted_now;
+  if (halted_now != 0) {
+    std::array<std::uint64_t, kMaxLanes> flags;
+    sim_.read_port_per_slot(*out_flags_, flags.data());
+    for_each_lane(halted_now, [&](unsigned l) {
+      lanes_[l].flags = static_cast<unsigned>(flags[l]);
+    });
+  }
+  for_each_lane(ran, [&](unsigned l) { ++lanes_[l].cycles; });
+  running_ &= ~halted_now;
+  return ran;
 }
 
 std::uint64_t Cm0Testbench::run(std::uint64_t max_cycles) {
   std::uint64_t n = 0;
-  while (n < max_cycles) {
+  while (n < max_cycles && running_ != 0) {
+    cycle();
     ++n;
-    if (!cycle()) break;
   }
   return n;
 }
 
-unsigned Cm0Testbench::final_flags() const {
-  return static_cast<unsigned>(sim_.read_port(*out_flags_, 0));
+unsigned Cm0Testbench::final_flags(unsigned lane) const {
+  if (halted(lane)) return lanes_[lane].flags;
+  return static_cast<unsigned>(sim_.read_port(*out_flags_, static_cast<int>(lane)));
 }
 
 std::string cm0_cosim_against_iss(const Netlist& nl, const std::vector<std::uint16_t>& program,
@@ -137,7 +168,6 @@ std::string cm0_cosim_against_iss(const Netlist& nl, const std::vector<std::uint
 
   Cm0Testbench tb(nl);
   tb.load_halfwords(0, program);
-  tb.reset();
   tb.run(max_cycles);
 
   std::ostringstream os;

@@ -1,12 +1,20 @@
 // Gate-level testbench for the Cortex-M0-like core, with architectural
 // effect capture (register-write and memory-write streams) for lockstep
 // validation against ThumbIss.
+//
+// The testbench is lane-packed: it runs a pack of up to 64 programs at
+// once, one per BitSim slot ("lane"). Every lane has its own memory
+// (LaneMemory), write streams, final flags and halt flag, and a lane's
+// results are exactly those of running its program alone. A single-program
+// run is a pack of one; the per-lane accessors default to lane 0.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "cores/lane_pack.h"
 #include "iss/thumb_iss.h"
 #include "netlist/netlist.h"
 #include "sim/bitsim.h"
@@ -15,36 +23,58 @@ namespace pdat::cores {
 
 class Cm0Testbench {
  public:
-  explicit Cm0Testbench(const Netlist& nl, std::size_t mem_bytes = 1 << 20);
+  static constexpr unsigned kMaxLanes = LaneMemory::kLanes;
 
-  void load_halfwords(std::uint32_t addr, const std::vector<std::uint16_t>& halves);
-  void reset();
+  explicit Cm0Testbench(const Netlist& nl);
 
-  /// Zeroes the unified memory so the (expensive to levelize) testbench can
-  /// be reused across programs — the fuzzer's oracle does this per run.
-  void clear_memory();
-  bool cycle();  // false once halted
+  /// Starts a pack of `lanes` programs (1..kMaxLanes): resets the core in
+  /// every slot and empties every lane's memory and write streams. Load the
+  /// programs afterwards.
+  void reset(unsigned lanes = 1);
+  void load_halfwords(std::uint32_t addr, const std::vector<std::uint16_t>& halves,
+                      unsigned lane = 0);
+
+  /// Runs one clock cycle of every lane that has not halted yet. Returns the
+  /// mask of lanes that ran (a lane runs in its halting cycle, too).
+  std::uint64_t cycle();
+  /// Runs until every lane halted or the cycle limit; returns the cycles
+  /// executed (the longest lane's).
   std::uint64_t run(std::uint64_t max_cycles);
 
-  bool halted() const;
-  const std::vector<iss::ThumbIss::RegWrite>& reg_writes() const { return reg_writes_; }
-  const std::vector<iss::ThumbIss::MemWrite>& mem_writes() const { return mem_writes_; }
-  unsigned final_flags() const;  // NZCV packed as bits 3..0
+  /// Mask of the pack's lanes that have not halted.
+  std::uint64_t running() const { return running_; }
+  bool halted(unsigned lane = 0) const { return ((running_ >> lane) & 1) == 0; }
+  const std::vector<iss::ThumbIss::RegWrite>& reg_writes(unsigned lane = 0) const {
+    return lanes_[lane].reg_writes;
+  }
+  const std::vector<iss::ThumbIss::MemWrite>& mem_writes(unsigned lane = 0) const {
+    return lanes_[lane].mem_writes;
+  }
+  /// NZCV packed as bits 3..0: as the lane halted, or now if it still runs.
+  unsigned final_flags(unsigned lane = 0) const;
+  /// Cycles the lane ran, its halting cycle included.
+  std::uint64_t cycles(unsigned lane = 0) const { return lanes_[lane].cycles; }
   const BitSim& sim() const { return sim_; }  // gate toggle coverage source
 
  private:
+  struct Lane {
+    std::vector<iss::ThumbIss::RegWrite> reg_writes;
+    std::vector<iss::ThumbIss::MemWrite> mem_writes;
+    std::uint64_t cycles = 0;
+    unsigned flags = 0;  // captured in the halting cycle
+  };
+
   const Netlist& nl_;
   BitSim sim_;
-  std::vector<std::uint8_t> mem_;
-  std::vector<iss::ThumbIss::RegWrite> reg_writes_;
-  std::vector<iss::ThumbIss::MemWrite> mem_writes_;
+  LaneMemory mem_;
+  std::array<Lane, kMaxLanes> lanes_;
+  std::uint64_t running_ = 0;
 
   const Port *in_imem_, *in_dmem_;
   const Port *out_imem_addr_, *out_dmem_addr_, *out_dmem_wdata_, *out_dmem_be_, *out_dmem_re_,
       *out_dmem_we_, *out_reg_we_, *out_reg_waddr_, *out_reg_wdata_, *out_halted_, *out_flags_;
 
-  std::uint32_t read_word(std::uint32_t addr) const;
-  std::uint32_t fetch_half(std::uint32_t addr) const;  // imem serve + chaos hook
+  std::uint32_t fetch_half(unsigned lane, std::uint32_t addr) const;  // imem + chaos hook
 };
 
 /// Runs the program on the netlist and on ThumbIss; compares the register

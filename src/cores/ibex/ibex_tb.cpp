@@ -8,8 +8,7 @@
 
 namespace pdat::cores {
 
-IbexTestbench::IbexTestbench(const Netlist& nl, std::size_t mem_bytes)
-    : nl_(nl), sim_(nl), mem_(mem_bytes, 0) {
+IbexTestbench::IbexTestbench(const Netlist& nl) : nl_(nl), sim_(nl) {
   auto need_in = [&](const char* n) {
     const Port* p = nl_.find_input(n);
     if (p == nullptr) throw PdatError(std::string("testbench: missing input ") + n);
@@ -34,131 +33,139 @@ IbexTestbench::IbexTestbench(const Netlist& nl, std::size_t mem_bytes)
   out_rd_addr_ = need_out("rd_addr");
   out_rd_wdata_ = need_out("rd_wdata");
   out_halted_ = need_out("halted");
+  reset();
 }
 
-void IbexTestbench::load_words(std::uint32_t addr, const std::vector<std::uint32_t>& words) {
+void IbexTestbench::load_words(std::uint32_t addr, const std::vector<std::uint32_t>& words,
+                               unsigned lane) {
   for (std::size_t i = 0; i < words.size(); ++i) {
     const std::uint32_t a = addr + static_cast<std::uint32_t>(4 * i);
-    for (int k = 0; k < 4; ++k) {
-      mem_[(a + static_cast<std::uint32_t>(k)) % mem_.size()] =
-          static_cast<std::uint8_t>(words[i] >> (8 * k));
-    }
+    for (std::uint32_t k = 0; k < 4; ++k)
+      mem_.write(lane, a + k, static_cast<std::uint8_t>(words[i] >> (8 * k)));
   }
 }
 
-void IbexTestbench::reset() {
+void IbexTestbench::reset(unsigned lanes) {
+  if (lanes == 0 || lanes > kMaxLanes) throw PdatError("testbench: pack of 1..64 programs");
   sim_.reset();
-  trace_.clear();
-  retired_ = 0;
-  pending_store_count_ = 0;
+  // Memory inputs start at 0 so that a pack never sees the previous pack's.
+  sim_.set_port_uniform(*in_imem_, 0);
+  sim_.set_port_uniform(*in_dmem_, 0);
+  mem_.clear();
+  for (Lane& l : lanes_) l = Lane{};
+  running_ = lanes == 64 ? ~0ULL : (1ULL << lanes) - 1;
 }
 
-void IbexTestbench::clear_memory() { std::fill(mem_.begin(), mem_.end(), 0); }
-
-std::uint32_t IbexTestbench::read_mem_word(std::uint32_t byte_addr) const {
-  std::uint32_t v = 0;
-  for (int k = 0; k < 4; ++k) {
-    v |= static_cast<std::uint32_t>(
-             mem_[(byte_addr + static_cast<std::uint32_t>(k)) % mem_.size()])
-         << (8 * k);
-  }
-  return v;
-}
-
-std::uint32_t IbexTestbench::mem_word(std::uint32_t addr) const { return read_mem_word(addr); }
-
-bool IbexTestbench::cycle() {
+std::uint64_t IbexTestbench::cycle() {
+  const std::uint64_t ran = running_;
+  if (ran == 0) return 0;
   // Phase 1: evaluate with stale memory inputs to observe the addresses.
   sim_.eval();
-  const auto imem_addr = static_cast<std::uint32_t>(sim_.read_port(*out_imem_addr_, 0));
-  const auto dmem_addr = static_cast<std::uint32_t>(sim_.read_port(*out_dmem_addr_, 0));
+  std::array<std::uint64_t, kMaxLanes> imem_addr, dmem_addr;
+  sim_.read_port_per_slot(*out_imem_addr_, imem_addr.data());
+  sim_.read_port_per_slot(*out_dmem_addr_, dmem_addr.data());
   // Instruction fetch serves the word starting at the (halfword-aligned)
   // PC; the data port serves the aligned word containing the address and
   // the core extracts the selected bytes itself.
-  std::uint32_t iw = read_mem_word(imem_addr);
-  // Chaos hook emulating a decoder fault: corrupt the rs2 index of fetched
-  // R-type OP words. The fuzzer's mutation self-check arms this and must
-  // find + shrink the resulting ISS/core divergence.
-  if ((iw & 0x7f) == 0x33 && util::failpoint("ibex_tb.fetch_fault") != 0) iw ^= 1u << 20;
-  sim_.set_port_uniform(*in_imem_, iw);
-  sim_.set_port_uniform(*in_dmem_, read_mem_word(dmem_addr & ~3u));
+  std::array<std::uint64_t, kMaxLanes> iword{}, dword{};
+  for_each_lane(ran, [&](unsigned l) {
+    std::uint32_t iw = mem_.read_word(l, static_cast<std::uint32_t>(imem_addr[l]));
+    // Chaos hook emulating a decoder fault: corrupt the rs2 index of fetched
+    // R-type OP words. The fuzzer's mutation self-check arms this and must
+    // find + shrink the resulting ISS/core divergence.
+    if ((iw & 0x7f) == 0x33 && util::failpoint("ibex_tb.fetch_fault") != 0) iw ^= 1u << 20;
+    iword[l] = iw;
+    dword[l] = mem_.read_word(l, static_cast<std::uint32_t>(dmem_addr[l]) & ~3u);
+  });
+  sim_.set_port_per_slot(*in_imem_, iword.data());
+  sim_.set_port_per_slot(*in_dmem_, dword.data());
   // Phase 2: evaluate with memory data present, then observe side effects.
   sim_.eval();
-  const bool halted_now = sim_.read_port(*out_halted_, 0) != 0;
-  const bool retiring = sim_.read_port(*out_retire_, 0) != 0;
+  const std::uint64_t halted_now = lanes_nonzero(sim_, *out_halted_) & ran;
+  const std::uint64_t retiring = lanes_nonzero(sim_, *out_retire_) & ran;
+  const std::uint64_t writing = lanes_nonzero(sim_, *out_dmem_we_) & ran;
 
-  // Apply any data-memory write this cycle (crossing accesses write in two
-  // cycles; only the second one retires).
-  bool wrote = false;
-  std::uint32_t wr_first = 0;
-  unsigned wr_count = 0;
-  if (sim_.read_port(*out_dmem_we_, 0) != 0) {
-    const auto be = static_cast<unsigned>(sim_.read_port(*out_dmem_be_, 0));
-    const auto wdata = static_cast<std::uint32_t>(sim_.read_port(*out_dmem_wdata_, 0));
-    const std::uint32_t word_base = dmem_addr & ~3u;
-    unsigned first = 4;
-    for (unsigned k = 0; k < 4; ++k) {
-      if ((be >> k) & 1) {
-        mem_[(word_base + k) % mem_.size()] = static_cast<std::uint8_t>(wdata >> (8 * k));
-        if (first == 4) first = k;
-        ++wr_count;
+  std::array<std::uint64_t, kMaxLanes> be{}, wdata{}, pc{}, rd{}, rd_value{};
+  std::uint64_t rd_we = 0;
+  if (writing != 0) {
+    sim_.read_port_per_slot(*out_dmem_be_, be.data());
+    sim_.read_port_per_slot(*out_dmem_wdata_, wdata.data());
+  }
+  if (retiring != 0) {
+    sim_.read_port_per_slot(*out_retire_pc_, pc.data());
+    sim_.read_port_per_slot(*out_rd_addr_, rd.data());
+    sim_.read_port_per_slot(*out_rd_wdata_, rd_value.data());
+    rd_we = lanes_nonzero(sim_, *out_rd_we_);
+  }
+
+  for_each_lane(writing | retiring, [&](unsigned l) {
+    Lane& lane = lanes_[l];
+    const bool retires = ((retiring >> l) & 1) != 0;
+    // Apply any data-memory write this cycle (crossing accesses write in
+    // two cycles; only the second one retires).
+    const bool wrote = ((writing >> l) & 1) != 0;
+    std::uint32_t wr_first = 0;
+    unsigned wr_count = 0;
+    if (wrote) {
+      const std::uint32_t word_base = static_cast<std::uint32_t>(dmem_addr[l]) & ~3u;
+      unsigned first = 4;
+      for (unsigned k = 0; k < 4; ++k) {
+        if ((be[l] >> k) & 1) {
+          mem_.write(l, word_base + k, static_cast<std::uint8_t>(wdata[l] >> (8 * k)));
+          if (first == 4) first = k;
+          ++wr_count;
+        }
       }
+      wr_first = word_base + first;
     }
-    wr_first = word_base + first;
-    wrote = true;
-  }
-  if (wrote && !retiring) {
-    // First half of a crossing store: remember it for the retiring half.
-    pending_store_addr_ = wr_first;
-    pending_store_count_ = wr_count;
-  }
+    if (wrote && !retires) {
+      // First half of a crossing store: remember it for the retiring half.
+      lane.pending_store_addr = wr_first;
+      lane.pending_store_count = wr_count;
+    }
+    if (!retires) return;
 
-  if (retiring) {
-    ++retired_;
+    ++lane.retired;
     iss::Rv32Iss::TraceEntry te;
-    te.pc = static_cast<std::uint32_t>(sim_.read_port(*out_retire_pc_, 0));
+    te.pc = static_cast<std::uint32_t>(pc[l]);
     bool any = false;
-    if (sim_.read_port(*out_rd_we_, 0) != 0) {
-      te.rd = static_cast<unsigned>(sim_.read_port(*out_rd_addr_, 0));
-      te.rd_value = static_cast<std::uint32_t>(sim_.read_port(*out_rd_wdata_, 0));
+    if ((rd_we >> l) & 1) {
+      te.rd = static_cast<unsigned>(rd[l]);
+      te.rd_value = static_cast<std::uint32_t>(rd_value[l]);
       any = te.rd != 0;
     }
     if (wrote) {
       te.mem_write = true;
       std::uint32_t addr = wr_first;
       unsigned count = wr_count;
-      if (pending_store_count_ != 0) {
-        addr = pending_store_addr_;
-        count += pending_store_count_;
-        pending_store_count_ = 0;
+      if (lane.pending_store_count != 0) {
+        addr = lane.pending_store_addr;
+        count += lane.pending_store_count;
+        lane.pending_store_count = 0;
       }
       te.mem_addr = addr;
       te.mem_size = count;
       std::uint32_t value = 0;
-      for (unsigned k = 0; k < count; ++k) {
-        value |= static_cast<std::uint32_t>(mem_[(addr + k) % mem_.size()]) << (8 * k);
-      }
+      for (unsigned k = 0; k < count; ++k)
+        value |= static_cast<std::uint32_t>(mem_.read(l, addr + k)) << (8 * k);
       te.mem_value = value;
       any = true;
     }
-    if (any) trace_.push_back(te);
-  }
+    if (any) lane.trace.push_back(te);
+  });
   sim_.latch();
-  return !halted_now;
+  for_each_lane(ran, [&](unsigned l) { ++lanes_[l].cycles; });
+  running_ &= ~halted_now;
+  return ran;
 }
 
 std::uint64_t IbexTestbench::run(std::uint64_t max_cycles) {
   std::uint64_t n = 0;
-  while (n < max_cycles) {
+  while (n < max_cycles && running_ != 0) {
+    cycle();
     ++n;
-    if (!cycle()) break;
   }
   return n;
-}
-
-bool IbexTestbench::halted() const {
-  // Note: reads the last evaluated value.
-  return sim_.read_port(*out_halted_, 0) != 0;
 }
 
 std::string cosim_against_iss(const Netlist& nl, const std::vector<std::uint32_t>& program,
@@ -172,7 +179,6 @@ std::string cosim_against_iss(const Netlist& nl, const std::vector<std::uint32_t
 
   IbexTestbench tb(nl);
   tb.load_words(0, program);
-  tb.reset();
   tb.run(max_cycles);
 
   const auto& a = iss.trace();

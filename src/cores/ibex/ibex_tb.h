@@ -1,13 +1,22 @@
 // Gate-level testbench for the Ibex-like core: drives a netlist through
 // BitSim with a combinational unified memory, collects the architectural
 // trace (register writebacks, memory writes), and compares against the ISS
-// golden model. Used by tests, examples, and the end-to-end equivalence
-// checks of reduced cores.
+// golden model. Used by tests, examples, the fuzz oracle, and the
+// end-to-end equivalence checks of reduced cores.
+//
+// The testbench is lane-packed: it runs a pack of up to 64 programs at
+// once, one per BitSim slot ("lane"). Every lane has its own memory
+// (LaneMemory), trace, pending-store state and halt flag, and a lane's
+// results are exactly those of running its program alone. A single-program
+// run is a pack of one; the per-lane accessors default to lane 0.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "cores/lane_pack.h"
 #include "iss/rv32_iss.h"
 #include "netlist/netlist.h"
 #include "sim/bitsim.h"
@@ -16,37 +25,55 @@ namespace pdat::cores {
 
 class IbexTestbench {
  public:
+  static constexpr unsigned kMaxLanes = LaneMemory::kLanes;
+
   /// The netlist must expose the Ibex port list (see ibex_core.cpp).
-  explicit IbexTestbench(const Netlist& nl, std::size_t mem_bytes = 1 << 20);
+  explicit IbexTestbench(const Netlist& nl);
 
-  void load_words(std::uint32_t addr, const std::vector<std::uint32_t>& words);
-  void reset();
+  /// Starts a pack of `lanes` programs (1..kMaxLanes): resets the core in
+  /// every slot and empties every lane's memory and trace. Load the
+  /// programs afterwards.
+  void reset(unsigned lanes = 1);
+  void load_words(std::uint32_t addr, const std::vector<std::uint32_t>& words,
+                  unsigned lane = 0);
 
-  /// Zeroes the unified memory so the (expensive to levelize) testbench can
-  /// be reused across programs — the fuzzer's oracle does this per run.
-  void clear_memory();
+  /// Runs one clock cycle of every lane that has not halted yet. Returns the
+  /// mask of lanes that ran (a lane runs in its halting cycle, too).
+  std::uint64_t cycle();
 
-  /// Runs one clock cycle. Returns true while the core has not halted.
-  bool cycle();
-
-  /// Runs until halt or cycle limit; returns cycles executed.
+  /// Runs until every lane halted or the cycle limit; returns the cycles
+  /// executed (the longest lane's).
   std::uint64_t run(std::uint64_t max_cycles);
 
-  bool halted() const;
-  const std::vector<iss::Rv32Iss::TraceEntry>& trace() const { return trace_; }
-  std::uint32_t mem_word(std::uint32_t addr) const;
-  std::uint64_t retired() const { return retired_; }
+  /// Mask of the pack's lanes that have not halted.
+  std::uint64_t running() const { return running_; }
+  bool halted(unsigned lane = 0) const { return ((running_ >> lane) & 1) == 0; }
+  const std::vector<iss::Rv32Iss::TraceEntry>& trace(unsigned lane = 0) const {
+    return lanes_[lane].trace;
+  }
+  std::uint32_t mem_word(std::uint32_t addr, unsigned lane = 0) const {
+    return mem_.read_word(lane, addr);
+  }
+  std::uint64_t retired(unsigned lane = 0) const { return lanes_[lane].retired; }
+  /// Cycles the lane ran, its halting cycle included.
+  std::uint64_t cycles(unsigned lane = 0) const { return lanes_[lane].cycles; }
   const BitSim& sim() const { return sim_; }  // gate toggle coverage source
 
  private:
+  struct Lane {
+    std::vector<iss::Rv32Iss::TraceEntry> trace;
+    std::uint64_t retired = 0;
+    std::uint64_t cycles = 0;
+    // First half of an in-flight word-boundary-crossing store.
+    std::uint32_t pending_store_addr = 0;
+    unsigned pending_store_count = 0;
+  };
+
   const Netlist& nl_;
   BitSim sim_;
-  std::vector<std::uint8_t> mem_;
-  std::vector<iss::Rv32Iss::TraceEntry> trace_;
-  std::uint64_t retired_ = 0;
-  // First half of an in-flight word-boundary-crossing store.
-  std::uint32_t pending_store_addr_ = 0;
-  unsigned pending_store_count_ = 0;
+  LaneMemory mem_;
+  std::array<Lane, kMaxLanes> lanes_;
+  std::uint64_t running_ = 0;
 
   const Port* in_imem_;
   const Port* in_dmem_;
@@ -62,8 +89,6 @@ class IbexTestbench {
   const Port* out_rd_addr_;
   const Port* out_rd_wdata_;
   const Port* out_halted_;
-
-  std::uint32_t read_mem_word(std::uint32_t byte_addr) const;
 };
 
 /// Runs the same program on the netlist and the ISS and compares the

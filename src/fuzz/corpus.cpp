@@ -13,17 +13,6 @@ void CoverageMap::init(std::size_t nets) {
   seen1_.assign((nets + 63) / 64, 0);
 }
 
-void CoverageMap::record(const BitSim& sim) {
-  for (std::size_t n = 0; n < nets_; ++n) {
-    const std::uint64_t bit = 1ull << (n % 64);
-    if ((sim.value(static_cast<NetId>(n)) & 1) != 0) {
-      seen1_[n / 64] |= bit;
-    } else {
-      seen0_[n / 64] |= bit;
-    }
-  }
-}
-
 std::size_t CoverageMap::merge_count_new(const CoverageMap& o) {
   std::size_t fresh = 0;
   for (std::size_t w = 0; w < seen0_.size(); ++w) {
@@ -40,6 +29,28 @@ std::size_t CoverageMap::covered() const {
   for (const std::uint64_t w : seen0_) total += static_cast<std::size_t>(__builtin_popcountll(w));
   for (const std::uint64_t w : seen1_) total += static_cast<std::size_t>(__builtin_popcountll(w));
   return total;
+}
+
+// --- LaneCoverage ------------------------------------------------------------
+
+void LaneCoverage::clear(std::size_t nets) {
+  seen0_.assign(nets, 0);
+  seen1_.assign(nets, 0);
+}
+
+void LaneCoverage::record(const BitSim& sim, std::uint64_t lanes) {
+  for (std::size_t n = 0; n < seen0_.size(); ++n) {
+    const std::uint64_t v = sim.value(static_cast<NetId>(n));
+    seen1_[n] |= v & lanes;
+    seen0_[n] |= ~v & lanes;
+  }
+}
+
+void LaneCoverage::scatter(unsigned lane, CoverageMap& cov) const {
+  for (std::size_t n = 0; n < seen0_.size(); ++n) {
+    cov.seen0_[n / 64] |= ((seen0_[n] >> lane) & 1) << (n % 64);
+    cov.seen1_[n / 64] |= ((seen1_[n] >> lane) & 1) << (n % 64);
+  }
 }
 
 // --- program serialization ---------------------------------------------------

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,15 +63,13 @@ struct AbsOp {
 using AbsProgram = std::vector<AbsOp>;
 
 // --- gate toggle coverage ----------------------------------------------------
-// Two bits per net: the net was observed at 0 / at 1 in simulation slot 0.
+// Two bits per net: the net was observed at 0 / at 1 during one program's
+// run on the coverage target.
 
 class CoverageMap {
  public:
   void init(std::size_t nets);
   std::size_t nets() const { return nets_; }
-
-  /// Records slot-0 values of every net after an eval.
-  void record(const BitSim& sim);
 
   /// Merges `o` into this map; returns how many (net, polarity) pairs were
   /// newly covered.
@@ -79,9 +78,28 @@ class CoverageMap {
   /// Covered (net, polarity) pairs; the maximum is 2 * nets().
   std::size_t covered() const;
 
+  friend bool operator==(const CoverageMap&, const CoverageMap&) = default;
+
  private:
+  friend class LaneCoverage;
   std::size_t nets_ = 0;
   std::vector<std::uint64_t> seen0_, seen1_;
+};
+
+/// Toggle coverage of a lane-packed run, one program per BitSim slot: per
+/// net, the mask of lanes that observed it at 0 / at 1.
+class LaneCoverage {
+ public:
+  /// Forgets every lane's coverage; `nets` is the coverage target's count.
+  void clear(std::size_t nets);
+  /// Records every net's value in the `lanes` that ran; call after each
+  /// cycle's latch().
+  void record(const BitSim& sim, std::uint64_t lanes);
+  /// ORs lane `lane`'s pairs into `cov` (initialized to the same nets).
+  void scatter(unsigned lane, CoverageMap& cov) const;
+
+ private:
+  std::vector<std::uint64_t> seen0_, seen1_;  // per net
 };
 
 // --- generators --------------------------------------------------------------
@@ -127,15 +145,26 @@ struct RunOutcome {
   std::uint64_t cycles = 0;
 };
 
-/// Differential oracle: runs one program through ISS + baseline core
-/// (+ reduced core when configured) and reports the first divergence.
+/// Differential oracle: runs a pack of programs through ISS + baseline core
+/// (+ reduced core when configured), one program per BitSim lane, and
+/// reports each program's first divergence. A program's outcome and
+/// coverage are exactly those of running it alone.
 /// Stateful (owns testbenches) — one oracle per worker thread.
 class Oracle {
  public:
+  /// Most programs one run() takes: one per BitSim lane.
+  static constexpr std::size_t kMaxPack = 64;
+
   virtual ~Oracle() = default;
   /// Nets of the coverage target (the reduced core when present).
   virtual std::size_t coverage_nets() const = 0;
-  virtual RunOutcome run(const AbsProgram& p, CoverageMap* cov) = 0;
+  /// Runs 1..kMaxPack programs as one lane-packed pass; returns one outcome
+  /// per program. `covs` is empty, or holds one map per program, initialized
+  /// to coverage_nets(), that receives the program's toggle coverage.
+  virtual std::vector<RunOutcome> run(std::span<const AbsProgram> programs,
+                                      std::span<CoverageMap> covs) = 0;
+  /// A single program: a pack of one.
+  RunOutcome run(const AbsProgram& p, CoverageMap* cov);
 };
 
 // --- the fuzzing loop --------------------------------------------------------

@@ -1,9 +1,11 @@
 // The deterministic batch-synchronous fuzzing loop (see fuzz.h for the
 // determinism contract). Parallelism is bounded-staleness: a round of
 // `batch` jobs is generated from (master seed, global job index) against the
-// round-start corpus snapshot, workers execute disjoint job slots, and
-// results merge in job-index order — so scheduling, corpus growth, and
-// shrinking are identical at any thread count.
+// round-start corpus snapshot, each worker runs its contiguous stripe of
+// job slots as one lane-packed oracle pass, and results merge in job-index
+// order — so scheduling, corpus growth, and shrinking are identical at any
+// thread count.
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -19,12 +21,6 @@
 
 namespace pdat::fuzz {
 namespace {
-
-struct JobResult {
-  AbsProgram program;
-  RunOutcome outcome;
-  CoverageMap cov;
-};
 
 void write_file(const std::filesystem::path& path, const std::string& content) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -100,31 +96,41 @@ FuzzStats run_fuzz(const Target& target, const FuzzOptions& opt) {
   std::uint64_t next_job = 0;
   while (next_job < opt.iterations) {
     const std::size_t round = std::min<std::uint64_t>(batch, opt.iterations - next_job);
-    std::vector<JobResult> results(round);
+    std::vector<AbsProgram> programs(round);
+    std::vector<CoverageMap> covs(round);
+    std::vector<RunOutcome> outcomes(round);
 
     // Each job is a pure function of its derived seed and the round-start
-    // corpus snapshot; `corpus` is not touched until the merge below.
-    auto run_slot = [&](std::size_t slot, Oracle& oracle) {
-      Rng rng(util::derive_seed(opt.seed, next_job + slot));
-      JobResult& r = results[slot];
-      if (!corpus.empty() && rng.chance(128)) {
-        r.program = target.gen->mutate(corpus[rng.below(corpus.size())], rng.next());
-      } else {
-        r.program = target.gen->generate(rng.next());
+    // corpus snapshot; `corpus` is not touched until the merge below. A
+    // lane's outcome does not depend on its pack-mates, so how the round is
+    // split into stripes and packs does not change any result.
+    auto run_stripe = [&](std::size_t begin, std::size_t end, Oracle& oracle) {
+      for (std::size_t slot = begin; slot < end; ++slot) {
+        Rng rng(util::derive_seed(opt.seed, next_job + slot));
+        if (!corpus.empty() && rng.chance(128)) {
+          programs[slot] = target.gen->mutate(corpus[rng.below(corpus.size())], rng.next());
+        } else {
+          programs[slot] = target.gen->generate(rng.next());
+        }
+        covs[slot].init(oracle.coverage_nets());
       }
-      r.cov.init(oracle.coverage_nets());
-      r.outcome = oracle.run(r.program, &r.cov);
+      for (std::size_t at = begin; at < end; at += Oracle::kMaxPack) {
+        const std::size_t n = std::min(Oracle::kMaxPack, end - at);
+        std::vector<RunOutcome> outs = oracle.run(std::span(programs).subspan(at, n),
+                                                  std::span(covs).subspan(at, n));
+        std::move(outs.begin(), outs.end(), outcomes.begin() + static_cast<std::ptrdiff_t>(at));
+      }
     };
 
-    if (oracles.size() == 1) {
-      for (std::size_t slot = 0; slot < round; ++slot) run_slot(slot, *oracles[0]);
+    const std::size_t workers = oracles.size();
+    if (workers == 1) {
+      run_stripe(0, round, *oracles[0]);
     } else {
       std::vector<std::thread> pool;
-      pool.reserve(oracles.size());
-      for (std::size_t t = 0; t < oracles.size(); ++t) {
+      pool.reserve(workers);
+      for (std::size_t t = 0; t < workers; ++t) {
         pool.emplace_back([&, t] {
-          for (std::size_t slot = t; slot < round; slot += oracles.size())
-            run_slot(slot, *oracles[t]);
+          run_stripe(round * t / workers, round * (t + 1) / workers, *oracles[t]);
         });
       }
       for (std::thread& th : pool) th.join();
@@ -132,10 +138,11 @@ FuzzStats run_fuzz(const Target& target, const FuzzOptions& opt) {
 
     // Merge in job-index order; shrinking runs sequentially on oracle 0.
     for (std::size_t slot = 0; slot < round; ++slot) {
-      JobResult& r = results[slot];
+      const AbsProgram& program = programs[slot];
+      const RunOutcome& outcome = outcomes[slot];
       ++stats.programs;
-      stats.instructions += r.program.size();
-      switch (r.outcome.status) {
+      stats.instructions += program.size();
+      switch (outcome.status) {
         case RunOutcome::Status::Inconclusive:
           ++stats.inconclusive;
           break;
@@ -145,22 +152,21 @@ FuzzStats run_fuzz(const Target& target, const FuzzOptions& opt) {
           auto still_fails = [&](const AbsProgram& cand) {
             return oracles[0]->run(cand, nullptr).status == RunOutcome::Status::Diverge;
           };
-          const ShrinkResult sr =
-              shrink_program(r.program, still_fails, opt.shrink_budget);
+          const ShrinkResult sr = shrink_program(program, still_fails, opt.shrink_budget);
           stats.shrink_runs += sr.oracle_runs;
           FuzzFinding finding;
           finding.shrunk = sr.program;
           finding.detail = oracles[0]->run(sr.program, nullptr).detail;
-          if (finding.detail.empty()) finding.detail = r.outcome.detail;  // flaky shrink guard
-          finding.original_ops = r.program.size();
+          if (finding.detail.empty()) finding.detail = outcome.detail;  // flaky shrink guard
+          finding.original_ops = program.size();
           finding.job_index = next_job + slot;
           trace::observe(trace::Histogram::FuzzShrunkLen, finding.shrunk.size());
           stats.findings.push_back(std::move(finding));
           break;
         }
         case RunOutcome::Status::Agree:
-          if (global.merge_count_new(r.cov) > 0) {
-            corpus.push_back(r.program);
+          if (global.merge_count_new(covs[slot]) > 0) {
+            corpus.push_back(program);
             ++stats.corpus_retained;
           }
           break;

@@ -2,7 +2,9 @@
 
 #include <sstream>
 
+#include "base/types.h"
 #include "netlist/netlist.h"
+#include "trace/trace.h"
 
 namespace pdat::fuzz {
 namespace {
@@ -40,10 +42,17 @@ std::string compare_rv32(const std::vector<iss::Rv32Iss::TraceEntry>& a,
   return {};
 }
 
-std::string compare_thumb(const iss::ThumbIss& iss, const cores::Cm0Testbench& tb) {
+/// What the Thumb ISS leaves behind for the comparison.
+struct ThumbGolden {
+  std::vector<iss::ThumbIss::RegWrite> regs;
+  std::vector<iss::ThumbIss::MemWrite> mems;
+  unsigned flags = 0;  // NZCV packed as bits 3..0
+};
+
+std::string compare_thumb(const ThumbGolden& g, const cores::Cm0Testbench& tb, unsigned lane) {
   std::ostringstream os;
-  const auto& ra = iss.reg_writes();
-  const auto& rb = tb.reg_writes();
+  const auto& ra = g.regs;
+  const auto& rb = tb.reg_writes(lane);
   for (std::size_t i = 0; i < std::min(ra.size(), rb.size()); ++i) {
     if (ra[i].reg != rb[i].reg || ra[i].value != rb[i].value) {
       os << "reg stream entry " << i << ": iss r" << ra[i].reg << "=0x" << std::hex
@@ -56,8 +65,8 @@ std::string compare_thumb(const iss::ThumbIss& iss, const cores::Cm0Testbench& t
     os << "reg stream length: iss " << ra.size() << " core " << rb.size();
     return os.str();
   }
-  const auto& ma = iss.mem_writes();
-  const auto& mb = tb.mem_writes();
+  const auto& ma = g.mems;
+  const auto& mb = tb.mem_writes(lane);
   for (std::size_t i = 0; i < std::min(ma.size(), mb.size()); ++i) {
     if (ma[i].addr != mb[i].addr || ma[i].value != mb[i].value || ma[i].size != mb[i].size) {
       os << "mem stream entry " << i << ": iss [0x" << std::hex << ma[i].addr << "]=0x"
@@ -70,17 +79,75 @@ std::string compare_thumb(const iss::ThumbIss& iss, const cores::Cm0Testbench& t
     os << "mem stream length: iss " << ma.size() << " core " << mb.size();
     return os.str();
   }
-  const unsigned core_flags = tb.final_flags();
-  const unsigned iss_flags = (iss.flag_n() ? 1u : 0) | (iss.flag_z() ? 2u : 0) |
-                             (iss.flag_c() ? 4u : 0) | (iss.flag_v() ? 8u : 0);
-  if (core_flags != iss_flags) {
-    os << "final flags: iss " << iss_flags << " core " << core_flags;
+  const unsigned core_flags = tb.final_flags(lane);
+  if (core_flags != g.flags) {
+    os << "final flags: iss " << g.flags << " core " << core_flags;
     return os.str();
   }
   return {};
 }
 
+/// Runs `jobs` (indices into `out`) as one pack on `tb`, job jobs[k] in lane
+/// k, and settles each job's outcome the way a run of that job alone would:
+/// cycles, then "did not halt" or the first divergence from the ISS. When
+/// `covs` is non-empty, each job's toggle coverage goes to covs[job].
+/// `load(lane, job)` loads a job's program; `compare(lane, job)` returns its
+/// divergence. Returns the jobs that agreed.
+template <class Tb, class Load, class Compare>
+std::vector<std::size_t> run_pack(Tb& tb, const char* label, const std::vector<std::size_t>& jobs,
+                                  std::span<RunOutcome> out, std::span<CoverageMap> covs,
+                                  LaneCoverage& lane_cov, Load load, Compare compare) {
+  std::vector<std::size_t> agreed;
+  if (jobs.empty()) return agreed;
+  tb.reset(static_cast<unsigned>(jobs.size()));
+  for (unsigned k = 0; k < jobs.size(); ++k) load(k, jobs[k]);
+  if (!covs.empty()) lane_cov.clear(tb.sim().netlist().num_nets());
+  std::uint64_t packed = 0;
+  while (tb.running() != 0 && packed < kTbCycles) {
+    const std::uint64_t ran = tb.cycle();
+    if (!covs.empty()) lane_cov.record(tb.sim(), ran);
+    ++packed;
+  }
+  std::uint64_t lane_cycles = 0;
+  for (unsigned k = 0; k < jobs.size(); ++k) {
+    RunOutcome& o = out[jobs[k]];
+    o.cycles += tb.cycles(k);
+    lane_cycles += tb.cycles(k);
+    if (!covs.empty()) lane_cov.scatter(k, covs[jobs[k]]);
+    if (!tb.halted(k)) {
+      o.status = RunOutcome::Status::Inconclusive;
+      o.detail = std::string(label) + ": did not halt";
+      continue;
+    }
+    const std::string diff = compare(k, jobs[k]);
+    if (!diff.empty()) {
+      o.status = RunOutcome::Status::Diverge;
+      o.detail = std::string(label) + ": " + diff;
+      continue;
+    }
+    agreed.push_back(jobs[k]);
+  }
+  trace::add(trace::Counter::FuzzTbCycles, lane_cycles);
+  trace::add(trace::Counter::FuzzPackedCycles, packed);
+  return agreed;
+}
+
+void check_pack(std::span<const AbsProgram> programs, std::span<CoverageMap> covs,
+                std::size_t coverage_nets) {
+  if (programs.empty() || programs.size() > Oracle::kMaxPack)
+    throw PdatError("fuzz oracle: a pack holds 1..64 programs");
+  if (!covs.empty() && covs.size() != programs.size())
+    throw PdatError("fuzz oracle: one coverage map per program");
+  for (const CoverageMap& c : covs) {
+    if (c.nets() != coverage_nets) throw PdatError("fuzz oracle: coverage map of the wrong size");
+  }
+}
+
 }  // namespace
+
+RunOutcome Oracle::run(const AbsProgram& p, CoverageMap* cov) {
+  return run(std::span(&p, 1), cov != nullptr ? std::span(cov, 1) : std::span<CoverageMap>())[0];
+}
 
 // --- RV32 --------------------------------------------------------------------
 
@@ -91,53 +158,37 @@ Rv32DiffOracle::Rv32DiffOracle(const Rv32Generator& gen, const Netlist& baseline
       red_tb_(reduced ? std::make_unique<cores::IbexTestbench>(*reduced) : nullptr),
       cov_nets_(reduced ? reduced->num_nets() : baseline.num_nets()) {}
 
-RunOutcome Rv32DiffOracle::run(const AbsProgram& p, CoverageMap* cov) {
-  const std::vector<std::uint32_t> words = gen_.encode_units(p);
-
-  iss::Rv32Iss iss;
-  iss.load_words(0, words);
-  iss.reset();
-  iss.set_tracing(true);
-  iss.run(kIssSteps);
-
-  RunOutcome out;
-  if (!iss.halted()) {
-    out.status = RunOutcome::Status::Inconclusive;
-    out.detail = "iss: did not halt";
-    return out;
+std::vector<RunOutcome> Rv32DiffOracle::run(std::span<const AbsProgram> programs,
+                                            std::span<CoverageMap> covs) {
+  check_pack(programs, covs, cov_nets_);
+  std::vector<RunOutcome> out(programs.size());
+  std::vector<std::vector<std::uint32_t>> words(programs.size());
+  std::vector<std::vector<iss::Rv32Iss::TraceEntry>> golden(programs.size());
+  std::vector<std::size_t> jobs;
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    words[i] = gen_.encode_units(programs[i]);
+    iss::Rv32Iss iss;
+    iss.load_words(0, words[i]);
+    iss.reset();
+    iss.set_tracing(true);
+    iss.run(kIssSteps);
+    if (!iss.halted()) {
+      out[i].status = RunOutcome::Status::Inconclusive;
+      out[i].detail = "iss: did not halt";
+      continue;
+    }
+    golden[i] = iss.trace();
+    jobs.push_back(i);
   }
 
-  auto run_tb = [&](cores::IbexTestbench& tb, const char* label,
-                    bool coverage_target) -> std::string {
-    tb.clear_memory();
-    tb.load_words(0, words);
-    tb.reset();
-    bool running = true;
-    std::uint64_t cycles = 0;
-    while (running && cycles < kTbCycles) {
-      running = tb.cycle();
-      if (coverage_target && cov != nullptr) cov->record(tb.sim());
-      ++cycles;
-    }
-    out.cycles += cycles;
-    if (running) {
-      out.status = RunOutcome::Status::Inconclusive;
-      return std::string(label) + ": did not halt";
-    }
-    const std::string diff = compare_rv32(iss.trace(), tb.trace());
-    if (!diff.empty()) {
-      out.status = RunOutcome::Status::Diverge;
-      return std::string(label) + ": " + diff;
-    }
-    return {};
+  auto on = [&](cores::IbexTestbench& tb, const char* label, std::span<CoverageMap> target) {
+    return run_pack(
+        tb, label, jobs, out, target, lane_cov_,
+        [&](unsigned lane, std::size_t job) { tb.load_words(0, words[job], lane); },
+        [&](unsigned lane, std::size_t job) { return compare_rv32(golden[job], tb.trace(lane)); });
   };
-
-  out.detail = run_tb(base_tb_, "baseline", red_tb_ == nullptr);
-  if (!out.detail.empty()) return out;
-  if (red_tb_) {
-    out.detail = run_tb(*red_tb_, "reduced", true);
-    if (!out.detail.empty()) return out;
-  }
+  jobs = on(base_tb_, "baseline", red_tb_ ? std::span<CoverageMap>() : covs);
+  if (red_tb_) on(*red_tb_, "reduced", covs);
   return out;
 }
 
@@ -150,55 +201,40 @@ ThumbDiffOracle::ThumbDiffOracle(const ThumbGenerator& gen, const Netlist& basel
       red_tb_(reduced ? std::make_unique<cores::Cm0Testbench>(*reduced) : nullptr),
       cov_nets_(reduced ? reduced->num_nets() : baseline.num_nets()) {}
 
-RunOutcome ThumbDiffOracle::run(const AbsProgram& p, CoverageMap* cov) {
-  const std::vector<std::uint32_t> units = gen_.encode_units(p);
-  std::vector<std::uint16_t> halves(units.size());
-  for (std::size_t i = 0; i < units.size(); ++i) halves[i] = static_cast<std::uint16_t>(units[i]);
-
-  iss::ThumbIss iss;
-  iss.load_halfwords(0, halves);
-  iss.reset();
-  iss.set_tracing(true);
-  iss.run(kIssSteps);
-
-  RunOutcome out;
-  if (!iss.halted()) {
-    out.status = RunOutcome::Status::Inconclusive;
-    out.detail = "iss: did not halt";
-    return out;
+std::vector<RunOutcome> ThumbDiffOracle::run(std::span<const AbsProgram> programs,
+                                             std::span<CoverageMap> covs) {
+  check_pack(programs, covs, cov_nets_);
+  std::vector<RunOutcome> out(programs.size());
+  std::vector<std::vector<std::uint16_t>> halves(programs.size());
+  std::vector<ThumbGolden> golden(programs.size());
+  std::vector<std::size_t> jobs;
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    for (const std::uint32_t u : gen_.encode_units(programs[i]))
+      halves[i].push_back(static_cast<std::uint16_t>(u));
+    iss::ThumbIss iss;
+    iss.load_halfwords(0, halves[i]);
+    iss.reset();
+    iss.set_tracing(true);
+    iss.run(kIssSteps);
+    if (!iss.halted()) {
+      out[i].status = RunOutcome::Status::Inconclusive;
+      out[i].detail = "iss: did not halt";
+      continue;
+    }
+    golden[i] = {iss.reg_writes(), iss.mem_writes(),
+                 (iss.flag_n() ? 1u : 0) | (iss.flag_z() ? 2u : 0) | (iss.flag_c() ? 4u : 0) |
+                     (iss.flag_v() ? 8u : 0)};
+    jobs.push_back(i);
   }
 
-  auto run_tb = [&](cores::Cm0Testbench& tb, const char* label,
-                    bool coverage_target) -> std::string {
-    tb.clear_memory();
-    tb.load_halfwords(0, halves);
-    tb.reset();
-    bool running = true;
-    std::uint64_t cycles = 0;
-    while (running && cycles < kTbCycles) {
-      running = tb.cycle();
-      if (coverage_target && cov != nullptr) cov->record(tb.sim());
-      ++cycles;
-    }
-    out.cycles += cycles;
-    if (running) {
-      out.status = RunOutcome::Status::Inconclusive;
-      return std::string(label) + ": did not halt";
-    }
-    const std::string diff = compare_thumb(iss, tb);
-    if (!diff.empty()) {
-      out.status = RunOutcome::Status::Diverge;
-      return std::string(label) + ": " + diff;
-    }
-    return {};
+  auto on = [&](cores::Cm0Testbench& tb, const char* label, std::span<CoverageMap> target) {
+    return run_pack(
+        tb, label, jobs, out, target, lane_cov_,
+        [&](unsigned lane, std::size_t job) { tb.load_halfwords(0, halves[job], lane); },
+        [&](unsigned lane, std::size_t job) { return compare_thumb(golden[job], tb, lane); });
   };
-
-  out.detail = run_tb(base_tb_, "baseline", red_tb_ == nullptr);
-  if (!out.detail.empty()) return out;
-  if (red_tb_) {
-    out.detail = run_tb(*red_tb_, "reduced", true);
-    if (!out.detail.empty()) return out;
-  }
+  jobs = on(base_tb_, "baseline", red_tb_ ? std::span<CoverageMap>() : covs);
+  if (red_tb_) on(*red_tb_, "reduced", covs);
   return out;
 }
 

@@ -1,11 +1,15 @@
-// Differential oracles: one program, three models, first divergence wins.
+// Differential oracles: a pack of programs, three models, first divergence
+// wins per program.
 //
-// Each oracle owns its gate-level testbenches (BitSim construction levelizes
-// the netlist, which is expensive) and reuses them across runs by zeroing
-// the unified memory; the ISS golden model is cheap and constructed fresh
-// per run. Gate toggle coverage is recorded from the *reduced* core when one
-// is configured — the fuzzer's job is to exercise the reduced machine — and
-// from the baseline otherwise.
+// Each oracle owns lane-packed gate-level testbenches (BitSim construction
+// levelizes the netlist, which is expensive) and reuses them across packs.
+// A pack runs up to 64 programs at once, one per BitSim lane, each with its
+// own sparse memory. The ISS golden model runs per program; only its trace
+// (and Thumb flags) is kept. The baseline pack runs first, and the reduced
+// pack takes only the programs that agreed. Gate toggle coverage is
+// recorded per lane from the *reduced* core when one is configured — the
+// fuzzer's job is to exercise the reduced machine — and from the baseline
+// otherwise.
 #pragma once
 
 #include "cores/cm0/cm0_tb.h"
@@ -19,14 +23,17 @@ class Rv32DiffOracle : public Oracle {
  public:
   Rv32DiffOracle(const Rv32Generator& gen, const Netlist& baseline, const Netlist* reduced);
 
+  using Oracle::run;
   std::size_t coverage_nets() const override { return cov_nets_; }
-  RunOutcome run(const AbsProgram& p, CoverageMap* cov) override;
+  std::vector<RunOutcome> run(std::span<const AbsProgram> programs,
+                              std::span<CoverageMap> covs) override;
 
  private:
   const Rv32Generator& gen_;
   cores::IbexTestbench base_tb_;
   std::unique_ptr<cores::IbexTestbench> red_tb_;
   std::size_t cov_nets_;
+  LaneCoverage lane_cov_;
 };
 
 /// ISS + baseline CM0 bitsim (+ reduced CM0 bitsim when non-null).
@@ -34,14 +41,17 @@ class ThumbDiffOracle : public Oracle {
  public:
   ThumbDiffOracle(const ThumbGenerator& gen, const Netlist& baseline, const Netlist* reduced);
 
+  using Oracle::run;
   std::size_t coverage_nets() const override { return cov_nets_; }
-  RunOutcome run(const AbsProgram& p, CoverageMap* cov) override;
+  std::vector<RunOutcome> run(std::span<const AbsProgram> programs,
+                              std::span<CoverageMap> covs) override;
 
  private:
   const ThumbGenerator& gen_;
   cores::Cm0Testbench base_tb_;
   std::unique_ptr<cores::Cm0Testbench> red_tb_;
   std::size_t cov_nets_;
+  LaneCoverage lane_cov_;
 };
 
 /// Convenience entry points: build the generator + target and run the loop.

@@ -1,6 +1,26 @@
 #include "sim/bitsim.h"
 
+#include <algorithm>
+
+#include "base/types.h"
+
 namespace pdat {
+namespace {
+
+// Transposes a 64x64 bit matrix in place: bit j of a[i] swaps with bit i of
+// a[j]. Six rounds of block swaps (32x32 blocks, then 16x16, ...).
+void transpose64(std::uint64_t* a) {
+  std::uint64_t m = 0x00000000ffffffffULL;
+  for (unsigned j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (unsigned k = 0; k < 64; k = (k + j + 1) & ~j) {
+      const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & m;
+      a[k] ^= t << j;
+      a[k + j] ^= t;
+    }
+  }
+}
+
+}  // namespace
 
 BitSim::BitSim(const Netlist& nl) : nl_(nl), lv_(levelize(nl)) {
   vals_.assign(nl.num_nets(), 0);
@@ -25,13 +45,11 @@ void BitSim::set_port_uniform(const Port& port, std::uint64_t value) {
 }
 
 void BitSim::set_port_per_slot(const Port& port, const std::uint64_t* values) {
-  for (std::size_t bit = 0; bit < port.bits.size(); ++bit) {
-    std::uint64_t word = 0;
-    for (int slot = 0; slot < 64; ++slot) {
-      word |= ((values[slot] >> bit) & 1ULL) << slot;
-    }
-    vals_[port.bits[bit]] = word;
-  }
+  if (port.bits.size() > 64) throw PdatError("set_port_per_slot: port wider than 64 bits");
+  std::uint64_t words[64];
+  std::copy(values, values + 64, words);
+  transpose64(words);
+  for (std::size_t bit = 0; bit < port.bits.size(); ++bit) vals_[port.bits[bit]] = words[bit];
 }
 
 void BitSim::eval() {
@@ -61,6 +79,12 @@ std::uint64_t BitSim::read_port(const Port& port, int slot) const {
     v |= ((vals_[port.bits[i]] >> slot) & 1ULL) << i;
   }
   return v;
+}
+
+void BitSim::read_port_per_slot(const Port& port, std::uint64_t* values) const {
+  if (port.bits.size() > 64) throw PdatError("read_port_per_slot: port wider than 64 bits");
+  for (std::size_t i = 0; i < 64; ++i) values[i] = i < port.bits.size() ? vals_[port.bits[i]] : 0;
+  transpose64(values);
 }
 
 void BitSim::set_flop_state(CellId flop, std::uint64_t word) {

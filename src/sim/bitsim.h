@@ -25,7 +25,8 @@ class BitSim {
   void set_input(NetId net, std::uint64_t word);
   /// Convenience: drive a multi-bit port with the same value in all slots.
   void set_port_uniform(const Port& port, std::uint64_t value);
-  /// Drive a multi-bit port with a per-slot value (values[slot]).
+  /// Drive a multi-bit port (at most 64 bits) with a per-slot value
+  /// (values[slot]).
   void set_port_per_slot(const Port& port, const std::uint64_t* values);
 
   /// Evaluates combinational logic with current inputs and flop states.
@@ -38,6 +39,10 @@ class BitSim {
   std::uint64_t value(NetId net) const { return vals_[net]; }
   /// Reads a multi-bit port in one slot as an integer (LSB-first).
   std::uint64_t read_port(const Port& port, int slot) const;
+  /// Reads a port (at most 64 bits) in every slot at once: values[slot]
+  /// receives the slot's integer, as read_port would return it. One 64x64
+  /// bit transpose instead of 64 read_port calls.
+  void read_port_per_slot(const Port& port, std::uint64_t* values) const;
 
   /// Direct access to flop state (for loading formal counterexamples).
   void set_flop_state(CellId flop, std::uint64_t word);

@@ -121,6 +121,10 @@ constexpr MetricDef kCounterDefs[] = {
      "programs kept in the corpus for covering new gate toggle polarities"},
     {MetricKind::Counter, "fuzz.covered_pairs", "1", false,
      "distinct (net, polarity) toggle pairs covered on the target core"},
+    {MetricKind::Counter, "fuzz.tb_cycles", "cycles", false,
+     "testbench cycles summed over every program's lane (the single-program cycle total)"},
+    {MetricKind::Counter, "fuzz.packed_cycles", "cycles", false,
+     "lane-packed BitSim cycles actually run (the longest lane of each pack)"},
 };
 static_assert(std::size(kCounterDefs) == kNumCounters,
               "every Counter enumerator needs a registry row");

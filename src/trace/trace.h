@@ -110,6 +110,8 @@ enum class Counter : unsigned {
   FuzzShrinkRuns,
   FuzzCorpusRetained,
   FuzzCoveredPairs,
+  FuzzTbCycles,
+  FuzzPackedCycles,
   kCount,
 };
 inline constexpr std::size_t kNumCounters = static_cast<std::size_t>(Counter::kCount);

@@ -312,8 +312,66 @@ TEST(Cm0Cosim, HintsAndBarriersAreNops) {
 TEST(Cm0Cosim, UndefinedHalts) {
   Cm0Testbench tb(cm0());
   tb.load_halfwords(0, {0xdeff});  // udf #0xff
-  tb.reset();
   EXPECT_LT(tb.run(50), 50u);
+}
+
+TEST(Cm0Testbench, PackedLanesMatchSingleRuns) {
+  // Lanes of one pack run different programs, including returns through
+  // pop {pc} at different cycles: the only case in which the testbench
+  // re-serves a lane's fetch within a cycle. Every lane must report exactly
+  // what a run of its program alone reports.
+  auto call_after = [](int delay) {
+    std::string text = "movs r0, #0\n";
+    for (int i = 0; i < delay; ++i) text += "adds r0, #1\n";
+    return isa::assemble_thumb(text + R"(
+        bl fn
+        adds r0, #1
+        bkpt #0
+      fn:
+        push {r1, lr}
+        adds r0, #4
+        pop {r1, pc}
+    )").halves;
+  };
+  const std::vector<std::vector<std::uint16_t>> programs = {
+      call_after(0), call_after(3), call_after(7),
+      isa::assemble_thumb(R"(
+        li r0, 0x2000
+        movs r1, #17
+        movs r2, #34
+        stm r0, {r1, r2}
+        li r4, 0x2000
+        ldm r4, {r5, r6}
+        cmp r5, r6
+        bkpt #0
+      )").halves,
+      {0xdeff},  // udf: halts at once
+  };
+  constexpr unsigned kLanes = 13;
+  Cm0Testbench pack(cm0());
+  pack.reset(kLanes);
+  for (unsigned lane = 0; lane < kLanes; ++lane)
+    pack.load_halfwords(0, programs[lane % programs.size()], lane);
+  pack.run(1000);
+  Cm0Testbench single(cm0());
+  for (unsigned lane = 0; lane < kLanes; ++lane) {
+    single.reset();
+    single.load_halfwords(0, programs[lane % programs.size()]);
+    single.run(1000);
+    ASSERT_TRUE(pack.halted(lane)) << "lane " << lane;
+    EXPECT_EQ(pack.cycles(lane), single.cycles()) << "lane " << lane;
+    EXPECT_EQ(pack.final_flags(lane), single.final_flags()) << "lane " << lane;
+    ASSERT_EQ(pack.reg_writes(lane).size(), single.reg_writes().size()) << "lane " << lane;
+    for (std::size_t i = 0; i < single.reg_writes().size(); ++i) {
+      EXPECT_EQ(pack.reg_writes(lane)[i].reg, single.reg_writes()[i].reg) << "lane " << lane;
+      EXPECT_EQ(pack.reg_writes(lane)[i].value, single.reg_writes()[i].value) << "lane " << lane;
+    }
+    ASSERT_EQ(pack.mem_writes(lane).size(), single.mem_writes().size()) << "lane " << lane;
+    for (std::size_t i = 0; i < single.mem_writes().size(); ++i) {
+      EXPECT_EQ(pack.mem_writes(lane)[i].addr, single.mem_writes()[i].addr) << "lane " << lane;
+      EXPECT_EQ(pack.mem_writes(lane)[i].value, single.mem_writes()[i].value) << "lane " << lane;
+    }
+  }
 }
 
 class Cm0RandomDp : public ::testing::TestWithParam<int> {};

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
 
 #include "cores/cm0/cm0_core.h"
@@ -17,6 +18,7 @@
 #include "isa/rv32_subsets.h"
 #include "isa/thumb_subsets.h"
 #include "opt/optimizer.h"
+#include "trace/trace.h"
 #include "util/failpoint.h"
 
 using namespace pdat;
@@ -234,6 +236,99 @@ TEST(FuzzOracle, CoverageAccumulates) {
   EXPECT_LE(after_one, 2 * cov.nets());
 }
 
+namespace {
+
+/// Runs `programs` one at a time, then as one pack of 32 and one of 64, and
+/// requires every outcome and coverage map of the packs to equal the
+/// single run's. Returns {diverging, agreeing} counts of the single runs.
+std::pair<std::size_t, std::size_t> expect_packs_equal_single_runs(
+    Oracle& oracle, const std::vector<AbsProgram>& programs) {
+  const std::size_t nets = oracle.coverage_nets();
+  std::vector<RunOutcome> single;
+  std::vector<CoverageMap> single_cov(programs.size());
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    single_cov[i].init(nets);
+    single.push_back(oracle.run(programs[i], &single_cov[i]));
+  }
+  for (const std::size_t pack : {std::size_t{32}, std::size_t{64}}) {
+    std::vector<CoverageMap> covs(pack);
+    for (CoverageMap& c : covs) c.init(nets);
+    const std::vector<RunOutcome> outs =
+        oracle.run(std::span(programs).first(pack), std::span(covs));
+    EXPECT_EQ(outs.size(), pack);
+    for (std::size_t i = 0; i < pack; ++i) {
+      EXPECT_EQ(outs[i].status, single[i].status) << "pack " << pack << " lane " << i;
+      EXPECT_EQ(outs[i].detail, single[i].detail) << "pack " << pack << " lane " << i;
+      EXPECT_EQ(outs[i].cycles, single[i].cycles) << "pack " << pack << " lane " << i;
+      EXPECT_TRUE(covs[i] == single_cov[i]) << "pack " << pack << " lane " << i;
+    }
+  }
+  std::size_t diverging = 0, agreeing = 0;
+  for (const RunOutcome& o : single) {
+    diverging += o.status == RunOutcome::Status::Diverge ? 1 : 0;
+    agreeing += o.status == RunOutcome::Status::Agree ? 1 : 0;
+  }
+  return {diverging, agreeing};
+}
+
+std::vector<AbsProgram> generate_programs(const Generator& gen, std::size_t n) {
+  std::vector<AbsProgram> programs;
+  for (std::uint64_t seed = 1; seed <= n; ++seed) programs.push_back(gen.generate(seed));
+  return programs;
+}
+
+}  // namespace
+
+// Lane packing must be invisible: with the decoder fault armed, diverging
+// lanes sit next to agreeing ones, and each lane still reports exactly what
+// a run of its program alone reports. Passing the baseline netlist as the
+// "reduced" core exercises the second pack, which takes only the lanes that
+// agreed on the first, and records coverage from it.
+TEST(FuzzOracle, Rv32PacksEqualSingleRuns) {
+  util::ScopedFailpoint fp("ibex_tb.fetch_fault", "enospc");
+  GenOptions gopt;
+  gopt.max_ops = 12;
+  const Rv32Generator gen(isa::rv32_subset_named("rv32imc"), gopt);
+  const std::vector<AbsProgram> programs = generate_programs(gen, 64);
+  for (const Netlist* reduced : {static_cast<const Netlist*>(nullptr), &ibex_netlist()}) {
+    Rv32DiffOracle oracle(gen, ibex_netlist(), reduced);
+    const auto [diverging, agreeing] = expect_packs_equal_single_runs(oracle, programs);
+    EXPECT_GT(diverging, 0u);
+    EXPECT_GT(agreeing, 0u);
+  }
+}
+
+TEST(FuzzOracle, ThumbPacksEqualSingleRuns) {
+  util::ScopedFailpoint fp("cm0_tb.fetch_fault", "enospc");
+  GenOptions gopt;
+  gopt.max_ops = 12;
+  const ThumbGenerator gen(isa::thumb_subset_interesting(), gopt);
+  const std::vector<AbsProgram> programs = generate_programs(gen, 64);
+  for (const Netlist* reduced : {static_cast<const Netlist*>(nullptr), &cm0_netlist()}) {
+    ThumbDiffOracle oracle(gen, cm0_netlist(), reduced);
+    const auto [diverging, agreeing] = expect_packs_equal_single_runs(oracle, programs);
+    EXPECT_GT(diverging, 0u);
+    EXPECT_GT(agreeing, 0u);
+  }
+}
+
+TEST(FuzzOracle, CycleCountersSeparateLaneAndPackedCycles) {
+  const Rv32Generator gen(isa::rv32_subset_named("rv32i"));
+  Rv32DiffOracle oracle(gen, ibex_netlist(), nullptr);
+  const std::vector<AbsProgram> programs = generate_programs(gen, 32);
+  trace::begin_run(/*events=*/false);
+  const std::vector<RunOutcome> outs = oracle.run(programs, {});
+  trace::end_run();
+  std::uint64_t sum = 0, longest = 0;
+  for (const RunOutcome& o : outs) {
+    sum += o.cycles;
+    longest = std::max(longest, o.cycles);
+  }
+  EXPECT_EQ(trace::counter_value(trace::Counter::FuzzTbCycles), sum);
+  EXPECT_EQ(trace::counter_value(trace::Counter::FuzzPackedCycles), longest);
+  EXPECT_LT(longest * 4, sum) << "a 32-lane pack runs far fewer cycles than its lanes";
+}
+
 // --- the loop: mutation self-check + determinism -----------------------------
 
 namespace {
@@ -296,6 +391,22 @@ TEST(FuzzLoop, ArtifactsAreByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(c1, c4) << "corpus/coverage/reproducers must not depend on the thread count";
   std::filesystem::remove_all(dir1);
   std::filesystem::remove_all(dir4);
+}
+
+TEST(FuzzLoop, CampaignResultsMatchPinnedValues) {
+  // Captured before the oracle ran programs lane-packed. Comparing thread
+  // counts cannot catch a change that alters every run the same way; these
+  // values can.
+  for (const int threads : {1, 4}) {
+    const FuzzStats s = fuzz_ibex_baseline(1, 96, threads, "");
+    EXPECT_EQ(s.programs, 96u) << threads << " threads";
+    EXPECT_EQ(s.instructions, 2104u) << threads << " threads";
+    EXPECT_EQ(s.corpus_retained, 43u) << threads << " threads";
+    EXPECT_EQ(s.covered_pairs, 16439u) << threads << " threads";
+    EXPECT_EQ(2 * s.coverage_nets, 22916u) << threads << " threads";
+    EXPECT_EQ(s.divergences, 0u) << threads << " threads";
+    EXPECT_EQ(s.inconclusive, 0u) << threads << " threads";
+  }
 }
 
 TEST(FuzzLoop, ZeroIterationsRunsNoOraclesAndWritesNothing) {

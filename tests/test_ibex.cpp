@@ -294,7 +294,6 @@ TEST(IbexCosim, CompressedInstructionsExecute) {
 TEST(IbexCosim, IllegalInstructionHaltsCore) {
   IbexTestbench tb(full_core());
   tb.load_words(0, {0xffffffffu});
-  tb.reset();
   const auto cycles = tb.run(100);
   EXPECT_LT(cycles, 100u);
 }
@@ -305,7 +304,6 @@ TEST(IbexCosim, NoCConfigTreatsCompressedAsIllegal) {
   const IbexCore core = build_ibex(cfg);
   IbexTestbench tb(core.netlist);
   tb.load_words(0, {0x00000001u});  // c.nop — illegal without the C extension
-  tb.reset();
   EXPECT_LT(tb.run(100), 100u);
   EXPECT_EQ(tb.retired(), 1u) << "the illegal instruction itself retires into a halt";
 }

@@ -294,7 +294,6 @@ TEST(PdatIbex, ReducedCoreIsNotRequiredToRunRemovedInstructions) {
   const auto prog = isa::assemble_rv32("li a0, 3\nli a1, 4\nmul a2, a0, a1\nebreak\n");
   cores::IbexTestbench tb(res.transformed);
   tb.load_words(0, prog.words);
-  tb.reset();
   tb.run(10000);
   SUCCEED();
 }

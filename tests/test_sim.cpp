@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "base/rng.h"
 #include "sim/bitsim.h"
 #include "sim/ternary.h"
 #include "sim/vcd.h"
@@ -70,6 +71,28 @@ TEST(BitSim, PortHelpers) {
   sim.eval();
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(sim.read_port(out, i), (~static_cast<std::uint64_t>(i)) & 0xff);
+  }
+}
+
+TEST(BitSim, ReadPortPerSlotMatchesReadPort) {
+  // Widths around the transpose's block sizes, up to the 64-bit maximum.
+  for (const unsigned width : {1u, 5u, 32u, 37u, 64u}) {
+    Netlist nl;
+    synth::Builder bld(nl);
+    bld.output("y", bld.not_(bld.input("a", width)));
+    BitSim sim(nl);
+    Rng rng(static_cast<std::uint64_t>(width));
+    std::uint64_t in[64];
+    for (std::uint64_t& v : in) v = rng.next();
+    sim.set_port_per_slot(nl.inputs()[0], in);
+    sim.eval();
+    std::uint64_t out[64];
+    sim.read_port_per_slot(nl.outputs()[0], out);
+    const std::uint64_t mask = width == 64 ? ~0ULL : (1ULL << width) - 1;
+    for (int slot = 0; slot < 64; ++slot) {
+      EXPECT_EQ(out[slot], sim.read_port(nl.outputs()[0], slot)) << width << "/" << slot;
+      EXPECT_EQ(out[slot], ~in[slot] & mask) << width << "/" << slot;
+    }
   }
 }
 
