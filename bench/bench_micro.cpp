@@ -3,19 +3,12 @@
 // obligations, and the logic optimizer.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <filesystem>
-
 #include "base/rng.h"
-#include "cores/cm0/cm0_core.h"
 #include "cores/ibex/ibex_core.h"
 #include "formal/cnf_encoder.h"
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
-#include "formal/coi.h"
-#include "formal/induction.h"
 #include "opt/optimizer.h"
-#include "pdat/property_library.h"
 #include "sat/solver.h"
 #include "sim/bitsim.h"
 #include "trace/trace.h"
@@ -111,74 +104,6 @@ void trace_disabled_overhead(benchmark::State& state) {
   benchmark::DoNotOptimize(i);
 }
 BENCHMARK(trace_disabled_overhead);
-
-const pdat::Netlist& cm0_netlist() {
-  static const pdat::cores::Cm0Core core = [] {
-    pdat::cores::Cm0Core c = pdat::cores::build_cm0();
-    pdat::opt::optimize(c.netlist);
-    return c;
-  }();
-  return core.netlist;
-}
-
-// Pure cost of cone-of-influence localization on the CM0 core: partitioning
-// the full property-library candidate set into support-closed cones plus one
-// canonical fingerprint per cone — everything ISSUE 4's localized rounds do
-// besides solving. This is the per-round overhead COI adds when every solve
-// still has to happen (cold cache); compare against the induction stage's
-// solve time to see why localization wins anyway.
-void coi_localize_overhead(benchmark::State& state) {
-  pdat::trace::end_run();
-  const pdat::Netlist& nl = cm0_netlist();
-  const pdat::Levelization lv = pdat::levelize(nl);
-  const std::vector<pdat::GateProperty> cands = pdat::annotate_netlist(nl);
-  const std::vector<bool> alive(cands.size(), true);
-  const std::vector<pdat::NetId> no_assumes;
-  for (auto _ : state) {
-    const pdat::ConePartition part =
-        pdat::partition_cones(nl, lv, cands, alive, no_assumes);
-    std::uint64_t folded = 0;
-    for (const pdat::Cone& cone : part.cones) {
-      const pdat::CacheKey fp = pdat::cone_fingerprint(nl, cone, cands);
-      folded ^= fp.lo ^ fp.hi;
-    }
-    benchmark::DoNotOptimize(folded);
-    state.counters["cones"] = static_cast<double>(part.cones.size());
-    state.counters["candidates"] = static_cast<double>(cands.size());
-  }
-}
-BENCHMARK(coi_localize_overhead)->Unit(benchmark::kMillisecond);
-
-// Warm-cache proof of the CM0 property-library candidates, with the one-off
-// cold (cache-populating) prove reported as the "cold_ms" counter. The
-// warm/cold ratio is the headline number behind ISSUE 4's ">= 5x less
-// induction wall time on a warm rerun" acceptance bar.
-void proof_cache_warm_vs_cold(benchmark::State& state) {
-  pdat::trace::end_run();
-  const pdat::Netlist& nl = cm0_netlist();
-  const pdat::Environment env;
-  const std::vector<pdat::GateProperty> cands = pdat::annotate_netlist(nl);
-  const std::string cache =
-      (std::filesystem::temp_directory_path() / "pdat_bench_warm_vs_cold.pdatpc").string();
-  std::filesystem::remove(cache);
-  pdat::InductionOptions opt;
-  opt.cex_sim_cycles = 0;  // align the arms: localized jobs never replay
-  opt.coi_localize = true;
-  opt.proof_cache_path = cache;
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t cold_proven = pdat::prove_invariants(nl, env, cands, opt).size();
-  const double cold_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  for (auto _ : state) {
-    const auto proven = pdat::prove_invariants(nl, env, cands, opt);
-    if (proven.size() != cold_proven) state.SkipWithError("warm/cold verdict divergence");
-    benchmark::DoNotOptimize(proven.size());
-  }
-  state.counters["cold_ms"] = cold_ms;
-  state.counters["proven"] = static_cast<double>(cold_proven);
-  std::filesystem::remove(cache);
-}
-BENCHMARK(proof_cache_warm_vs_cold)->Unit(benchmark::kMillisecond);
 
 void BM_OptimizeIbex(benchmark::State& state) {
   for (auto _ : state) {

@@ -24,14 +24,6 @@
 //   --metrics[=PATH] write the versioned "pdat-metrics" document (solver /
 //                   induction / runtime counters, per-stage timings; default
 //                   metrics.json) — schema in docs/telemetry.md
-//   --proof-cache=PATH  persist proof-job outcomes in a content-addressed
-//                   cache; a warm rerun replays them instead of solving.
-//                   Results (and --report files) are byte-identical with the
-//                   cache on, off, cold, or warm
-//   --no-coi        solve whole-netlist proof obligations instead of
-//                   cone-of-influence localized ones (localization is on by
-//                   default and kill-for-kill identical; this flag exists
-//                   for differential debugging and timing comparisons)
 //   --certify       paranoid mode (DESIGN.md §5.10): DRAT-check every SAT
 //                   verdict that can remove a gate with the independent
 //                   in-tree checker; a failed certificate aborts the run.
@@ -181,8 +173,6 @@ void write_report(std::ostream& os, const std::string& subset_name, const PdatRe
 int main(int argc, char** argv) {
   std::vector<std::string> positional;
   std::string journal_path, resume_path, report_path, trace_path, metrics_path;
-  std::string proof_cache_path;
-  bool coi = true;
   bool certify = false;
   int threads = 1;
   std::size_t fuzz_iterations = 0;
@@ -228,8 +218,6 @@ int main(int argc, char** argv) {
       metrics_path = "metrics.json";
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = arg.substr(10);
-    } else if (arg.rfind("--proof-cache=", 0) == 0) {
-      proof_cache_path = arg.substr(14);
     } else if (arg.rfind("--fuzz=", 0) == 0) {
       fuzz_iterations = std::stoul(arg.substr(7));
     } else if (arg.rfind("--fuzz-seed=", 0) == 0) {
@@ -242,8 +230,6 @@ int main(int argc, char** argv) {
       fuzz_replay = arg.substr(14);
     } else if (arg == "--fuzz-baseline") {
       fuzz_baseline = true;
-    } else if (arg == "--no-coi") {
-      coi = false;
     } else if (arg == "--certify") {
       certify = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -288,15 +274,13 @@ int main(int argc, char** argv) {
 
   PdatOptions opt;
   opt.induction.threads = threads;
-  opt.isolation = isolation;
-  opt.job_rlimit_mb = job_rlimit_mb;
-  opt.job_rlimit_cpu_seconds = job_rlimit_cpu;
-  opt.checkpoint_journal = journal_path;
-  opt.resume_from = resume_path;
+  opt.induction.isolation = isolation;
+  opt.induction.job_rlimit_bytes = job_rlimit_mb << 20;
+  opt.induction.job_rlimit_cpu_seconds = job_rlimit_cpu;
+  opt.induction.journal_path = journal_path;
+  opt.induction.resume_from = resume_path;
   opt.trace_path = trace_path;
   opt.metrics_path = metrics_path;
-  opt.coi_localize = coi;
-  opt.proof_cache_path = proof_cache_path;
   opt.run_label = "reduce_ibex:" + subset_name;
   opt.certify = certify;
   opt.interrupt = &g_interrupt;

@@ -17,7 +17,6 @@
 //     --job-rlimit-cpu=N  process mode: RLIMIT_CPU cap per child, seconds
 //     --report=PATH       timing-free result report (byte-comparable runs)
 //     --metrics=PATH      versioned pdat-metrics JSON (docs/telemetry.md)
-//     --proof-cache=PATH  content-addressed proof cache
 //     --fuzz=N            differential fuzzing: N random subset-constrained
 //                         programs in lockstep across ThumbIss and the
 //                         bitsims of both cores (docs/fuzzing.md)
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
   runtime::Isolation isolation = runtime::Isolation::Thread;
   std::size_t job_rlimit_mb = 0;
   long job_rlimit_cpu = 0;
-  std::string report_path, metrics_path, proof_cache_path;
+  std::string report_path, metrics_path;
   std::size_t fuzz_iterations = 0;
   std::uint64_t fuzz_seed = 1;
   int fuzz_threads = 1;
@@ -77,8 +76,6 @@ int main(int argc, char** argv) {
       report_path = arg.substr(9);
     } else if (arg.rfind("--metrics=", 0) == 0) {
       metrics_path = arg.substr(10);
-    } else if (arg.rfind("--proof-cache=", 0) == 0) {
-      proof_cache_path = arg.substr(14);
     } else if (arg.rfind("--fuzz=", 0) == 0) {
       fuzz_iterations = std::stoul(arg.substr(7));
     } else if (arg.rfind("--fuzz-seed=", 0) == 0) {
@@ -132,11 +129,10 @@ int main(int argc, char** argv) {
   PdatOptions opt;
   opt.certify = certify;
   opt.induction.threads = threads;
-  opt.isolation = isolation;
-  opt.job_rlimit_mb = job_rlimit_mb;
-  opt.job_rlimit_cpu_seconds = job_rlimit_cpu;
+  opt.induction.isolation = isolation;
+  opt.induction.job_rlimit_bytes = job_rlimit_mb << 20;
+  opt.induction.job_rlimit_cpu_seconds = job_rlimit_cpu;
   opt.metrics_path = metrics_path;
-  opt.proof_cache_path = proof_cache_path;
   opt.run_label = "secure_m0";
   opt.fuzz_iterations = fuzz_iterations;
   opt.fuzz_seed = fuzz_seed;

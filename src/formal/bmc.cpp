@@ -5,7 +5,6 @@
 
 #include "base/log.h"
 #include "formal/cnf_encoder.h"
-#include "formal/coi.h"
 #include "sat/dratcheck.h"
 #include "trace/trace.h"
 
@@ -26,11 +25,8 @@ void arm_deadline(sat::Solver& s, double deadline_seconds) {
                      std::chrono::duration<double>(deadline_seconds)));
 }
 
-/// Unrolls `depth` frames with `enc` (whole-netlist FrameEncoder or
-/// cone-restricted ConeEncoder — both expose encode/link/fix_initial and
-/// yield Frames addressed by global NetId) and checks `prop` at each frame.
-template <typename Encoder>
-BmcResult bmc_frames(const Encoder& enc, const std::vector<NetId>& assumes,
+/// Unrolls `depth` frames of the whole netlist and checks `prop` at each.
+BmcResult bmc_frames(const FrameEncoder& enc, const std::vector<NetId>& assumes,
                      const GateProperty& prop, int depth, std::int64_t conflict_budget,
                      double deadline_seconds, bool certify, trace::Span& span) {
   BmcResult res;
@@ -82,107 +78,16 @@ BmcResult bmc_frames(const Encoder& enc, const std::vector<NetId>& assumes,
   return res;
 }
 
-struct CachedBmcVerdict {
-  BmcResult result;
-  bool certified = false;  // every frame verdict was DRAT-checked at record time
-};
-
-std::string encode_bmc_verdict(const BmcResult& r, bool certified) {
-  // Conclusive verdicts only: violated flag + biased frame + certified flag,
-  // little-endian (v2: the certified word is new).
-  std::string out;
-  const std::uint32_t v[3] = {r.violated ? 1u : 0u,
-                              static_cast<std::uint32_t>(r.violation_frame + 1),
-                              certified ? 1u : 0u};
-  for (const std::uint32_t w : v)
-    for (int i = 0; i < 32; i += 8) out.push_back(static_cast<char>(w >> i));
-  return out;
-}
-
-std::optional<CachedBmcVerdict> decode_bmc_verdict(const std::string& p) {
-  if (p.size() != 12) return std::nullopt;  // key collision or format drift
-  const auto rd = [&p](std::size_t at) {
-    std::uint32_t w = 0;
-    for (int i = 0; i < 4; ++i)
-      w |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[at + i])) << (8 * i);
-    return w;
-  };
-  CachedBmcVerdict v;
-  v.result.violated = rd(0) != 0;
-  v.result.violation_frame = static_cast<int>(rd(4)) - 1;
-  v.certified = rd(8) != 0;
-  if (v.result.violated != (v.result.violation_frame >= 0)) return std::nullopt;
-  return v;
-}
-
 }  // namespace
 
 BmcResult bmc_check(const Netlist& nl, const Environment& env, const GateProperty& prop,
-                    int depth, std::int64_t conflict_budget, double deadline_seconds) {
-  BmcCheckOptions opt;
-  opt.depth = depth;
-  opt.conflict_budget = conflict_budget;
-  opt.deadline_seconds = deadline_seconds;
-  return bmc_check(nl, env, prop, opt);
-}
-
-BmcResult bmc_check(const Netlist& nl, const Environment& env, const GateProperty& prop,
-                    const BmcCheckOptions& opt) {
-  trace::Span span("bmc.check", {"depth", opt.depth});
+                    int depth, std::int64_t conflict_budget, double deadline_seconds,
+                    bool certify) {
+  trace::Span span("bmc.check", {"depth", depth});
   trace::add(trace::Counter::BmcChecks, 1);
-
-  if (!opt.coi_localize) {
-    FrameEncoder enc(nl);
-    return bmc_frames(enc, env.assumes, prop, opt.depth, opt.conflict_budget,
-                      opt.deadline_seconds, opt.certify, span);
-  }
-
-  // A single-candidate partition always yields exactly one cone (assume-only
-  // components are dropped by partition_cones).
-  const Levelization lv = levelize(nl);
-  const std::vector<GateProperty> cands{prop};
-  const ConePartition part =
-      partition_cones(nl, lv, cands, std::vector<bool>{true}, env.assumes);
-  const Cone& cone = part.cones.front();
-  span.arg("cone_nets", static_cast<int>(cone.nets.size()));
-
-  CacheKey key{};
-  if (opt.cache != nullptr) {
-    Fnv128 h;
-    h.str("pdat-bmc-v2");  // v2: payload carries a certified flag
-    const CacheKey fp = cone_fingerprint(nl, cone, cands);
-    h.u64(fp.lo);
-    h.u64(fp.hi);
-    h.u32(static_cast<std::uint32_t>(opt.depth));
-    h.u64(static_cast<std::uint64_t>(opt.conflict_budget));
-    key = h.digest();
-    if (const auto payload = opt.cache->lookup(key)) {
-      if (const auto cached = decode_bmc_verdict(*payload)) {
-        // A certified run re-solves (and upgrades) uncertified records
-        // instead of trusting them.
-        if (!opt.certify || cached->certified) {
-          if (cached->result.violated)
-            span.arg("violation_frame", cached->result.violation_frame);
-          span.arg("cache", 1);
-          return cached->result;
-        }
-      }
-      // Undecodable or insufficiently-trusted payload: real solve below.
-    }
-  }
-
-  const ConeEncoder enc(nl, cone);
-  const BmcResult res = bmc_frames(enc, cone.assumes, prop, opt.depth, opt.conflict_budget,
-                                   opt.deadline_seconds, opt.certify, span);
-  // Only conclusive, deadline-free verdicts are content, not circumstance.
-  if (opt.cache != nullptr && !res.inconclusive && opt.deadline_seconds <= 0) {
-    if (opt.certify) {
-      opt.cache->update(key, encode_bmc_verdict(res, true));
-    } else {
-      opt.cache->insert(key, encode_bmc_verdict(res, false));
-    }
-  }
-  return res;
+  const FrameEncoder enc(nl);
+  return bmc_frames(enc, env.assumes, prop, depth, conflict_budget, deadline_seconds, certify,
+                    span);
 }
 
 // Deliberately uncertified even in --certify runs: a wrong Unsat here aborts

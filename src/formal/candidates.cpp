@@ -116,7 +116,7 @@ std::vector<GateProperty> equivalence_candidates(const Netlist& nl, const Enviro
   // Canonical emission order: classes sorted by representative net, members
   // by (level, id). unordered_map iteration order is implementation-defined;
   // the candidate list must be byte-identical for a given seed on any
-  // standard library (it feeds proof batching, journals, and cache keys).
+  // standard library (it feeds proof batching and journal fingerprints).
   std::vector<std::vector<NetId>*> ordered;
   std::uint64_t used_classes = 0;
   for (auto& [key, members] : classes) {

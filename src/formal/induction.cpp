@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 
 #include "base/log.h"
 #include "formal/cnf_encoder.h"
-#include "formal/coi.h"
-#include "formal/proofcache.h"
 #include "runtime/checkpoint.h"
 #include "runtime/journal.h"
 #include "runtime/procworker.h"
@@ -116,13 +112,43 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Fingerprint binding a journal to a proof problem: the candidate list plus
-/// every option that can change verdicts (worker count deliberately
-/// excluded — it must not).
-std::uint64_t proof_fingerprint(const Netlist& nl, const std::vector<GateProperty>& cands,
-                                const InductionOptions& opt, bool coi_active) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+/// Folds the netlist's structure: every cell's kind, initial value, inputs
+/// and output (dead cells as a tombstone), then the port lists.
+std::uint64_t hash_netlist(std::uint64_t h, const Netlist& nl) {
+  h = fnv_mix(h, nl.num_nets());
   h = fnv_mix(h, nl.num_cells_raw());
+  for (CellId id = 0; id < nl.num_cells_raw(); ++id) {
+    const Cell& c = nl.cell(id);
+    if (c.dead) {
+      h = fnv_mix(h, ~std::uint64_t{0});
+      continue;
+    }
+    h = fnv_mix(h, static_cast<std::uint64_t>(c.kind));
+    h = fnv_mix(h, static_cast<std::uint64_t>(c.init));
+    for (const NetId in : c.in) h = fnv_mix(h, in);
+    h = fnv_mix(h, c.out);
+  }
+  for (const std::vector<Port>* ports : {&nl.inputs(), &nl.outputs()}) {
+    h = fnv_mix(h, ports->size());
+    for (const Port& p : *ports) {
+      h = fnv_mix(h, p.name.size());
+      for (const char ch : p.name) h = fnv_mix(h, static_cast<unsigned char>(ch));
+      h = fnv_mix(h, p.bits.size());
+      for (const NetId n : p.bits) h = fnv_mix(h, n);
+    }
+  }
+  return h;
+}
+
+/// Fingerprint binding a journal to a proof problem: the netlist, the
+/// environment's assume nets, the candidate list, and every option that can
+/// change verdicts (worker count deliberately excluded — it must not).
+std::uint64_t proof_fingerprint(const Netlist& nl, const Environment& env,
+                                const std::vector<GateProperty>& cands,
+                                const InductionOptions& opt) {
+  std::uint64_t h = hash_netlist(0xcbf29ce484222325ULL, nl);
+  h = fnv_mix(h, env.assumes.size());
+  for (const NetId a : env.assumes) h = fnv_mix(h, a);
   h = fnv_mix(h, cands.size());
   for (const GateProperty& p : cands) {
     h = fnv_mix(h, static_cast<std::uint64_t>(p.kind));
@@ -143,85 +169,8 @@ std::uint64_t proof_fingerprint(const Netlist& nl, const std::vector<GatePropert
   h = fnv_mix(h, static_cast<std::uint64_t>(opt.max_job_attempts));
   h = fnv_mix(h, static_cast<std::uint64_t>(opt.budget_escalation * 1024.0));
   h = fnv_mix(h, opt.job_memory_bytes);
-  // Localization changes batching and budget-exhaustion paths (never
-  // verdicts under ample budgets), so it binds the journal. The cache path
-  // deliberately does not: warm and cold runs are interchangeable.
-  h = fnv_mix(h, coi_active ? 1 : 0);
   return h;
 }
-
-// --- cached job-outcome codec ------------------------------------------------
-//
-// A cache payload is one job attempt's *delta*: its final status, the SAT
-// calls it made, the kills it appended, and the member list it left pending.
-// Injecting a payload is byte-equivalent to re-running the attempt because
-// attempts are pure functions of everything folded into the key.
-
-struct CachedOutcome {
-  bool done = false;
-  std::uint64_t sat_calls = 0;
-  std::vector<std::uint32_t> kills;
-  std::vector<std::uint32_t> pending;
-  /// Every SAT verdict behind this outcome was certificate-checked when it
-  /// was recorded. A certified run treats uncertified hits as misses and
-  /// upgrades the record in place after re-proving (cache update()).
-  bool certified = false;
-  std::uint64_t cert_hash = 0;  // folded DRAT-certificate digest (0 if none)
-};
-
-std::string encode_outcome(runtime::JobStatus status, std::uint64_t sat_calls,
-                           const std::vector<std::uint32_t>& kills,
-                           const std::vector<std::uint32_t>& pending, bool certified,
-                           std::uint64_t cert_hash) {
-  std::string p;
-  runtime::put_u32(p, status == runtime::JobStatus::Done ? 0 : 1);
-  runtime::put_u64(p, sat_calls);
-  runtime::put_u32(p, static_cast<std::uint32_t>(kills.size()));
-  for (const std::uint32_t k : kills) runtime::put_u32(p, k);
-  runtime::put_u32(p, static_cast<std::uint32_t>(pending.size()));
-  for (const std::uint32_t m : pending) runtime::put_u32(p, m);
-  runtime::put_u32(p, certified ? 1 : 0);
-  runtime::put_u64(p, cert_hash);
-  return p;
-}
-
-std::optional<CachedOutcome> decode_outcome(const std::string& payload) {
-  try {
-    CachedOutcome o;
-    std::size_t pos = 0;
-    o.done = runtime::get_u32(payload, pos) == 0;
-    o.sat_calls = runtime::get_u64(payload, pos);
-    const std::uint32_t nk = runtime::get_u32(payload, pos);
-    o.kills.reserve(nk);
-    for (std::uint32_t i = 0; i < nk; ++i) o.kills.push_back(runtime::get_u32(payload, pos));
-    const std::uint32_t np = runtime::get_u32(payload, pos);
-    o.pending.reserve(np);
-    for (std::uint32_t i = 0; i < np; ++i) o.pending.push_back(runtime::get_u32(payload, pos));
-    o.certified = runtime::get_u32(payload, pos) != 0;
-    o.cert_hash = runtime::get_u64(payload, pos);
-    return o;
-  } catch (const PdatError&) {
-    // Checksummed records should never decode short; treat it as a miss
-    // rather than trusting a malformed entry.
-    return std::nullopt;
-  }
-}
-
-/// Exports a CertifySession's accumulated digest when the job attempt's
-/// solver (and with it the session) leaves scope, so the cache record can
-/// carry it. Runs on the exception path too, but a CertificationError
-/// unwinds past the cache store, so nothing unchecked is ever recorded.
-struct CertExport {
-  const std::optional<sat::CertifySession>& session;
-  bool& certified;
-  std::uint64_t& hash;
-  ~CertExport() {
-    if (session.has_value()) {
-      certified = true;
-      hash = session->certificate_hash();
-    }
-  }
-};
 
 /// Per-job result, merged by candidate index after the round completes (a
 /// union, so worker count and completion order cannot change the outcome).
@@ -274,65 +223,18 @@ struct Engine {
   const Deadline& dl;
   FrameEncoder enc;
   std::vector<bool> alive;
-  // Localization / proof cache (wired by prove_invariants).
-  ProofCache* cache = nullptr;
-  bool coi = false;            // localize rounds into support-closed cones
-  bool cache_store_ok = false; // only deterministic attempts are stored
-  bool certify = false;        // DRAT-check every proof-job SAT verdict
   /// Process isolation is active (opt.isolation == Process on a platform
   /// with fork): job attempts run in forked children against copy-on-write
   /// memory, so every side effect the round barrier needs — the job's
-  /// pending/outcome state, probe accounting, deferred cache stores, and
-  /// child-side telemetry — is recorded per attempt (AttemptFx) and shipped
-  /// back through the supervisor's ProcResultCodec (proc_encode/proc_apply).
+  /// pending/outcome state and child-side telemetry — is recorded per
+  /// attempt (AttemptFx) and shipped back through the supervisor's
+  /// ProcResultCodec (proc_encode/proc_apply).
   bool proc = false;
-  /// Engine-level probe outcomes (what InductionStats reports). These can
-  /// differ from the ProofCache's own file-level stats: a certified run
-  /// rejects uncertified records, which the file still counts as hits.
-  mutable std::atomic<std::uint64_t> probe_hits{0};
-  mutable std::atomic<std::uint64_t> probe_misses{0};
-  Fnv128 problem_hash;         // shared global-key prefix
-  std::uint64_t alive_hash = 0;  // per-round digest of the alive bitset
 
   Engine(const Netlist& nl_, const Environment& env_, const std::vector<GateProperty>& c,
          const InductionOptions& o, InductionStats& s, const Deadline& d)
       : nl(nl_), env(env_), cands(c), opt(o), st(s), dl(d), enc(nl_),
         alive(c.size(), true) {}
-
-  /// Key prefix shared by every global (non-localized) job: the netlist,
-  /// environment, candidate list, and every option a job outcome can depend
-  /// on. Thread count is deliberately excluded — outcomes must not depend
-  /// on it — and so is the cache path itself.
-  void init_problem_hash() {
-    Fnv128 h;
-    // v2: payloads carry a certification flag + certificate digest.
-    h.str("pdat-proof-global-v2");
-    hash_netlist(h, nl);
-    h.u64(env.assumes.size());
-    for (const NetId a : env.assumes) h.u32(a);
-    h.u64(opt.env_fingerprint);
-    h.u64(cands.size());
-    for (const GateProperty& p : cands) {
-      h.u8(static_cast<std::uint8_t>(p.kind));
-      h.u32(p.target);
-      h.u32(p.a);
-      h.u32(p.b);
-    }
-    h.u32(static_cast<std::uint32_t>(opt.k < 1 ? 1 : opt.k));
-    h.u32(static_cast<std::uint32_t>(opt.cex_sim_cycles));
-    h.u64(opt.seed);
-    h.u64(opt.sim_free_nets.size());
-    for (const NetId n : opt.sim_free_nets) h.u32(n);
-    problem_hash = h;
-  }
-
-  void refresh_alive_hash() {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < alive.size(); ++i) {
-      if (alive[i]) h = fnv_mix(h, i);
-    }
-    alive_hash = h;
-  }
 
   // --- process-isolation result codec ---------------------------------------
   // A forked child's writes die with its copy-on-write memory, so the child
@@ -341,34 +243,22 @@ struct Engine {
   // (apply overwrites), so a retry child forks from exactly the state a
   // thread-mode retry would observe, keeping the two modes byte-identical.
 
-  struct CacheStoreRec {
-    CacheKey key{};
-    bool certified = false;
-    std::string payload;
-  };
-
   /// One attempt's recorded side effects (child-side in process mode).
   /// Telemetry ships as deltas against a snapshot taken at attempt entry:
   /// the child inherits the parent's totals through fork, so end-minus-base
   /// is exactly what this attempt added.
   struct AttemptFx {
-    std::uint64_t hits = 0;    // engine-level cache-probe hits
-    std::uint64_t misses = 0;  // engine-level cache-probe misses
-    std::vector<CacheStoreRec> stores;
     bool traced = false;
     std::array<std::uint64_t, trace::kNumCounters> base_counters{};
     std::array<trace::HistogramSnapshot, trace::kNumHistograms> base_hists{};
   };
   mutable std::vector<AttemptFx> fx;  // one slot per job, reset per round
 
-  /// Child-side bookkeeping at attempt entry (no-op in thread mode): clears
+  /// Child-side bookkeeping at attempt entry (no-op in thread mode): resets
   /// this job's fx slot and snapshots telemetry for delta encoding.
   void attempt_begin(std::size_t jid) const {
     if (!proc) return;
     AttemptFx& f = fx[jid];
-    f.hits = 0;
-    f.misses = 0;
-    f.stores.clear();
     f.traced = trace::collecting();
     if (f.traced) {
       for (std::size_t c = 0; c < trace::kNumCounters; ++c) {
@@ -391,16 +281,6 @@ struct Engine {
     runtime::put_u64(p, outcomes[j].sat_calls);
     runtime::put_u32(p, static_cast<std::uint32_t>(outcomes[j].kills.size()));
     for (const std::uint32_t k : outcomes[j].kills) runtime::put_u32(p, k);
-    runtime::put_u64(p, f.hits);
-    runtime::put_u64(p, f.misses);
-    runtime::put_u32(p, static_cast<std::uint32_t>(f.stores.size()));
-    for (const CacheStoreRec& s : f.stores) {
-      runtime::put_u64(p, s.key.lo);
-      runtime::put_u64(p, s.key.hi);
-      runtime::put_u32(p, s.certified ? 1 : 0);
-      runtime::put_u32(p, static_cast<std::uint32_t>(s.payload.size()));
-      p += s.payload;
-    }
     runtime::put_u32(p, f.traced ? 1 : 0);
     if (f.traced) {
       runtime::put_u32(p, static_cast<std::uint32_t>(trace::kNumCounters));
@@ -437,18 +317,6 @@ struct Engine {
     out.sat_calls = runtime::get_u64(payload, pos);
     out.kills.resize(runtime::get_u32(payload, pos));
     for (std::uint32_t& k : out.kills) k = runtime::get_u32(payload, pos);
-    const std::uint64_t hits = runtime::get_u64(payload, pos);
-    const std::uint64_t misses = runtime::get_u64(payload, pos);
-    std::vector<CacheStoreRec> stores(runtime::get_u32(payload, pos));
-    for (CacheStoreRec& s : stores) {
-      s.key.lo = runtime::get_u64(payload, pos);
-      s.key.hi = runtime::get_u64(payload, pos);
-      s.certified = runtime::get_u32(payload, pos) != 0;
-      const std::uint32_t len = runtime::get_u32(payload, pos);
-      if (payload.size() - pos < len) throw PdatError("proc_apply: truncated cache store");
-      s.payload = payload.substr(pos, len);
-      pos += len;
-    }
     std::array<std::uint64_t, trace::kNumCounters> counter_delta{};
     std::array<trace::HistogramSnapshot, trace::kNumHistograms> hist_delta{};
     const bool traced = runtime::get_u32(payload, pos) != 0;
@@ -472,14 +340,6 @@ struct Engine {
     // Decode complete — commit.
     pending[j] = std::move(pend);
     outcomes[j] = std::move(out);
-    probe_hits.fetch_add(hits, std::memory_order_relaxed);
-    probe_misses.fetch_add(misses, std::memory_order_relaxed);
-    for (CacheStoreRec& s : stores) {
-      if (cache == nullptr) break;
-      const bool stored = s.certified ? cache->update(s.key, std::move(s.payload))
-                                      : cache->insert(s.key, std::move(s.payload));
-      if (stored) trace::add(trace::Counter::ProofCacheStores, 1);
-    }
     if (traced && trace::collecting()) {
       for (std::size_t c = 0; c < trace::kNumCounters; ++c) {
         if (counter_delta[c] != 0) {
@@ -503,84 +363,6 @@ struct Engine {
       proc_apply(j, p, pending, outcomes);
     };
     return c;
-  }
-
-  CacheKey global_job_key(int phase, int round, std::size_t jid,
-                          const std::vector<std::uint32_t>& members,
-                          const runtime::JobBudget& budget) const {
-    Fnv128 h = problem_hash;
-    h.u32(static_cast<std::uint32_t>(phase));
-    h.u64(alive_hash);
-    // Replay kills depend on the job's RNG stream, seeded by (round, jid);
-    // fold them only when replay is active so replay-free outcomes are
-    // reusable wherever the rest of the key matches.
-    if (opt.cex_sim_cycles > 0 && phase == 1) {
-      h.u32(static_cast<std::uint32_t>(round + 2));
-      h.u64(jid);
-    }
-    h.u64(members.size());
-    for (const std::uint32_t m : members) h.u32(m);
-    h.u64(static_cast<std::uint64_t>(budget.conflicts));
-    h.u64(budget.memory_bytes);
-    return h.digest();
-  }
-
-  std::optional<CachedOutcome> cache_probe(std::size_t jid, const CacheKey& key) const {
-    // In process mode the probe runs in a forked child, whose atomics are
-    // copy-on-write ghosts: record the verdict in the fx slot instead and
-    // let proc_apply bump the real atomics (the trace counters ride along
-    // in the attempt's counter deltas).
-    if (const auto hit = cache->lookup(key)) {
-      if (auto o = decode_outcome(*hit)) {
-        // A certified run never trusts a record an uncertified run wrote:
-        // treat it as a miss, re-prove under the checker, and upgrade it.
-        if (!certify || o->certified) {
-          if (proc) {
-            ++fx[jid].hits;
-          } else {
-            probe_hits.fetch_add(1, std::memory_order_relaxed);
-          }
-          trace::add(trace::Counter::ProofCacheHits, 1);
-          return o;
-        }
-      }
-    }
-    if (proc) {
-      ++fx[jid].misses;
-    } else {
-      probe_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-    trace::add(trace::Counter::ProofCacheMisses, 1);
-    return std::nullopt;
-  }
-
-  void cache_store(std::size_t jid, const CacheKey& key, runtime::JobStatus status,
-                   std::uint64_t sat_calls, const std::vector<std::uint32_t>& kills,
-                   const std::vector<std::uint32_t>& pending, bool certified,
-                   std::uint64_t cert_hash) const {
-    if (cache == nullptr || !cache_store_ok) return;
-    std::string payload = encode_outcome(status, sat_calls, kills, pending, certified, cert_hash);
-    if (proc) {
-      // A child cannot mutate the parent's cache; defer the store to
-      // proc_apply, which also settles the insert-vs-update race under the
-      // cache's usual first-wins/upgrade rules.
-      fx[jid].stores.push_back({key, certified, std::move(payload)});
-      return;
-    }
-    // Certified outcomes overwrite (upgrade) whatever is recorded; an
-    // uncertified outcome never downgrades an existing record.
-    const bool stored = certified ? cache->update(key, std::move(payload))
-                                  : cache->insert(key, std::move(payload));
-    if (stored) trace::add(trace::Counter::ProofCacheStores, 1);
-  }
-
-  /// Replays a cached attempt: byte-equivalent to re-running it.
-  runtime::JobStatus inject_outcome(const CachedOutcome& o, std::vector<std::uint32_t>& members,
-                                    JobOutcome& out) const {
-    out.sat_calls += o.sat_calls;
-    out.kills.insert(out.kills.end(), o.kills.begin(), o.kills.end());
-    members = o.pending;
-    return o.done ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
   }
 
   runtime::SupervisorOptions supervisor_options() const {
@@ -732,10 +514,6 @@ struct Engine {
   }
 
   void run_base_phase() {
-    if (coi) {
-      run_localized_round(runtime::kBaseRound);
-      return;
-    }
     trace::Span span("induction.base");
     const std::size_t alive_before = popcount(alive);
     const std::size_t sc0 = st.sat_calls;
@@ -761,7 +539,6 @@ struct Engine {
     std::vector<std::vector<std::uint32_t>> pending = batches;
     std::vector<JobOutcome> outcomes(batches.size());
     if (proc) fx.assign(batches.size(), {});
-    if (cache != nullptr) refresh_alive_hash();
 
     runtime::Supervisor sup(supervisor_options());
     const runtime::ProcResultCodec codec = make_codec(pending, outcomes);
@@ -769,21 +546,9 @@ struct Engine {
       attempt_begin(jid);  // proc mode: reset fx slot, snapshot telemetry
       auto& members = pending[jid];
       JobOutcome& out = outcomes[jid];
-      CacheKey key{};
-      if (cache != nullptr) {
-        key = global_job_key(0, runtime::kBaseRound, jid, members, budget);
-        if (const auto hit = cache_probe(jid, key)) return inject_outcome(*hit, members, out);
-      }
-      const std::size_t nk0 = out.kills.size();
-      const std::uint64_t sc0 = out.sat_calls;
-      std::uint64_t solve_us = 0;
-      bool att_certified = false;
-      std::uint64_t att_cert_hash = 0;
-      const runtime::JobStatus status = [&] {
       sat::Solver s = tmpl;  // private copy; index-based state, so this is a deep copy
       std::optional<sat::CertifySession> cert;
-      if (certify) cert.emplace(s);
-      const CertExport cert_export{cert, att_certified, att_cert_hash};
+      if (opt.certify) cert.emplace(s);
       if (opt.test_corrupt_solver) s.test_corrupt_next_learnt();
       arm_solver(s, budget);
       sat::SolveLimits lim;
@@ -798,8 +563,9 @@ struct Engine {
         } else {
           const auto t0 = Clock::now();
           r = sv.solve({assumption}, l);
-          solve_us += static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count());
+          const auto us = std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0);
+          trace::add(trace::Counter::InductionSolveMicrosGlobal,
+                     static_cast<std::uint64_t>(us.count()));
         }
         if (cert.has_value()) cert->check(r, {assumption}, "induction.base");
         return r;
@@ -897,12 +663,6 @@ struct Engine {
         members = std::move(unresolved);
         return members.empty() ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
       }
-      }();
-      if (solve_us != 0) trace::add(trace::Counter::InductionSolveMicrosGlobal, solve_us);
-      cache_store(jid, key, status, out.sat_calls - sc0,
-                  {out.kills.begin() + static_cast<std::ptrdiff_t>(nk0), out.kills.end()},
-                  members, att_certified, att_cert_hash);
-      return status;
     };
 
     const auto reports = sup.run(batches.size(), job, proc ? &codec : nullptr);
@@ -918,7 +678,6 @@ struct Engine {
   /// dispatches batch jobs checking for violations at frame k. Returns the
   /// number of candidates removed (0 = the alive set is the fixpoint).
   std::size_t run_step_round(int round) {
-    if (coi) return run_localized_round(round);
     trace::Span span("induction.round", {"round", round});
     const std::size_t alive_before = popcount(alive);
     const std::size_t sc0 = st.sat_calls;
@@ -951,7 +710,6 @@ struct Engine {
     std::vector<std::vector<std::uint32_t>> pending = batches;
     std::vector<JobOutcome> outcomes(batches.size());
     if (proc) fx.assign(batches.size(), {});
-    if (cache != nullptr) refresh_alive_hash();
 
     runtime::Supervisor sup(supervisor_options());
     const runtime::ProcResultCodec codec = make_codec(pending, outcomes);
@@ -959,21 +717,9 @@ struct Engine {
       attempt_begin(jid);  // proc mode: reset fx slot, snapshot telemetry
       auto& members = pending[jid];
       JobOutcome& out = outcomes[jid];
-      CacheKey key{};
-      if (cache != nullptr) {
-        key = global_job_key(1, round, jid, members, budget);
-        if (const auto hit = cache_probe(jid, key)) return inject_outcome(*hit, members, out);
-      }
-      const std::size_t nk0 = out.kills.size();
-      const std::uint64_t sc0 = out.sat_calls;
-      std::uint64_t solve_us = 0;
-      bool att_certified = false;
-      std::uint64_t att_cert_hash = 0;
-      const runtime::JobStatus status = [&] {
       sat::Solver s = tmpl;
       std::optional<sat::CertifySession> cert;
-      if (certify) cert.emplace(s);
-      const CertExport cert_export{cert, att_certified, att_cert_hash};
+      if (opt.certify) cert.emplace(s);
       if (opt.test_corrupt_solver) s.test_corrupt_next_learnt();
       arm_solver(s, budget);
       sat::SolveLimits lim;
@@ -988,8 +734,9 @@ struct Engine {
         } else {
           const auto t0 = Clock::now();
           r = sv.solve({assumption}, l);
-          solve_us += static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count());
+          const auto us = std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0);
+          trace::add(trace::Counter::InductionSolveMicrosGlobal,
+                     static_cast<std::uint64_t>(us.count()));
         }
         if (cert.has_value()) cert->check(r, {assumption}, "induction.step");
         return r;
@@ -1085,287 +832,6 @@ struct Engine {
         members = std::move(unresolved);
         return members.empty() ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
       }
-      }();
-      if (solve_us != 0) trace::add(trace::Counter::InductionSolveMicrosGlobal, solve_us);
-      cache_store(jid, key, status, out.sat_calls - sc0,
-                  {out.kills.begin() + static_cast<std::ptrdiff_t>(nk0), out.kills.end()},
-                  members, att_certified, att_cert_hash);
-      return status;
-    };
-
-    const auto reports = sup.run(batches.size(), job, proc ? &codec : nullptr);
-    const std::size_t removed = merge_round(batches, pending, outcomes, reports, sup.stats());
-    round_telemetry(round, alive_before, sc0, ck0, bk0, removed);
-    span.arg("killed", static_cast<std::int64_t>(removed));
-    return removed;
-  }
-
-  /// One localized phase: the base case when round == runtime::kBaseRound,
-  /// otherwise step round `round`. Partitions the alive set into
-  /// support-closed cones (coi.h) and dispatches per-cone batch jobs over
-  /// lazily-built cone-local CNF templates — a round in which every batch
-  /// hits the proof cache never encodes a single clause. Kill sets equal
-  /// the global engine's by the equisatisfiability argument in coi.h.
-  std::size_t run_localized_round(int round) {
-    const bool base = round == runtime::kBaseRound;
-    trace::Span span(base ? "induction.base" : "induction.round");
-    if (!base) span.arg("round", round);
-    const std::size_t alive_before = popcount(alive);
-    const std::size_t sc0 = st.sat_calls;
-    const std::size_t ck0 = st.cex_kills;
-    const std::size_t bk0 = st.budget_kills;
-    span.arg("alive", static_cast<std::int64_t>(alive_before));
-    const int k = opt.k < 1 ? 1 : opt.k;
-
-    const ConePartition part = partition_cones(nl, enc.levels(), cands, alive, env.assumes);
-    st.coi_cones += part.cones.size();
-    trace::add(trace::Counter::CoiPartitions, 1);
-    trace::add(trace::Counter::CoiCones, part.cones.size());
-    for (const Cone& c : part.cones) {
-      trace::add(trace::Counter::CoiConeCandidates, c.candidates.size());
-      trace::observe(trace::Histogram::CoiConeCells, c.comb.size() + c.flops.size());
-    }
-
-    // Batches: cones in deterministic order, each cone's candidates sharded
-    // by batch_size (mirrors shard_alive, per cone).
-    std::vector<std::vector<std::uint32_t>> batches;
-    std::vector<std::size_t> batch_cone;
-    const std::size_t bsz = opt.batch_size < 1 ? 1 : static_cast<std::size_t>(opt.batch_size);
-    for (std::size_t ci = 0; ci < part.cones.size(); ++ci) {
-      const auto& cc = part.cones[ci].candidates;
-      for (std::size_t off = 0; off < cc.size(); off += bsz) {
-        batches.emplace_back(cc.begin() + static_cast<std::ptrdiff_t>(off),
-                             cc.begin() + static_cast<std::ptrdiff_t>(
-                                              std::min(cc.size(), off + bsz)));
-        batch_cone.push_back(ci);
-      }
-    }
-    std::vector<std::vector<std::uint32_t>> pending = batches;
-    std::vector<JobOutcome> outcomes(batches.size());
-    if (proc) fx.assign(batches.size(), {});
-
-    std::vector<CacheKey> fps(part.cones.size());
-    if (cache != nullptr) {
-      for (std::size_t ci = 0; ci < part.cones.size(); ++ci) {
-        fps[ci] = cone_fingerprint(nl, part.cones[ci], cands);
-      }
-    }
-
-    struct ConeTemplate {
-      sat::Solver solver;
-      std::vector<Frame> frames;
-    };
-    std::vector<std::unique_ptr<ConeTemplate>> templates(part.cones.size());
-    std::deque<std::once_flag> built(part.cones.size());
-    const auto build_template = [&](std::size_t ci) {
-      const Cone& cone = part.cones[ci];
-      auto t = std::make_unique<ConeTemplate>();
-      const ConeEncoder cenc(nl, cone);
-      const int last = base ? k - 1 : k;
-      for (int j = 0; j <= last; ++j) {
-        t->frames.push_back(cenc.encode(t->solver));
-        if (j == 0) {
-          if (base) cenc.fix_initial(t->solver, t->frames[0]);
-        } else {
-          cenc.link(t->solver, t->frames[static_cast<std::size_t>(j - 1)],
-                    t->frames[static_cast<std::size_t>(j)]);
-        }
-        for (const NetId a : cone.assumes) t->solver.add_clause(t->frames.back().lit(a, true));
-      }
-      if (!base) {
-        // Round hypothesis: every alive candidate of the cone at frames
-        // 0..k-1. Candidates in other cones have disjoint support, so their
-        // hypothesis clauses factor out (coi.h closure 3).
-        for (const std::uint32_t i : cone.candidates) {
-          for (int j = 0; j < k; ++j) {
-            assert_property(t->solver, cands[i], t->frames[static_cast<std::size_t>(j)]);
-          }
-        }
-      }
-      templates[ci] = std::move(t);
-    };
-
-    runtime::Supervisor sup(supervisor_options());
-    const runtime::ProcResultCodec codec = make_codec(pending, outcomes);
-    const auto job = [&](std::size_t jid, int /*attempt*/, const runtime::JobBudget& budget) {
-      attempt_begin(jid);  // proc mode: reset fx slot, snapshot telemetry
-      auto& members = pending[jid];
-      JobOutcome& out = outcomes[jid];
-      const std::size_t ci = batch_cone[jid];
-      const Cone& cone = part.cones[ci];
-      // Cache payloads store candidates as positions in the cone's
-      // canonical (ascending) candidate order, so an entry written by one
-      // run is meaningful to any later run with an isomorphic cone.
-      const auto cone_pos = [&](std::uint32_t cand) {
-        const auto it = std::lower_bound(cone.candidates.begin(), cone.candidates.end(), cand);
-        return static_cast<std::uint32_t>(it - cone.candidates.begin());
-      };
-      CacheKey key{};
-      if (cache != nullptr) {
-        Fnv128 h;
-        h.str("pdat-coi-job-v2");  // v2: certified payloads, see CachedOutcome
-        h.u64(fps[ci].lo);
-        h.u64(fps[ci].hi);
-        h.u32(base ? 0u : 1u);
-        h.u32(static_cast<std::uint32_t>(k));
-        h.u64(members.size());
-        for (const std::uint32_t m : members) h.u32(cone_pos(m));
-        h.u64(static_cast<std::uint64_t>(budget.conflicts));
-        h.u64(budget.memory_bytes);
-        key = h.digest();
-        if (const auto hit = cache_probe(jid, key)) {
-          // (cache_probe already rejected uncertified hits under --certify.)
-          bool in_range = true;
-          for (const std::uint32_t p : hit->kills) in_range = in_range && p < cone.candidates.size();
-          for (const std::uint32_t p : hit->pending) in_range = in_range && p < cone.candidates.size();
-          if (in_range) {
-            out.sat_calls += hit->sat_calls;
-            for (const std::uint32_t p : hit->kills) out.kills.push_back(cone.candidates[p]);
-            members.clear();
-            for (const std::uint32_t p : hit->pending) members.push_back(cone.candidates[p]);
-            return hit->done ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
-          }
-        }
-      }
-      const std::size_t nk0 = out.kills.size();
-      const std::uint64_t sc0j = out.sat_calls;
-      std::uint64_t solve_us = 0;
-      bool att_certified = false;
-      std::uint64_t att_cert_hash = 0;
-      const runtime::JobStatus status = [&] {
-        std::call_once(built[ci], build_template, ci);
-        const ConeTemplate& tmpl = *templates[ci];
-        sat::Solver s = tmpl.solver;
-        std::optional<sat::CertifySession> cert;
-        if (certify) cert.emplace(s);
-        const CertExport cert_export{cert, att_certified, att_cert_hash};
-        if (opt.test_corrupt_solver) s.test_corrupt_next_learnt();
-        arm_solver(s, budget);
-        sat::SolveLimits lim;
-        lim.conflict_budget = budget.conflicts;
-        lim.memory_bytes = budget.memory_bytes;
-        lim.interrupt = &sup.cancelled();
-        lim.interrupt2 = opt.interrupt;
-        const auto timed_solve = [&](Lit assumption, const sat::SolveLimits& l) {
-          SolveResult r;
-          if (!trace::collecting()) {
-            r = s.solve({assumption}, l);
-          } else {
-            const auto t0 = Clock::now();
-            r = s.solve({assumption}, l);
-            solve_us += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0).count());
-          }
-          if (cert.has_value()) cert->check(r, {assumption}, "induction.coi");
-          return r;
-        };
-        // Frames to check: every base frame, or frame k for the step.
-        std::vector<const Frame*> check;
-        if (base) {
-          for (const Frame& f : tmpl.frames) check.push_back(&f);
-        } else {
-          check.push_back(&tmpl.frames.back());
-        }
-
-        std::vector<Lit> member_any(members.size());
-        std::vector<std::vector<Lit>> member_aux(members.size());
-        const Lit trigger = sat::mk_lit(s.new_var());
-        std::vector<Lit> any_clause{~trigger};
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          member_aux[m].reserve(check.size());
-          for (const Frame* f : check) {
-            member_aux[m].push_back(make_violation_aux(s, cands[members[m]], *f));
-          }
-          member_any[m] = sat::mk_lit(s.new_var());
-          std::vector<Lit> ors{~member_any[m]};
-          ors.insert(ors.end(), member_aux[m].begin(), member_aux[m].end());
-          s.add_clause(ors);
-          any_clause.push_back(member_any[m]);
-        }
-        s.add_clause(any_clause);
-
-        const auto retire = [&](std::size_t m) {
-          for (const Lit ax : member_aux[m]) s.add_clause(~ax);
-          s.add_clause(~member_any[m]);
-          member_aux[m].clear();
-        };
-        // Model kills scan only the cone's candidates: a cone-local model
-        // has no variables (and no meaning) outside the cone. No replay for
-        // the same reason — there is no whole-netlist frame-k state to load.
-        std::vector<char> job_killed(cands.size(), 0);
-        const auto kill_from_model = [&] {
-          bool any_member = false;
-          for (const std::uint32_t i : cone.candidates) {
-            if (job_killed[i]) continue;
-            for (const Frame* f : check) {
-              if (violated_in_model(s, cands[i], *f)) {
-                job_killed[i] = 1;
-                out.kills.push_back(i);
-                break;
-              }
-            }
-          }
-          for (std::size_t m = 0; m < members.size(); ++m) {
-            if (member_aux[m].empty()) continue;
-            if (job_killed[members[m]]) {
-              retire(m);
-              any_member = true;
-            }
-          }
-          return any_member;
-        };
-
-        for (;;) {
-          ++out.sat_calls;
-          const SolveResult r = timed_solve(trigger, lim);
-          if (r == SolveResult::Unsat) {
-            members.clear();
-            return runtime::JobStatus::Done;
-          }
-          if (r == SolveResult::Sat) {
-            if (!kill_from_model()) {
-              throw PdatError("induction(coi): aggregate model kills no batch member");
-            }
-            continue;
-          }
-          sat::SolveLimits small = lim;
-          if (small.conflict_budget >= 0) small.conflict_budget = small.conflict_budget / 16 + 1;
-          std::vector<std::uint32_t> unresolved;
-          for (std::size_t m = 0; m < members.size(); ++m) {
-            if (member_aux[m].empty()) continue;
-            ++out.sat_calls;
-            const SolveResult rm = timed_solve(member_any[m], small);
-            if (rm == SolveResult::Unsat) {
-              retire(m);
-            } else if (rm == SolveResult::Sat) {
-              kill_from_model();
-              if (!member_aux[m].empty()) {
-                // Violating model whose extraction missed the member: it IS
-                // falsifiable, kill explicitly (mirrors the global engine).
-                out.kills.push_back(members[m]);
-                retire(m);
-              }
-            } else {
-              unresolved.push_back(members[m]);
-            }
-          }
-          members = std::move(unresolved);
-          return members.empty() ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
-        }
-      }();
-      if (solve_us != 0) trace::add(trace::Counter::InductionSolveMicrosLocalized, solve_us);
-      if (cache != nullptr) {
-        std::vector<std::uint32_t> kill_pos;
-        for (auto it = out.kills.begin() + static_cast<std::ptrdiff_t>(nk0);
-             it != out.kills.end(); ++it) {
-          kill_pos.push_back(cone_pos(*it));
-        }
-        std::vector<std::uint32_t> pend_pos;
-        for (const std::uint32_t m : members) pend_pos.push_back(cone_pos(m));
-        cache_store(jid, key, status, out.sat_calls - sc0j, kill_pos, pend_pos,
-                    att_certified, att_cert_hash);
-      }
-      return status;
     };
 
     const auto reports = sup.run(batches.size(), job, proc ? &codec : nullptr);
@@ -1395,46 +861,14 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
                                std::chrono::duration<double>(opt.deadline_seconds));
   }
 
-  // COI localization holds its equisatisfiability guarantee (coi.h) only at
-  // k == 1; deeper unrollings fall back to the global engine.
-  const bool coi_active = opt.coi_localize && opt.k <= 1;
-  if (opt.coi_localize && !coi_active) {
-    log_warn() << "induction: COI localization requires k == 1 (k=" << opt.k
-               << "); falling back to the global engine";
-  }
-  st.coi_localized = coi_active;
-
-  std::unique_ptr<ProofCache> pcache;
-  if (!opt.proof_cache_path.empty()) {
-    pcache = std::make_unique<ProofCache>(opt.proof_cache_path);
-  }
-
   Engine eng(nl, env, candidates, opt, st, dl);
-  eng.coi = coi_active;
-  eng.certify = opt.certify;
   // Must mirror the supervisor's own fallback test exactly: if the engine
   // diverted side effects to the codec while the supervisor silently ran
-  // threads, cache stores and probe accounting would be lost.
+  // threads, the job outcomes would be lost.
   eng.proc = opt.isolation == runtime::Isolation::Process &&
              runtime::process_isolation_supported();
-  eng.cache = pcache.get();
-  // Attempts raced against a wall clock are not pure functions of their key
-  // (an interrupt can strike anywhere); never memoize them.
-  eng.cache_store_ok = !dl.armed && opt.job_wall_seconds <= 0;
-  if (pcache != nullptr) eng.init_problem_hash();
 
-  const auto finalize_cache = [&] {
-    if (pcache == nullptr) return;
-    pcache->flush();
-    // Hits/misses are the engine's probe decisions, not the file's: under
-    // --certify an uncertified record is present in the file (a file-level
-    // hit) yet rejected by the probe (an engine-level miss, re-proved).
-    st.cache_hits = eng.probe_hits.load(std::memory_order_relaxed);
-    st.cache_misses = eng.probe_misses.load(std::memory_order_relaxed);
-    st.cache_stores = pcache->stats().stores;
-  };
-
-  const runtime::ProofJournalHeader header{proof_fingerprint(nl, candidates, opt, coi_active),
+  const runtime::ProofJournalHeader header{proof_fingerprint(nl, env, candidates, opt),
                                            candidates.size()};
 
   // --- resume ---------------------------------------------------------------
@@ -1494,7 +928,6 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
     if (!dl.expired()) eng.run_base_phase();
     if (st.timed_out) {
       log_warn() << "induction: deadline expired during base case; proving nothing";
-      finalize_cache();
       if (stats != nullptr) *stats = st;
       return {};
     }
@@ -1525,7 +958,6 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
   if (st.timed_out) {
     log_warn() << "induction: deadline expired before the fixpoint closed; proving nothing"
                << (journal ? " (journal retains completed rounds for resume)" : "");
-    finalize_cache();
     if (stats != nullptr) *stats = st;
     return {};
   }
@@ -1541,7 +973,6 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
   }
   st.proven = proven.size();
   span.arg("proven", static_cast<std::int64_t>(proven.size()));
-  finalize_cache();
   if (stats != nullptr) *stats = st;
   return proven;
 }

@@ -79,10 +79,7 @@ struct InductionOptions {
   /// A certificate that fails to check raises CertificationError out of
   /// prove_invariants — never a silently wrong survivor set. Verdicts and
   /// reports are byte-identical with certification on or off; only the
-  /// cert.* telemetry and runtime differ. Cached outcomes recorded by
-  /// uncertified runs are re-proved (treated as misses), then upgraded in
-  /// place, so a warm cache cannot smuggle unchecked verdicts into a
-  /// certified run.
+  /// cert.* telemetry and runtime differ.
   bool certify = false;
   /// Test-only: arm Solver::test_corrupt_next_learnt() on every proof-job
   /// solver, so each job mis-learns one clause. Tests combine it with
@@ -132,32 +129,13 @@ struct InductionOptions {
   std::string journal_path;
   /// When non-empty, replay this journal and continue from the last complete
   /// round. Throws PdatError when the journal does not match the proof
-  /// problem (fingerprint), is empty, or has no header — resuming must never
-  /// silently restart or import an alien survivor set. May equal
+  /// problem, is empty, or has no header — resuming must never silently
+  /// restart or import an alien survivor set. The match is a fingerprint
+  /// over the netlist's structure, the environment's assume nets, the
+  /// candidate list, and every verdict-affecting option above. May equal
   /// journal_path, in which case new records are appended after the valid
   /// prefix (a torn tail from the crash is truncated).
   std::string resume_from;
-
-  // --- localization / proof cache -------------------------------------------
-  /// Cone-of-influence localization: partition each round's alive set into
-  /// support-closed cones (src/formal/coi.h) and solve cone-local CNF
-  /// templates instead of whole-netlist ones. Sound and kill-for-kill
-  /// identical to the global engine at k == 1 (falls back to global with a
-  /// warning for k > 1); counterexample replay is disabled inside localized
-  /// jobs because a cone-local model has no whole-netlist frame-k state.
-  bool coi_localize = false;
-  /// When non-empty, persist proof-job outcomes in a content-addressed
-  /// cache at this path (src/formal/proofcache.h). A warm rerun of the
-  /// same problem replays outcomes instead of solving; results are
-  /// bit-identical with the cache on, off, cold, or warm because keys cover
-  /// everything an outcome depends on. Timing-budgeted attempts (job wall
-  /// budgets or an armed deadline) are never stored.
-  std::string proof_cache_path;
-  /// Caller-supplied hash of the environment stimulus (drivers + anything
-  /// else that shapes counterexample replay) folded into cache keys. The
-  /// assume nets are hashed by the engine itself; this covers what it
-  /// cannot see. Leave 0 only when the stimulus never varies per netlist.
-  std::uint64_t env_fingerprint = 0;
 };
 
 struct InductionStats {
@@ -182,13 +160,6 @@ struct InductionStats {
   /// Resume provenance: -2 = fresh run, kBaseRound(-1) = resumed after the
   /// base case, r >= 0 = resumed after step round r.
   int resumed_from_round = -2;
-  // Localization / proof-cache accounting (timing-class: hits vs misses
-  /// depend on cache warmth, never on verdicts).
-  bool coi_localized = false;   // the run actually used cone localization
-  std::size_t coi_cones = 0;    // cones across all localized rounds
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::size_t cache_stores = 0;
 };
 
 /// Returns the proved subset of `candidates` (input order preserved).

@@ -10,9 +10,7 @@
 
 #include "base/log.h"
 #include "formal/bmc.h"
-#include "formal/coi.h"
 #include "netlist/check.h"
-#include "runtime/procworker.h"
 #include "trace/metrics.h"
 #include "trace/trace.h"
 
@@ -237,45 +235,8 @@ PdatResult run_pdat(const Netlist& design,
   begin_stage(PdatStage::Induction);
   std::vector<GateProperty> proven;
   InductionOptions iopt = opt.induction;
-  if (iopt.journal_path.empty()) iopt.journal_path = opt.checkpoint_journal;
-  if (iopt.resume_from.empty()) iopt.resume_from = opt.resume_from;
   if (opt.certify) iopt.certify = true;
   if (iopt.interrupt == nullptr) iopt.interrupt = opt.interrupt;
-  if (opt.coi_localize) iopt.coi_localize = true;
-  if (opt.isolation == runtime::Isolation::Process) {
-    iopt.isolation = runtime::Isolation::Process;
-    if (!runtime::process_isolation_supported()) {
-      log_warn() << "PDAT: process isolation is not supported on this platform; "
-                    "proof jobs run in threads";
-    }
-  }
-  if (iopt.job_rlimit_bytes == 0 && opt.job_rlimit_mb > 0) {
-    iopt.job_rlimit_bytes = opt.job_rlimit_mb * (std::size_t{1} << 20);
-  }
-  if (iopt.job_rlimit_cpu_seconds == 0) iopt.job_rlimit_cpu_seconds = opt.job_rlimit_cpu_seconds;
-  if (iopt.proof_cache_path.empty()) iopt.proof_cache_path = opt.proof_cache_path;
-  if (!iopt.proof_cache_path.empty() && iopt.env_fingerprint == 0) {
-    // Bind cache entries to this exact environment restriction: the analysis
-    // netlist (which embeds the constraint circuits), the assume nets, the
-    // cutpoints, and which nets the stimulus drivers own. Stateful driver
-    // *behavior* is not content-hashable; callers with exotic drivers can
-    // pre-set induction.env_fingerprint themselves.
-    Fnv128 eh;
-    eh.str("pdat-env-v1");
-    hash_netlist(eh, analysis);
-    eh.u64(restr.env.assumes.size());
-    for (const NetId n : restr.env.assumes) eh.u64(n);
-    eh.u64(restr.cut_nets.size());
-    for (const NetId n : restr.cut_nets) eh.u64(n);
-    eh.u64(restr.env.drivers.size());
-    for (const auto& d : restr.env.drivers) {
-      const std::vector<NetId> owned = d->owned_nets();
-      eh.u64(owned.size());
-      for (const NetId n : owned) eh.u64(n);
-    }
-    const CacheKey ek = eh.digest();
-    iopt.env_fingerprint = ek.lo ^ ek.hi;
-  }
   if (clk.total_expired()) {
     degrade(PdatStage::Induction, "total deadline exhausted before the proof stage; skipping");
   } else if (!survivors.empty()) {

@@ -27,6 +27,11 @@ namespace pdat {
 
 struct PdatOptions {
   SimFilterOptions sim;
+  /// Proof-stage settings — threads, checkpoint journal and resume, process
+  /// isolation and its rlimits — are set on `induction` directly. A missing,
+  /// corrupt, or mismatched `induction.resume_from` journal is a
+  /// configuration error, thrown regardless of `strict`: a bad resume must
+  /// never silently rerun from scratch or, worse, resume an unrelated proof.
   InductionOptions induction;
   PropertyLibraryOptions properties;
   int resynthesis_iterations = 32;
@@ -38,41 +43,6 @@ struct PdatOptions {
   /// the total budget is gone are skipped.
   double stage_deadline_seconds = 0;
   double total_deadline_seconds = 0;
-  /// Checkpoint/resume for the proof stage (see src/runtime/). When
-  /// `checkpoint_journal` is set, the induction fixpoint journals each
-  /// completed round to that path. When `resume_from` is set, the proof
-  /// replays that journal and continues from the last complete round; a
-  /// missing, corrupt, or mismatched journal is a configuration error
-  /// (thrown regardless of `strict` — a bad resume must never silently
-  /// rerun from scratch or, worse, resume an unrelated proof).
-  /// Both forward into `induction.journal_path` / `induction.resume_from`
-  /// unless those are already set explicitly.
-  std::string checkpoint_journal;
-  std::string resume_from;
-  /// Cone-of-influence proof localization and the content-addressed proof
-  /// cache (src/formal/coi.h, src/formal/proofcache.h). Both forward into
-  /// `induction.coi_localize` / `induction.proof_cache_path` unless those
-  /// are already set explicitly; the pipeline also derives
-  /// `induction.env_fingerprint` from the analysis netlist, the assume
-  /// nets, the cutpoints, and the stimulus drivers' owned nets so cache
-  /// entries never outlive the environment restriction they were proved
-  /// under. Results are bit-identical with the cache on, off, cold or warm.
-  bool coi_localize = false;
-  std::string proof_cache_path;
-  /// Proof-job crash containment (src/runtime/procworker.h). `Process` runs
-  /// every proof-job attempt in a forked child so a solver segfault, abort,
-  /// or runaway allocation is contained by the OS instead of taking down the
-  /// run; the supervisor's retry-with-escalation → conservative-drop ladder
-  /// applies unchanged, and results (and reports) are byte-identical with
-  /// thread mode for crash-free runs at any worker count. Falls back to
-  /// threads (with a warning) on platforms without fork. The rlimit fields
-  /// cap each child with setrlimit: `job_rlimit_mb` bounds RLIMIT_AS in MiB
-  /// and `job_rlimit_cpu_seconds` bounds RLIMIT_CPU (SIGXCPU on expiry);
-  /// 0 = unlimited. All three forward into the matching `induction` fields
-  /// unless those are already set explicitly.
-  runtime::Isolation isolation = runtime::Isolation::Thread;
-  std::size_t job_rlimit_mb = 0;
-  long job_rlimit_cpu_seconds = 0;
   /// Observability (src/trace/, docs/telemetry.md). When `trace_path` is
   /// set, the run records hierarchical spans and writes a Chrome-trace/
   /// Perfetto JSON there; when `metrics_path` is set, it writes a versioned

@@ -26,10 +26,6 @@ VariantRow make_row(const std::string& name, const PdatResult& res, double secon
   r.job_drops = res.induction.job_drops;
   r.job_crashes = res.induction.job_crashes;
   r.resumed = res.induction.resumed_from_round >= -1;
-  r.coi_localized = res.induction.coi_localized;
-  r.coi_cones = res.induction.coi_cones;
-  r.cache_hits = res.induction.cache_hits;
-  r.cache_misses = res.induction.cache_misses;
   r.degraded = res.degraded;
   if (res.validation.miter != validate::Verdict::Skipped ||
       res.validation.lockstep != validate::Verdict::Skipped) {
@@ -88,16 +84,6 @@ void print_variant_table(std::ostream& os, std::vector<VariantRow> rows, const s
     if (r.job_crashes > 0) os << " " << r.job_crashes << " proof-job crashes contained;";
     if (r.resumed) os << " resumed from checkpoint journal;";
     if (r.degraded) os << " pipeline degraded (see PdatResult::degradations);";
-    os << "\n";
-  }
-  // Provenance-only footnotes: localization and cache warmth never change a
-  // row's numbers, but a reader comparing wall-clock columns should know.
-  for (const auto& r : rows) {
-    if (!r.coi_localized && r.cache_hits == 0 && r.cache_misses == 0) continue;
-    os << " * " << r.name << ":";
-    if (r.coi_localized) os << " proof localized to " << r.coi_cones << " cones;";
-    if (r.cache_hits + r.cache_misses > 0)
-      os << " proof cache " << r.cache_hits << " hits / " << r.cache_misses << " misses;";
     os << "\n";
   }
   os << "\n";

@@ -32,12 +32,6 @@ struct VariantRow {
   std::size_t job_drops = 0;
   std::size_t job_crashes = 0;
   bool resumed = false;
-  // Localization / proof-cache provenance (footnoted for transparency; a
-  // localized or cache-warmed row is bit-identical to a global cold one).
-  bool coi_localized = false;
-  std::size_t coi_cones = 0;
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
   // Validation safety-net verdict ("-" for non-PDAT / unvalidated rows).
   std::string validation = "-";
   bool degraded = false;

@@ -34,11 +34,11 @@
 // can be environmental and must not perturb byte-compared reports.
 //
 // The child runs against copy-on-write memory: it sees the parent's entire
-// state at fork time for free (CNF templates, netlist, cache contents) and
-// its own writes are invisible to the parent — all result state must flow
-// through the codec. Children exit with _exit(), never exit(): running
-// static destructors in the child (journal/cache flushes) would corrupt
-// parent-owned files.
+// state at fork time for free (CNF templates, netlist) and its own writes
+// are invisible to the parent — all result state must flow through the
+// codec. Children exit with _exit(), never exit(): running static
+// destructors in the child (journal flushes) would corrupt parent-owned
+// files.
 #pragma once
 
 #include <atomic>

@@ -24,22 +24,20 @@ void sort_unique(std::vector<Lit>& lits) {
   lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
 }
 
-std::uint64_t hash_lines(const DratLog& log, std::size_t from, std::size_t to) {
+}  // namespace
+
+std::uint64_t DratLog::content_hash() const {
   std::uint64_t h = kFnvOffset;
-  for (std::size_t i = from; i < to; ++i) {
-    h = fnv_mix(h, static_cast<std::uint64_t>(log.kind(i)));
-    const std::size_t n = log.line_size(i);
+  for (std::size_t i = 0; i < num_lines(); ++i) {
+    h = fnv_mix(h, static_cast<std::uint64_t>(kind(i)));
+    const std::size_t n = line_size(i);
     h = fnv_mix(h, n);
-    const Lit* lits = log.line_lits(i);
+    const Lit* lits = line_lits(i);
     for (std::size_t k = 0; k < n; ++k)
       h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(lits[k].x)));
   }
   return h;
 }
-
-}  // namespace
-
-std::uint64_t DratLog::content_hash() const { return hash_lines(*this, 0, num_lines()); }
 
 // --- DratChecker ------------------------------------------------------------
 
@@ -326,9 +324,6 @@ void CertifySession::check(SolveResult result, const std::vector<Lit>& assumptio
     throw CertificationError(std::string("certification failed (") + where + "): " + detail);
   }
   trace::add(trace::Counter::CertCertificatesChecked, 1);
-  // Fold this certificate (new trace lines + verdict) into the session hash.
-  cert_hash_ = fnv_mix(cert_hash_, hash_lines(log_, from, to));
-  cert_hash_ = fnv_mix(cert_hash_, static_cast<std::uint64_t>(result));
 }
 
 }  // namespace pdat::sat

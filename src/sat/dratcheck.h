@@ -60,8 +60,8 @@ class DratLog {
   /// Wire-footprint estimate used by the cert.proof_bytes counter.
   std::size_t byte_size() const { return lits_.size() * sizeof(Lit) + kinds_.size(); }
 
-  /// FNV-1a over every line (kind, size, literals). Stable across runs: the
-  /// proof cache stores it so a warm hit can name the certificate it trusts.
+  /// FNV-1a over every line (kind, size, literals). Stable across runs, so
+  /// two certificates can be compared by digest.
   std::uint64_t content_hash() const;
 
   void clear() {
@@ -157,10 +157,6 @@ class CertifySession {
   /// `where` names the proof obligation in diagnostics.
   void check(SolveResult result, const std::vector<Lit>& assumptions, const char* where);
 
-  /// FNV fold of every certificate checked so far (log content + verdicts);
-  /// stored in proof-cache records so trust survives a cache round-trip.
-  std::uint64_t certificate_hash() const { return cert_hash_; }
-
   const DratLog& log() const { return log_; }
 
  private:
@@ -169,7 +165,6 @@ class CertifySession {
   DratChecker checker_;
   std::size_t consumed_lines_ = 0;
   std::size_t consumed_bytes_ = 0;
-  std::uint64_t cert_hash_ = 1469598103934665603ULL;
 };
 
 }  // namespace pdat::sat

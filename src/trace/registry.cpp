@@ -51,21 +51,7 @@ constexpr MetricDef kCounterDefs[] = {
     {MetricKind::Counter, "induction.budget_kills", "candidates", true,
      "candidates conservatively dropped after budget exhaustion (never proved)"},
     {MetricKind::Counter, "induction.solve_micros_global", "micros", false,
-     "wall-clock time inside whole-netlist (non-localized) proof-job solves"},
-    {MetricKind::Counter, "induction.solve_micros_localized", "micros", false,
-     "wall-clock time inside cone-localized proof-job solves"},
-    {MetricKind::Counter, "coi.partitions", "1", true,
-     "cone-of-influence partitions computed (one per localized phase/round)"},
-    {MetricKind::Counter, "coi.cones", "cones", true,
-     "cones produced across all partitions (support-closed components)"},
-    {MetricKind::Counter, "coi.cone_candidates", "candidates", true,
-     "alive candidates assigned to cones across all partitions"},
-    {MetricKind::Counter, "proofcache.hits", "1", false,
-     "proof-cache lookups answered from the cache (cold vs warm dependent)"},
-    {MetricKind::Counter, "proofcache.misses", "1", false,
-     "proof-cache lookups that fell through to a real solve"},
-    {MetricKind::Counter, "proofcache.stores", "1", false,
-     "outcomes newly recorded in the proof cache"},
+     "wall-clock time inside proof-job SAT solves"},
     {MetricKind::Counter, "runtime.jobs_dispatched", "jobs", true,
      "proof jobs handed to the supervisor (one per batch per round/phase)"},
     {MetricKind::Counter, "runtime.job_attempts", "attempts", true,
@@ -142,8 +128,6 @@ constexpr MetricDef kHistogramDefs[] = {
      "attempts each job needed before completing or being dropped"},
     {MetricKind::Histogram, "induction.round_kills", "candidates", true,
      "candidates removed per fixpoint round (base case included)"},
-    {MetricKind::Histogram, "coi.cone_cells", "cells", true,
-     "cells (combinational + flops) per cone across all partitions"},
     {MetricKind::Histogram, "cert.check_micros", "micros", false,
      "wall-clock time per certificate check (trace replay + verdict check)"},
     {MetricKind::Histogram, "cert.proof_lines", "lines", false,

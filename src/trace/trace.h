@@ -74,15 +74,6 @@ enum class Counter : unsigned {
   InductionCexKills,
   InductionBudgetKills,
   InductionSolveMicrosGlobal,
-  InductionSolveMicrosLocalized,
-  // Cone-of-influence localization.
-  CoiPartitions,
-  CoiCones,
-  CoiConeCandidates,
-  // Content-addressed proof cache.
-  ProofCacheHits,
-  ProofCacheMisses,
-  ProofCacheStores,
   // Supervised proof runtime.
   RuntimeJobsDispatched,
   RuntimeJobAttempts,
@@ -123,7 +114,6 @@ enum class Histogram : unsigned {
   RuntimeQueueDepth,
   RuntimeAttemptsPerJob,
   InductionRoundKills,
-  CoiConeCells,
   CertCheckMicros,
   CertProofLines,
   FuzzShrunkLen,

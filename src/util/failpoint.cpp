@@ -22,7 +22,6 @@ constexpr const char* kFailpointSites[] = {
     "journal.create",           // journal file creation (header write)
     "journal.append",           // write-ahead journal record append
     "checkpoint.replay",        // proof-journal resume replay
-    "proofcache.flush",         // proof-cache append/rewrite flush
     "procworker.child_entry",   // forked proof worker, before the job runs
     "procworker.pipe_write",    // procworker pipe record write (either side)
     "procworker.pipe_read",     // procworker pipe record read (either side)

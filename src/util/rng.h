@@ -1,6 +1,6 @@
 // Deterministic seed derivation shared by everything that needs independent
-// random streams from one master seed: the differential fuzzer, the COI fuzz
-// harness, and the base xoshiro256** generator's state expansion.
+// random streams from one master seed: the differential fuzzer and the base
+// xoshiro256** generator's state expansion.
 //
 // Two primitives, both fixed-width integer arithmetic only, so a seed
 // reproduces byte-identically on every platform and standard library (unlike

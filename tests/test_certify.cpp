@@ -2,9 +2,7 @@
 // must change nothing but confidence (verdicts, proved sets, and reports are
 // byte-identical with --certify on or off), a deliberately corrupted solver
 // must be caught by the independent checker and surface as
-// CertificationError / StageError — never as a silently wrong survivor set —
-// and a warm proof cache populated by uncertified runs must be re-proved and
-// upgraded, never trusted.
+// CertificationError / StageError — never as a silently wrong survivor set.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +15,6 @@
 
 #include "formal/bmc.h"
 #include "formal/induction.h"
-#include "formal/proofcache.h"
 #include "opt/optimizer.h"
 #include "pdat/errors.h"
 #include "pdat/pipeline.h"
@@ -102,24 +99,18 @@ TEST(CertifyInduction, ResultsIdenticalWithAndWithoutCertification) {
   const auto cands = gate_const_candidates(nl);
   ASSERT_FALSE(cands.empty());
 
-  // Certification is compared within each localization arm: localized runs
-  // legitimately take different round counts (replay is disabled inside
-  // cone-local jobs), but certify on vs off must be indistinguishable.
-  for (const bool coi : {false, true}) {
-    InductionOptions plain;
-    plain.coi_localize = coi;
-    InductionStats plain_stats;
-    const auto reference = prove_invariants(nl, env, cands, plain, &plain_stats);
+  InductionOptions plain;
+  InductionStats plain_stats;
+  const auto reference = prove_invariants(nl, env, cands, plain, &plain_stats);
 
-    InductionOptions opt = plain;
-    opt.certify = true;
-    InductionStats stats;
-    const auto proven = prove_invariants(nl, env, cands, opt, &stats);
-    EXPECT_EQ(describe_all(proven), describe_all(reference)) << "coi=" << coi;
-    EXPECT_EQ(stats.rounds, plain_stats.rounds) << "coi=" << coi;
-    EXPECT_EQ(stats.sat_calls, plain_stats.sat_calls) << "coi=" << coi;
-    EXPECT_EQ(stats.budget_kills, plain_stats.budget_kills) << "coi=" << coi;
-  }
+  InductionOptions opt = plain;
+  opt.certify = true;
+  InductionStats stats;
+  const auto proven = prove_invariants(nl, env, cands, opt, &stats);
+  EXPECT_EQ(describe_all(proven), describe_all(reference));
+  EXPECT_EQ(stats.rounds, plain_stats.rounds);
+  EXPECT_EQ(stats.sat_calls, plain_stats.sat_calls);
+  EXPECT_EQ(stats.budget_kills, plain_stats.budget_kills);
 }
 
 TEST(CertifyInduction, CorruptedSolverIsCaughtAtAnyThreadCount) {
@@ -151,51 +142,9 @@ TEST(CertifyInduction, WithoutCertifyTheSameCorruptionPassesSilently) {
   EXPECT_NO_THROW(prove_invariants(nl, env, cands, opt));
 }
 
-TEST(CertifyInduction, UncertifiedCacheEntriesAreReProvedAndUpgraded) {
-  const Netlist nl = test::random_netlist(21, 8, 160, 14, 6);
-  const Environment env;
-  const auto cands = gate_const_candidates(nl);
-  const std::string cache = tmp_path("upgrade.pdatpc");
-  std::filesystem::remove(cache);
-
-  InductionOptions base;
-  base.proof_cache_path = cache;
-
-  // 1. Uncertified run populates the cache.
-  InductionStats s1;
-  const auto r1 = prove_invariants(nl, env, cands, base, &s1);
-  EXPECT_GT(s1.cache_stores, 0u);
-
-  // 2. A certified run must not trust those records: every hit is treated
-  //    as a miss, re-proved, and upgraded in place.
-  InductionOptions certified = base;
-  certified.certify = true;
-  InductionStats s2;
-  const auto r2 = prove_invariants(nl, env, cands, certified, &s2);
-  EXPECT_EQ(describe_all(r2), describe_all(r1));
-  EXPECT_EQ(s2.cache_hits, 0u) << "uncertified records must not count as hits";
-  EXPECT_GT(s2.cache_misses, 0u);
-
-  // 3. A second certified run replays the upgraded records.
-  InductionStats s3;
-  const auto r3 = prove_invariants(nl, env, cands, certified, &s3);
-  EXPECT_EQ(describe_all(r3), describe_all(r1));
-  EXPECT_GT(s3.cache_hits, 0u) << "the upgrade must have been persisted";
-  EXPECT_EQ(s3.cache_misses, 0u);
-
-  // 4. Certified records stay valid for uncertified runs (never downgraded).
-  InductionStats s4;
-  const auto r4 = prove_invariants(nl, env, cands, base, &s4);
-  EXPECT_EQ(describe_all(r4), describe_all(r1));
-  EXPECT_GT(s4.cache_hits, 0u);
-  EXPECT_EQ(s4.cache_misses, 0u);
-
-  std::filesystem::remove(cache);
-}
-
 // --- BMC ---------------------------------------------------------------------
 
-TEST(CertifyBmc, VerdictsIdenticalAndCachedVerdictsUpgraded) {
+TEST(CertifyBmc, CertifiedVerdictMatchesPlainVerdict) {
   // 2-bit counter: bit1 first becomes 1 at t=2 (mirrors test_formal.cpp).
   Netlist nl;
   synth::Builder b(nl);
@@ -203,42 +152,14 @@ TEST(CertifyBmc, VerdictsIdenticalAndCachedVerdictsUpgraded) {
   b.connect(r, b.add_const(r.q, 1));
   b.output("q", r.q);
   const Environment env;
-  const std::string cache_path = tmp_path("bmc.pdatpc");
-  std::filesystem::remove(cache_path);
-  ProofCache cache(cache_path);
 
-  BmcCheckOptions opt;
-  opt.depth = 4;
-  opt.coi_localize = true;
-  opt.cache = &cache;
-
-  // Uncertified run stores an uncertified verdict...
-  const BmcResult plain = bmc_check(nl, env, const0(r.q[1]), opt);
+  const BmcResult plain = bmc_check(nl, env, const0(r.q[1]), 4);
   EXPECT_TRUE(plain.violated);
   EXPECT_EQ(plain.violation_frame, 2);
-  EXPECT_GT(cache.stats().stores, 0u);
-  cache.flush();
-  const auto size_plain = std::filesystem::file_size(cache_path);
 
-  // ...which a certified run discards, re-solves, and upgrades in place:
-  // the flush appends a superseding certified record (last-record-wins).
-  opt.certify = true;
-  const BmcResult certified = bmc_check(nl, env, const0(r.q[1]), opt);
+  const BmcResult certified = bmc_check(nl, env, const0(r.q[1]), 4, -1, 0, /*certify=*/true);
   EXPECT_EQ(certified.violated, plain.violated);
   EXPECT_EQ(certified.violation_frame, plain.violation_frame);
-  cache.flush();
-  const auto size_upgraded = std::filesystem::file_size(cache_path);
-  EXPECT_GT(size_upgraded, size_plain)
-      << "the certified re-solve must append an upgraded record";
-
-  // A second certified run replays the upgraded record — nothing to append.
-  const BmcResult warm = bmc_check(nl, env, const0(r.q[1]), opt);
-  EXPECT_EQ(warm.violated, plain.violated);
-  EXPECT_EQ(warm.violation_frame, plain.violation_frame);
-  cache.flush();
-  EXPECT_EQ(std::filesystem::file_size(cache_path), size_upgraded);
-
-  std::filesystem::remove(cache_path);
 }
 
 TEST(CertifyBmc, UnviolatedPropertyCertifiesTheUnsatFrames) {
@@ -250,10 +171,7 @@ TEST(CertifyBmc, UnviolatedPropertyCertifiesTheUnsatFrames) {
   b.output("q", r.q);
   Environment env;
   env.add_assume(b.not_(en[0]));
-  BmcCheckOptions opt;
-  opt.depth = 8;
-  opt.certify = true;
-  EXPECT_FALSE(bmc_check(nl, env, const0(r.q[0]), opt).violated);
+  EXPECT_FALSE(bmc_check(nl, env, const0(r.q[0]), 8, -1, 0, /*certify=*/true).violated);
 }
 
 // --- pipeline + validation miter ---------------------------------------------

@@ -7,10 +7,10 @@
 //   * certificate mutations (drop a line, flip a literal, reorder a
 //     deletion ahead of the addition that needed the clause, truncate) are
 //     rejected on fixed deterministic instances;
-//   * a 200-seed solver-vs-checker agreement arm (style of test_coi_fuzz)
-//     certifies every verdict on random 3-SAT instances, cross-checked
-//     against brute-force enumeration, including assumption cores and
-//     incremental reuse of one session across solve calls.
+//   * a 200-seed solver-vs-checker agreement arm certifies every verdict
+//     on random 3-SAT instances, cross-checked against brute-force
+//     enumeration, including assumption cores and incremental reuse of one
+//     session across solve calls.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -236,7 +236,6 @@ TEST(DratCheck, CertifySessionAcceptsBothVerdicts) {
   s.add_clause(neg(b));
   ASSERT_EQ(s.solve(), SolveResult::Unsat);
   EXPECT_NO_THROW(cert.check(SolveResult::Unsat, {}, "unsat"));
-  EXPECT_NE(cert.certificate_hash(), 0u);
 }
 
 TEST(DratCheck, CertifySessionChecksAssumptionCores) {

@@ -4,6 +4,7 @@
 #include "formal/candidates.h"
 #include "formal/cnf_encoder.h"
 #include "formal/induction.h"
+#include "pdat/property_library.h"
 #include "sim/bitsim.h"
 #include "synth/builder.h"
 #include "test_util.h"
@@ -239,7 +240,8 @@ TEST_P(InductionSoundness, ProvenInvariantsHoldUnderBmc) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   Netlist nl = test::random_netlist(seed, 5, 60, 6, 4);
   Environment env;  // unconstrained
-  // Candidates: const0/const1 for every gate output.
+  // Candidates: const0/const1 for every gate output, plus the property
+  // library's input-implication candidates.
   std::vector<GateProperty> cands;
   for (CellId id : nl.live_cells()) {
     const auto& c = nl.cell(id);
@@ -247,6 +249,11 @@ TEST_P(InductionSoundness, ProvenInvariantsHoldUnderBmc) {
     cands.push_back(const0(c.out));
     cands.push_back(const1(c.out));
   }
+  PropertyLibraryOptions lib;
+  lib.const_props = false;
+  const std::vector<GateProperty> implications = annotate_netlist(nl, lib);
+  ASSERT_FALSE(implications.empty());
+  cands.insert(cands.end(), implications.begin(), implications.end());
   auto proven = prove_invariants(nl, env, cands);
   for (const auto& p : proven) {
     const BmcResult r = bmc_check(nl, env, p, 6);
@@ -385,8 +392,8 @@ TEST(Bmc, EnvironmentBlocksViolation) {
 // --- candidate-generation determinism ----------------------------------------
 
 TEST(Candidates, EquivalenceCandidatesAreCanonicalForASeed) {
-  // The candidate list feeds proof batching, checkpoint journals, and proof-
-  // cache keys: for one seed it must be byte-identical on every run and
+  // The candidate list feeds proof batching and checkpoint-journal
+  // fingerprints: for one seed it must be byte-identical on every run and
   // independent of hash-container iteration order. The canonical order is
   // classes ascending by representative net, members by (level, id).
   for (const std::uint64_t seed : {7ULL, 21ULL, 63ULL}) {

@@ -82,12 +82,12 @@ TEST(Failpoints, EnospcTriggersExactlyCountTimes) {
 }
 
 TEST(Failpoints, ThrowActionThrowsWithTheSiteName) {
-  util::ScopedFailpoint fp("proofcache.flush", "throw:1");
+  util::ScopedFailpoint fp("checkpoint.replay", "throw:1");
   try {
-    util::failpoint("proofcache.flush");
+    util::failpoint("checkpoint.replay");
     FAIL() << "armed throw action must throw";
   } catch (const PdatError& e) {
-    EXPECT_NE(std::string(e.what()).find("proofcache.flush"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("checkpoint.replay"), std::string::npos);
   }
 }
 
@@ -471,33 +471,6 @@ TEST(ProcInduction, MidRunKillAndResumeIsDeterministicInProcessMode) {
   expect_same_deterministic_stats(st_full, st_res);
   std::remove(full.c_str());
   std::remove(crashed.c_str());
-}
-
-TEST(ProcInduction, ProofCacheStoresCrossTheProcessBoundary) {
-  SKIP_WITHOUT_FORK();
-  const Netlist nl = test::random_netlist(33, 8, 160, 14, 6);
-  const Environment env;
-  const auto cands = gate_const_candidates(nl);
-  const std::string cache = tmp_path("proc_cache.pdatpc");
-  std::filesystem::remove(cache);
-
-  InductionOptions opt;
-  opt.batch_size = 8;
-  opt.threads = 2;
-  opt.isolation = rt::Isolation::Process;
-  opt.proof_cache_path = cache;
-  InductionStats cold;
-  const auto proven_cold = prove_invariants(nl, env, cands, opt, &cold);
-  EXPECT_GT(cold.cache_stores, 0u)
-      << "child-side cache stores must be shipped back and persisted";
-
-  // The warm rerun replays every outcome from the cache the children filled.
-  InductionStats warm;
-  const auto proven_warm = prove_invariants(nl, env, cands, opt, &warm);
-  EXPECT_EQ(describe_all(proven_cold), describe_all(proven_warm));
-  expect_same_deterministic_stats(cold, warm);
-  EXPECT_GT(warm.cache_hits, 0u);
-  std::filesystem::remove(cache);
 }
 
 }  // namespace

@@ -542,6 +542,57 @@ TEST(InductionRuntime, ResumeRejectsJournalFromDifferentProblem) {
   std::remove(path.c_str());
 }
 
+TEST(InductionRuntime, ResumeRejectsJournalFromANetlistWithOneGateChanged) {
+  const Netlist nl = test::random_netlist(13, 6, 80, 8, 4);
+  const Environment env;
+  const auto cands = gate_const_candidates(nl);
+  const std::string path = tmp_path("proof_other_netlist.jrn");
+
+  // Same cell count, same nets, same candidate list — only one gate's
+  // function differs, which changes which candidates are invariant.
+  Netlist changed = nl;
+  bool found = false;
+  for (const CellId id : changed.live_cells()) {
+    if (changed.cell(id).kind == CellKind::And2) {
+      changed.cell(id).kind = CellKind::Or2;
+      found = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(found);
+  ASSERT_EQ(changed.num_cells_raw(), nl.num_cells_raw());
+  ASSERT_EQ(describe_all(gate_const_candidates(changed)), describe_all(cands));
+
+  InductionOptions opt;
+  opt.journal_path = path;
+  prove_invariants(nl, env, cands, opt);
+
+  InductionOptions ropt;
+  ropt.resume_from = path;
+  EXPECT_THROW(prove_invariants(changed, env, cands, ropt), PdatError);
+  std::remove(path.c_str());
+}
+
+TEST(InductionRuntime, ResumeRejectsJournalFromADifferentAssumeSet) {
+  const Netlist nl = test::random_netlist(13, 6, 80, 8, 4);
+  const Environment env;
+  const auto cands = gate_const_candidates(nl);
+  const std::string path = tmp_path("proof_other_env.jrn");
+
+  InductionOptions opt;
+  opt.journal_path = path;
+  prove_invariants(nl, env, cands, opt);
+
+  // An added assume restricts the reachable states, so the recorded
+  // survivor set is not this problem's.
+  Environment assumed;
+  assumed.add_assume(nl.inputs()[0].bits[0]);
+  InductionOptions ropt;
+  ropt.resume_from = path;
+  EXPECT_THROW(prove_invariants(nl, assumed, cands, ropt), PdatError);
+  std::remove(path.c_str());
+}
+
 TEST(InductionRuntime, BudgetDropsAreConservativeAndAccounted) {
   const Netlist nl = test::random_netlist(99, 8, 200, 16, 6);
   const Environment env;
@@ -577,7 +628,7 @@ TEST(PdatPipeline, BadResumeJournalIsAConfigErrorEvenWhenNotStrict) {
 
   PdatOptions opt;
   opt.strict = false;
-  opt.resume_from = tmp_path("no_such_journal.jrn");
+  opt.induction.resume_from = tmp_path("no_such_journal.jrn");
   EXPECT_THROW(run_pdat(nl,
                         [&](Netlist&) {
                           RestrictionResult rr;
@@ -606,7 +657,7 @@ TEST(PdatPipeline, JournalWriteFailureIsFatalEvenWhenNotStrict) {
   const std::string path = tmp_path("enospc_pipeline.jrn");
   PdatOptions opt;
   opt.strict = false;
-  opt.checkpoint_journal = path;
+  opt.induction.journal_path = path;
   util::ScopedFailpoint fp("journal.append", "enospc:1");
   EXPECT_THROW(run_pdat(nl,
                         [&](Netlist&) {
@@ -640,12 +691,12 @@ TEST(PdatPipeline, JournalAndResumeForwardIntoInduction) {
 
   const std::string path = tmp_path("pipeline.jrn");
   PdatOptions opt;
-  opt.checkpoint_journal = path;
+  opt.induction.journal_path = path;
   const PdatResult a = run_pdat(nl, restrict_fn, opt);
   ASSERT_TRUE(rt::read_journal(path).has_value()) << "journal must be written";
 
   PdatOptions ropt;
-  ropt.resume_from = path;
+  ropt.induction.resume_from = path;
   const PdatResult b2 = run_pdat(nl, restrict_fn, ropt);
   EXPECT_GE(b2.induction.resumed_from_round, rt::kBaseRound);
   EXPECT_EQ(a.proven, b2.proven);
@@ -698,7 +749,7 @@ TEST(Cm0Determinism, ThreadsAndMidRunResumeAreBitExact) {
 
   PdatOptions o1;
   o1.induction.threads = 1;
-  o1.checkpoint_journal = journal;
+  o1.induction.journal_path = journal;
   const PdatResult r1 = run_pdat(core.netlist, restrict_fn, o1);
   EXPECT_GT(r1.proven, 0u);
 
@@ -723,8 +774,8 @@ TEST(Cm0Determinism, ThreadsAndMidRunResumeAreBitExact) {
   }
   PdatOptions ores;
   ores.induction.threads = 8;
-  ores.checkpoint_journal = crashed;
-  ores.resume_from = crashed;
+  ores.induction.journal_path = crashed;
+  ores.induction.resume_from = crashed;
   const PdatResult rres = run_pdat(core.netlist, restrict_fn, ores);
 
   EXPECT_EQ(rres.induction.resumed_from_round, rt::kBaseRound);
