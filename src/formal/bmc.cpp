@@ -25,10 +25,14 @@ void arm_deadline(sat::Solver& s, double deadline_seconds) {
                      std::chrono::duration<double>(deadline_seconds)));
 }
 
-/// Unrolls `depth` frames of the whole netlist and checks `prop` at each.
-BmcResult bmc_frames(const FrameEncoder& enc, const std::vector<NetId>& assumes,
-                     const GateProperty& prop, int depth, std::int64_t conflict_budget,
-                     double deadline_seconds, bool certify, trace::Span& span) {
+}  // namespace
+
+BmcResult bmc_check(const Netlist& nl, const Environment& env, const GateProperty& prop,
+                    int depth, std::int64_t conflict_budget, double deadline_seconds,
+                    bool certify) {
+  trace::Span span("bmc.check", {"depth", depth});
+  trace::add(trace::Counter::BmcChecks, 1);
+  const FrameEncoder enc(nl);
   BmcResult res;
   sat::Solver s;
   // The session must exist before the first clause so the certificate
@@ -36,33 +40,10 @@ BmcResult bmc_frames(const FrameEncoder& enc, const std::vector<NetId>& assumes,
   std::optional<sat::CertifySession> cert;
   if (certify) cert.emplace(s);
   arm_deadline(s, deadline_seconds);
-  std::vector<Frame> frames;
+  const std::vector<Frame> frames = enc.unroll(s, depth, /*from_reset=*/true, env.assumes);
   for (int t = 0; t < depth; ++t) {
-    frames.push_back(enc.encode(s));
-    if (t == 0) {
-      enc.fix_initial(s, frames[0]);
-    } else {
-      enc.link(s, frames[static_cast<std::size_t>(t - 1)], frames[static_cast<std::size_t>(t)]);
-    }
-    for (NetId a : assumes) s.add_clause(frames.back().lit(a, true));
-  }
-  for (int t = 0; t < depth; ++t) {
-    const Frame& f = frames[static_cast<std::size_t>(t)];
-    std::vector<Lit> assumptions;
-    switch (prop.kind) {
-      case PropKind::Const0: assumptions = {f.lit(prop.target, true)}; break;
-      case PropKind::Const1: assumptions = {f.lit(prop.target, false)}; break;
-      case PropKind::Implies:
-        assumptions = {f.lit(prop.a, true), f.lit(prop.b, false)};
-        break;
-      case PropKind::Equiv: break;  // handled below via an aux literal
-    }
-    if (prop.kind == PropKind::Equiv) {
-      const Lit aux = sat::mk_lit(s.new_var());
-      s.add_clause(~aux, f.lit(prop.a, true), f.lit(prop.b, true));
-      s.add_clause(~aux, f.lit(prop.a, false), f.lit(prop.b, false));
-      assumptions = {aux};
-    }
+    const std::vector<Lit> assumptions{
+        make_violation_aux(s, prop, frames[static_cast<std::size_t>(t)])};
     const SolveResult r = s.solve(assumptions, conflict_budget);
     if (cert.has_value()) cert->check(r, assumptions, "bmc");
     trace::add(trace::Counter::BmcFramesSolved, 1);
@@ -78,18 +59,6 @@ BmcResult bmc_frames(const FrameEncoder& enc, const std::vector<NetId>& assumes,
   return res;
 }
 
-}  // namespace
-
-BmcResult bmc_check(const Netlist& nl, const Environment& env, const GateProperty& prop,
-                    int depth, std::int64_t conflict_budget, double deadline_seconds,
-                    bool certify) {
-  trace::Span span("bmc.check", {"depth", depth});
-  trace::add(trace::Counter::BmcChecks, 1);
-  const FrameEncoder enc(nl);
-  return bmc_frames(enc, env.assumes, prop, depth, conflict_budget, deadline_seconds, certify,
-                    span);
-}
-
 // Deliberately uncertified even in --certify runs: a wrong Unsat here aborts
 // the whole run (fail-safe), and a wrong Sat merely skips the vacuity veto —
 // neither can remove a gate. See DESIGN.md §5.10.
@@ -99,16 +68,7 @@ bool env_satisfiable(const Netlist& nl, const Environment& env, int depth,
   FrameEncoder enc(nl);
   sat::Solver s;
   arm_deadline(s, deadline_seconds);
-  Frame prev;
-  for (int t = 0; t < depth; ++t) {
-    Frame f = enc.encode(s);
-    if (t == 0)
-      enc.fix_initial(s, f);
-    else
-      enc.link(s, prev, f);
-    for (NetId a : env.assumes) s.add_clause(f.lit(a, true));
-    prev = f;
-  }
+  enc.unroll(s, depth, /*from_reset=*/true, env.assumes);
   const SolveResult r = s.solve({});
   if (r == SolveResult::Unknown) {
     log_warn() << "bmc: environment vacuity check hit its deadline; assuming satisfiable";

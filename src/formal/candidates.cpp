@@ -23,31 +23,11 @@ SimFilterResult sim_filter(const Netlist& nl, const Environment& env,
     for (int cyc = 0; cyc < opt.cycles; ++cyc) {
       drive_inputs(nl, env, sim, rng, opt.free_nets);
       sim.eval();
-      bool env_ok = true;
-      for (NetId a : env.assumes) {
-        if (sim.value(a) != ~0ULL) {
-          env_ok = false;
-          break;
-        }
-      }
-      if (!env_ok) {
+      if (!assumes_hold(sim, env)) {
         ++res.assume_violation_cycles;
       } else {
         for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (!alive[i]) continue;
-          const GateProperty& p = candidates[i];
-          bool violated = false;
-          switch (p.kind) {
-            case PropKind::Const0: violated = sim.value(p.target) != 0; break;
-            case PropKind::Const1: violated = ~sim.value(p.target) != 0; break;
-            case PropKind::Implies:
-              violated = (sim.value(p.a) & ~sim.value(p.b)) != 0;
-              break;
-            case PropKind::Equiv:
-              violated = (sim.value(p.a) ^ sim.value(p.b)) != 0;
-              break;
-          }
-          if (violated) alive[i] = false;
+          if (alive[i] && violated_in_sim(sim, candidates[i])) alive[i] = false;
         }
       }
       // Advance state (uses the values already evaluated this cycle).
@@ -94,14 +74,7 @@ std::vector<GateProperty> equivalence_candidates(const Netlist& nl, const Enviro
     for (int cyc = 0; cyc < opt.sim.cycles; ++cyc) {
       drive_inputs(nl, env, sim, rng, opt.sim.free_nets);
       sim.eval();
-      bool env_ok = true;
-      for (NetId a : env.assumes) {
-        if (sim.value(a) != ~0ULL) {
-          env_ok = false;
-          break;
-        }
-      }
-      if (env_ok) {
+      if (assumes_hold(sim, env)) {
         for (NetId n : nets) {
           sig[n] = (sig[n] ^ sim.value(n)) * 0x100000001b3ULL;
         }

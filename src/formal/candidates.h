@@ -15,6 +15,26 @@
 
 namespace pdat {
 
+/// True iff every environment assume-net is 1 in all 64 slots of the
+/// current cycle, i.e. the cycle is an allowed execution in every slot.
+inline bool assumes_hold(const BitSim& sim, const Environment& env) {
+  for (NetId a : env.assumes) {
+    if (sim.value(a) != ~0ULL) return false;
+  }
+  return true;
+}
+
+/// True iff `p` is violated in at least one of the 64 simulation slots.
+inline bool violated_in_sim(const BitSim& sim, const GateProperty& p) {
+  switch (p.kind) {
+    case PropKind::Const0: return sim.value(p.target) != 0;
+    case PropKind::Const1: return ~sim.value(p.target) != 0;
+    case PropKind::Implies: return (sim.value(p.a) & ~sim.value(p.b)) != 0;
+    case PropKind::Equiv: return (sim.value(p.a) ^ sim.value(p.b)) != 0;
+  }
+  return false;
+}
+
 struct SimFilterOptions {
   int cycles = 512;     // cycles per restart
   int restarts = 4;     // independent reset/run repetitions

@@ -118,4 +118,59 @@ void FrameEncoder::fix_initial(sat::Solver& s, const Frame& f) const {
   }
 }
 
+std::vector<Frame> FrameEncoder::unroll(sat::Solver& s, int frames, bool from_reset,
+                                        const std::vector<NetId>& assumes) const {
+  std::vector<Frame> out;
+  for (int t = 0; t < frames; ++t) {
+    out.push_back(encode(s));
+    if (t > 0) {
+      link(s, out[static_cast<std::size_t>(t - 1)], out.back());
+    } else if (from_reset) {
+      fix_initial(s, out.back());
+    }
+    for (NetId a : assumes) s.add_clause(out.back().lit(a, true));
+  }
+  return out;
+}
+
+Lit make_violation_aux(sat::Solver& s, const GateProperty& p, const Frame& f) {
+  const Lit aux = sat::mk_lit(s.new_var());
+  switch (p.kind) {
+    case PropKind::Const0: s.add_clause(~aux, f.lit(p.target, true)); break;
+    case PropKind::Const1: s.add_clause(~aux, f.lit(p.target, false)); break;
+    case PropKind::Implies:  // violation: a && !b
+      s.add_clause(~aux, f.lit(p.a, true));
+      s.add_clause(~aux, f.lit(p.b, false));
+      break;
+    case PropKind::Equiv:  // violation: a != b
+      s.add_clause(~aux, f.lit(p.a, true), f.lit(p.b, true));
+      s.add_clause(~aux, f.lit(p.a, false), f.lit(p.b, false));
+      break;
+  }
+  return aux;
+}
+
+void assert_property(sat::Solver& s, const GateProperty& p, const Frame& f) {
+  switch (p.kind) {
+    case PropKind::Const0: s.add_clause(f.lit(p.target, false)); break;
+    case PropKind::Const1: s.add_clause(f.lit(p.target, true)); break;
+    case PropKind::Implies: s.add_clause(f.lit(p.a, false), f.lit(p.b, true)); break;
+    case PropKind::Equiv:
+      s.add_clause(f.lit(p.a, false), f.lit(p.b, true));
+      s.add_clause(f.lit(p.a, true), f.lit(p.b, false));
+      break;
+  }
+}
+
+bool violated_in_model(const sat::Solver& s, const GateProperty& p, const Frame& f) {
+  auto val = [&](NetId n) { return s.model_value(f.net_var[n]); };
+  switch (p.kind) {
+    case PropKind::Const0: return val(p.target);
+    case PropKind::Const1: return !val(p.target);
+    case PropKind::Implies: return val(p.a) && !val(p.b);
+    case PropKind::Equiv: return val(p.a) != val(p.b);
+  }
+  return false;
+}
+
 }  // namespace pdat

@@ -4,11 +4,14 @@
 // standard CNF definitions. Flop outputs are free state variables within a
 // frame; link() ties consecutive frames (next.Q = prev.D) and fix_initial()
 // pins a frame's state to the power-on values (X-initialized flops stay
-// free, which is the conservative choice for base-case checks).
+// free, which is the conservative choice for base-case checks). unroll()
+// chains those into the k-frame template every formal check starts from,
+// and the property helpers below put a GateProperty into such frames.
 #pragma once
 
 #include <vector>
 
+#include "formal/property.h"
 #include "netlist/levelize.h"
 #include "netlist/netlist.h"
 #include "sat/solver.h"
@@ -36,6 +39,12 @@ class FrameEncoder {
   /// Pins frame state to the initial values; Tri::X flops remain free.
   void fix_initial(sat::Solver& s, const Frame& f) const;
 
+  /// Encodes `frames` linked frames, pins frame 0 to the initial values
+  /// when `from_reset` (otherwise its state is free), and asserts every
+  /// `assumes` net at every frame. Clauses are emitted frame by frame.
+  std::vector<Frame> unroll(sat::Solver& s, int frames, bool from_reset,
+                            const std::vector<NetId>& assumes) const;
+
   const Levelization& levels() const { return lv_; }
   const Netlist& netlist() const { return nl_; }
 
@@ -47,5 +56,15 @@ class FrameEncoder {
 /// Emits CNF clauses defining `out = kind(a, b, c)` (combinational kinds).
 void encode_cell_cnf(sat::Solver& s, CellKind kind, sat::Lit out, sat::Lit a, sat::Lit b,
                      sat::Lit c);
+
+/// Creates a fresh aux literal with aux -> "`p` is violated in `f`".
+/// Assuming it asks the solver for a violation; adding ~aux retires it.
+sat::Lit make_violation_aux(sat::Solver& s, const GateProperty& p, const Frame& f);
+
+/// Asserts `p` as a hard constraint in frame `f`.
+void assert_property(sat::Solver& s, const GateProperty& p, const Frame& f);
+
+/// True iff the solver's last model violates `p` in frame `f`.
+bool violated_in_model(const sat::Solver& s, const GateProperty& p, const Frame& f);
 
 }  // namespace pdat

@@ -5,8 +5,10 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "base/log.h"
+#include "formal/candidates.h"
 #include "formal/cnf_encoder.h"
 #include "runtime/checkpoint.h"
 #include "runtime/journal.h"
@@ -22,64 +24,6 @@ using sat::Lit;
 using sat::SolveResult;
 
 namespace {
-
-/// Violation literal setup: creates (or reuses) an aux literal that, when
-/// assumed/forced true, forces the property to be violated in `f`.
-/// aux -> violation. Returns the aux literal.
-Lit make_violation_aux(sat::Solver& s, const GateProperty& p, const Frame& f) {
-  switch (p.kind) {
-    case PropKind::Const0: {
-      // Violation: target == 1. aux -> target.
-      const Lit aux = sat::mk_lit(s.new_var());
-      s.add_clause(~aux, f.lit(p.target, true));
-      return aux;
-    }
-    case PropKind::Const1: {
-      const Lit aux = sat::mk_lit(s.new_var());
-      s.add_clause(~aux, f.lit(p.target, false));
-      return aux;
-    }
-    case PropKind::Implies: {
-      // Violation: a && !b.
-      const Lit aux = sat::mk_lit(s.new_var());
-      s.add_clause(~aux, f.lit(p.a, true));
-      s.add_clause(~aux, f.lit(p.b, false));
-      return aux;
-    }
-    case PropKind::Equiv: {
-      // Violation: a != b.
-      const Lit aux = sat::mk_lit(s.new_var());
-      s.add_clause(~aux, f.lit(p.a, true), f.lit(p.b, true));
-      s.add_clause(~aux, f.lit(p.a, false), f.lit(p.b, false));
-      return aux;
-    }
-  }
-  throw PdatError("make_violation_aux: bad kind");
-}
-
-/// Asserts a property as a hard constraint in frame `f`.
-void assert_property(sat::Solver& s, const GateProperty& p, const Frame& f) {
-  switch (p.kind) {
-    case PropKind::Const0: s.add_clause(f.lit(p.target, false)); break;
-    case PropKind::Const1: s.add_clause(f.lit(p.target, true)); break;
-    case PropKind::Implies: s.add_clause(f.lit(p.a, false), f.lit(p.b, true)); break;
-    case PropKind::Equiv:
-      s.add_clause(f.lit(p.a, false), f.lit(p.b, true));
-      s.add_clause(f.lit(p.a, true), f.lit(p.b, false));
-      break;
-  }
-}
-
-bool violated_in_model(const sat::Solver& s, const GateProperty& p, const Frame& f) {
-  auto val = [&](NetId n) { return s.model_value(f.net_var[n]); };
-  switch (p.kind) {
-    case PropKind::Const0: return val(p.target);
-    case PropKind::Const1: return !val(p.target);
-    case PropKind::Implies: return val(p.a) && !val(p.b);
-    case PropKind::Equiv: return val(p.a) != val(p.b);
-  }
-  return false;
-}
 
 using Clock = std::chrono::steady_clock;
 
@@ -405,7 +349,6 @@ struct Engine {
   /// (post-sim-filter) state.
   void cex_replay(const sat::Solver& s, const Frame& fk, BitSim& sim, Environment& local_env,
                   Rng& rng, std::vector<char>& job_killed, JobOutcome& out) const {
-    if (opt.cex_sim_cycles <= 0) return;
     trace::add(trace::Counter::InductionCexReplays, 1);
     trace::add(trace::Counter::InductionCexReplayCycles,
                static_cast<std::uint64_t>(opt.cex_sim_cycles));
@@ -416,25 +359,9 @@ struct Engine {
     for (int cyc = 0; cyc < opt.cex_sim_cycles; ++cyc) {
       drive_inputs(nl, local_env, sim, rng, opt.sim_free_nets);
       sim.eval();
-      bool env_ok = true;
-      for (NetId a : local_env.assumes) {
-        if (sim.value(a) != ~0ULL) {
-          env_ok = false;
-          break;
-        }
-      }
-      if (env_ok) {
+      if (assumes_hold(sim, local_env)) {
         for (std::uint32_t i = 0; i < cands.size(); ++i) {
-          if (!alive[i] || job_killed[i]) continue;
-          const GateProperty& p = cands[i];
-          bool viol = false;
-          switch (p.kind) {
-            case PropKind::Const0: viol = sim.value(p.target) != 0; break;
-            case PropKind::Const1: viol = ~sim.value(p.target) != 0; break;
-            case PropKind::Implies: viol = (sim.value(p.a) & ~sim.value(p.b)) != 0; break;
-            case PropKind::Equiv: viol = (sim.value(p.a) ^ sim.value(p.b)) != 0; break;
-          }
-          if (viol) {
+          if (alive[i] && !job_killed[i] && violated_in_sim(sim, cands[i])) {
             job_killed[i] = 1;
             out.kills.push_back(i);
           }
@@ -490,9 +417,6 @@ struct Engine {
     return removed;
   }
 
-  /// Base case: every alive candidate must hold in frames 0..k-1 from the
-  /// power-on state. One supervised job per batch; verdicts are independent
-  /// across candidates, so a single round suffices.
   /// Records one round's telemetry at the barrier (main thread, round order):
   /// the RoundRecord for metrics.json plus the delta counters. `round` is -1
   /// for the base case, matching runtime::kBaseRound.
@@ -513,27 +437,43 @@ struct Engine {
     trace::observe(trace::Histogram::InductionRoundKills, removed);
   }
 
-  void run_base_phase() {
-    trace::Span span("induction.base");
+  /// One proof phase: encodes the phase's shared CNF template, shards the
+  /// alive candidates into batches, and runs one supervised job per batch
+  /// that looks for violations at the checked frames.
+  ///  - round == kBaseRound, the base case: k frames from reset, no
+  ///    hypothesis, every frame checked. Base verdicts are independent
+  ///    across candidates, so this one phase settles the base case.
+  ///  - round >= 0, a step round: k+1 free-state frames, the alive set
+  ///    asserted at frames 0..k-1, frame k checked, and every model
+  ///    replayed in simulation.
+  /// Returns the number of candidates removed (in a step round, 0 means the
+  /// alive set is the fixpoint).
+  std::size_t run_phase(int round) {
+    const bool base = round == runtime::kBaseRound;
+    trace::Span span(base ? "induction.base" : "induction.round");
+    if (!base) span.arg("round", round);
     const std::size_t alive_before = popcount(alive);
     const std::size_t sc0 = st.sat_calls;
     const std::size_t ck0 = st.cex_kills;
     const std::size_t bk0 = st.budget_kills;
     span.arg("alive", static_cast<std::int64_t>(alive_before));
     const int k = opt.k < 1 ? 1 : opt.k;
-    // Shared template: k frames from reset with the environment assumed.
     sat::Solver tmpl;
-    std::vector<Frame> frames;
-    for (int j = 0; j < k; ++j) {
-      frames.push_back(enc.encode(tmpl));
-      if (j == 0) {
-        enc.fix_initial(tmpl, frames[0]);
-      } else {
-        enc.link(tmpl, frames[static_cast<std::size_t>(j - 1)],
-                 frames[static_cast<std::size_t>(j)]);
+    const std::vector<Frame> frames =
+        enc.unroll(tmpl, base ? k : k + 1, /*from_reset=*/base, env.assumes);
+    if (!base) {
+      // Round hypothesis: every alive candidate holds at frames 0..k-1. Hard
+      // clauses — kills are deferred to the round barrier (Jacobi iteration),
+      // which keeps every job a pure function of (round template, batch).
+      for (std::uint32_t i = 0; i < cands.size(); ++i) {
+        if (!alive[i]) continue;
+        for (int j = 0; j < k; ++j) {
+          assert_property(tmpl, cands[i], frames[static_cast<std::size_t>(j)]);
+        }
       }
-      for (NetId a : env.assumes) tmpl.add_clause(frames.back().lit(a, true));
     }
+    const std::span<const Frame> checked =
+        base ? std::span<const Frame>(frames) : std::span<const Frame>(frames).last(1);
 
     auto batches = shard_alive(alive, opt.batch_size);
     std::vector<std::vector<std::uint32_t>> pending = batches;
@@ -556,200 +496,54 @@ struct Engine {
       lim.memory_bytes = budget.memory_bytes;
       lim.interrupt = &sup.cancelled();
       lim.interrupt2 = opt.interrupt;
-      const auto timed_solve = [&](sat::Solver& sv, Lit assumption, const sat::SolveLimits& l) {
+      const auto timed_solve = [&](Lit assumption, const sat::SolveLimits& l) {
         SolveResult r;
         if (!trace::collecting()) {
-          r = sv.solve({assumption}, l);
+          r = s.solve({assumption}, l);
         } else {
           const auto t0 = Clock::now();
-          r = sv.solve({assumption}, l);
+          r = s.solve({assumption}, l);
           const auto us = std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0);
           trace::add(trace::Counter::InductionSolveMicrosGlobal,
                      static_cast<std::uint64_t>(us.count()));
         }
-        if (cert.has_value()) cert->check(r, {assumption}, "induction.base");
+        if (cert.has_value()) {
+          cert->check(r, {assumption}, base ? "induction.base" : "induction.step");
+        }
         return r;
       };
 
-      // Per-member "violated in some frame" aux, plus the aggregate trigger.
-      std::vector<Lit> member_any(members.size());
+      // Per member: a violation aux for each checked frame (empty once the
+      // member is retired) and the literal a per-member query assumes. In
+      // the base case that literal is a fresh "violated in some frame" OR
+      // over the auxes, even at k = 1; in a step round it is the frame-k aux.
+      // The trigger asks for a violation of any member.
       std::vector<std::vector<Lit>> member_aux(members.size());
+      std::vector<Lit> member_lit(members.size());
       const Lit trigger = sat::mk_lit(s.new_var());
       std::vector<Lit> any_clause{~trigger};
       for (std::size_t m = 0; m < members.size(); ++m) {
-        std::vector<Lit> ors;
-        member_aux[m].reserve(frames.size());
-        for (const Frame& f : frames) {
+        for (const Frame& f : checked) {
           member_aux[m].push_back(make_violation_aux(s, cands[members[m]], f));
         }
-        member_any[m] = sat::mk_lit(s.new_var());
-        ors.push_back(~member_any[m]);
-        ors.insert(ors.end(), member_aux[m].begin(), member_aux[m].end());
-        s.add_clause(ors);
-        any_clause.push_back(member_any[m]);
+        if (base) {
+          member_lit[m] = sat::mk_lit(s.new_var());
+          std::vector<Lit> ors{~member_lit[m]};
+          ors.insert(ors.end(), member_aux[m].begin(), member_aux[m].end());
+          s.add_clause(ors);
+        } else {
+          member_lit[m] = member_aux[m].front();
+        }
+        any_clause.push_back(member_lit[m]);
       }
       s.add_clause(any_clause);
 
       const auto retire = [&](std::size_t m) {
         // Falsified or resolved: exclude from future aggregate models.
         for (Lit ax : member_aux[m]) s.add_clause(~ax);
-        s.add_clause(~member_any[m]);
+        if (base) s.add_clause(~member_lit[m]);
+        member_aux[m].clear();
       };
-      std::vector<char> job_killed(cands.size(), 0);
-      const auto kill_from_model = [&]() {
-        bool any_member = false;
-        for (std::uint32_t i = 0; i < cands.size(); ++i) {
-          if (!alive[i] || job_killed[i]) continue;
-          for (const Frame& f : frames) {
-            if (violated_in_model(s, cands[i], f)) {
-              job_killed[i] = 1;
-              out.kills.push_back(i);
-              break;
-            }
-          }
-        }
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          if (member_aux[m].empty()) continue;  // already retired
-          bool viol = false;
-          for (const Frame& f : frames) viol = viol || violated_in_model(s, cands[members[m]], f);
-          if (viol) {
-            retire(m);
-            member_aux[m].clear();
-            any_member = true;
-          }
-        }
-        return any_member;
-      };
-
-      for (;;) {
-        ++out.sat_calls;
-        const SolveResult r = timed_solve(s, trigger, lim);
-        if (r == SolveResult::Unsat) {
-          members.clear();
-          return runtime::JobStatus::Done;
-        }
-        if (r == SolveResult::Sat) {
-          if (!kill_from_model()) {
-            throw PdatError("induction base: aggregate model kills no batch member");
-          }
-          continue;
-        }
-        // Budget exhausted on the aggregate query: per-member sweep with a
-        // slice of the budget; unresolved members stay pending for retry.
-        sat::SolveLimits small = lim;
-        if (small.conflict_budget >= 0) small.conflict_budget = small.conflict_budget / 16 + 1;
-        std::vector<std::uint32_t> unresolved;
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          if (member_aux[m].empty()) continue;  // already retired
-          ++out.sat_calls;
-          const SolveResult rm = timed_solve(s, member_any[m], small);
-          if (rm == SolveResult::Unsat) {
-            retire(m);
-            member_aux[m].clear();
-          } else if (rm == SolveResult::Sat) {
-            kill_from_model();
-            if (!member_aux[m].empty()) {
-              // The solver found a violating model the extraction missed:
-              // the member IS falsifiable, so kill it explicitly (retiring
-              // without a kill would let it survive the base case unsoundly).
-              out.kills.push_back(members[m]);
-              retire(m);
-              member_aux[m].clear();
-            }
-          } else {
-            unresolved.push_back(members[m]);
-          }
-        }
-        members = std::move(unresolved);
-        return members.empty() ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
-      }
-    };
-
-    const auto reports = sup.run(batches.size(), job, proc ? &codec : nullptr);
-    // Note: batch members surviving in `pending` after a completed job are
-    // exactly the ones never falsified — nothing to do for them here. The
-    // model kills recorded in the outcomes remove the rest.
-    const std::size_t removed = merge_round(batches, pending, outcomes, reports, sup.stats());
-    round_telemetry(runtime::kBaseRound, alive_before, sc0, ck0, bk0, removed);
-    span.arg("killed", static_cast<std::int64_t>(removed));
-  }
-
-  /// One step round: asserts the current alive set at frames 0..k-1 and
-  /// dispatches batch jobs checking for violations at frame k. Returns the
-  /// number of candidates removed (0 = the alive set is the fixpoint).
-  std::size_t run_step_round(int round) {
-    trace::Span span("induction.round", {"round", round});
-    const std::size_t alive_before = popcount(alive);
-    const std::size_t sc0 = st.sat_calls;
-    const std::size_t ck0 = st.cex_kills;
-    const std::size_t bk0 = st.budget_kills;
-    span.arg("alive", static_cast<std::int64_t>(alive_before));
-    const int k = opt.k < 1 ? 1 : opt.k;
-    sat::Solver tmpl;
-    std::vector<Frame> frames;
-    for (int j = 0; j <= k; ++j) {
-      frames.push_back(enc.encode(tmpl));
-      if (j > 0) {
-        enc.link(tmpl, frames[static_cast<std::size_t>(j - 1)],
-                 frames[static_cast<std::size_t>(j)]);
-      }
-      for (NetId a : env.assumes) tmpl.add_clause(frames.back().lit(a, true));
-    }
-    // Round hypothesis: every alive candidate holds at frames 0..k-1. Hard
-    // clauses — kills are deferred to the round barrier (Jacobi iteration),
-    // which keeps every job a pure function of (round template, batch).
-    for (std::uint32_t i = 0; i < cands.size(); ++i) {
-      if (!alive[i]) continue;
-      for (int j = 0; j < k; ++j) {
-        assert_property(tmpl, cands[i], frames[static_cast<std::size_t>(j)]);
-      }
-    }
-    const Frame& fk = frames.back();
-
-    auto batches = shard_alive(alive, opt.batch_size);
-    std::vector<std::vector<std::uint32_t>> pending = batches;
-    std::vector<JobOutcome> outcomes(batches.size());
-    if (proc) fx.assign(batches.size(), {});
-
-    runtime::Supervisor sup(supervisor_options());
-    const runtime::ProcResultCodec codec = make_codec(pending, outcomes);
-    const auto job = [&](std::size_t jid, int /*attempt*/, const runtime::JobBudget& budget) {
-      attempt_begin(jid);  // proc mode: reset fx slot, snapshot telemetry
-      auto& members = pending[jid];
-      JobOutcome& out = outcomes[jid];
-      sat::Solver s = tmpl;
-      std::optional<sat::CertifySession> cert;
-      if (opt.certify) cert.emplace(s);
-      if (opt.test_corrupt_solver) s.test_corrupt_next_learnt();
-      arm_solver(s, budget);
-      sat::SolveLimits lim;
-      lim.conflict_budget = budget.conflicts;
-      lim.memory_bytes = budget.memory_bytes;
-      lim.interrupt = &sup.cancelled();
-      lim.interrupt2 = opt.interrupt;
-      const auto timed_solve = [&](sat::Solver& sv, Lit assumption, const sat::SolveLimits& l) {
-        SolveResult r;
-        if (!trace::collecting()) {
-          r = sv.solve({assumption}, l);
-        } else {
-          const auto t0 = Clock::now();
-          r = sv.solve({assumption}, l);
-          const auto us = std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0);
-          trace::add(trace::Counter::InductionSolveMicrosGlobal,
-                     static_cast<std::uint64_t>(us.count()));
-        }
-        if (cert.has_value()) cert->check(r, {assumption}, "induction.step");
-        return r;
-      };
-
-      std::vector<Lit> aux(members.size());
-      const Lit trigger = sat::mk_lit(s.new_var());
-      std::vector<Lit> any_clause{~trigger};
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        aux[m] = make_violation_aux(s, cands[members[m]], fk);
-        any_clause.push_back(aux[m]);
-      }
-      s.add_clause(any_clause);
 
       // Job-private replay state, constructed lazily on the first model.
       std::unique_ptr<BitSim> sim;
@@ -762,40 +556,37 @@ struct Engine {
       // from the aggregate query so each model makes real progress — without
       // this, replay kills would keep re-satisfying the trigger.
       std::vector<char> job_killed(cands.size(), 0);
-      const auto record_kill = [&](std::uint32_t i) {
-        if (job_killed[i]) return;
-        job_killed[i] = 1;
-        out.kills.push_back(i);
-      };
-      const auto retire_killed_members = [&]() {
+      const auto kill_from_model = [&]() {
+        for (std::uint32_t i = 0; i < cands.size(); ++i) {
+          if (!alive[i] || job_killed[i]) continue;
+          for (const Frame& f : checked) {
+            if (violated_in_model(s, cands[i], f)) {
+              job_killed[i] = 1;
+              out.kills.push_back(i);
+              break;
+            }
+          }
+        }
+        if (!base && opt.cex_sim_cycles > 0) {
+          if (!sim) {
+            sim = std::make_unique<BitSim>(nl);
+            local_env = std::make_unique<Environment>(clone_environment(env));
+          }
+          cex_replay(s, frames.back(), *sim, *local_env, rng, job_killed, out);
+        }
         bool any = false;
         for (std::size_t m = 0; m < members.size(); ++m) {
-          if (aux[m].x >= 0 && job_killed[members[m]]) {
-            s.add_clause(~aux[m]);
-            aux[m] = Lit();
+          if (!member_aux[m].empty() && job_killed[members[m]]) {
+            retire(m);
             any = true;
           }
         }
         return any;
       };
 
-      const auto kill_from_model = [&]() {
-        for (std::uint32_t i = 0; i < cands.size(); ++i) {
-          if (alive[i] && violated_in_model(s, cands[i], fk)) record_kill(i);
-        }
-        if (opt.cex_sim_cycles > 0) {
-          if (!sim) {
-            sim = std::make_unique<BitSim>(nl);
-            local_env = std::make_unique<Environment>(clone_environment(env));
-          }
-          cex_replay(s, fk, *sim, *local_env, rng, job_killed, out);
-        }
-        return retire_killed_members();
-      };
-
       for (;;) {
         ++out.sat_calls;
-        const SolveResult r = timed_solve(s, trigger, lim);
+        const SolveResult r = timed_solve(trigger, lim);
         if (r == SolveResult::Unsat) {
           members.clear();
           return runtime::JobStatus::Done;
@@ -806,27 +597,28 @@ struct Engine {
           }
           continue;
         }
+        // Budget exhausted on the aggregate query: per-member sweep with a
+        // slice of the budget; unresolved members stay pending for retry.
         sat::SolveLimits small = lim;
         if (small.conflict_budget >= 0) small.conflict_budget = small.conflict_budget / 16 + 1;
         std::vector<std::uint32_t> unresolved;
-        std::vector<Lit> unresolved_aux;
         for (std::size_t m = 0; m < members.size(); ++m) {
-          if (aux[m].x < 0) continue;
+          if (member_aux[m].empty()) continue;  // already retired
           ++out.sat_calls;
-          const SolveResult rm = timed_solve(s, aux[m], small);
+          const SolveResult rm = timed_solve(member_lit[m], small);
           if (rm == SolveResult::Unsat) {
-            s.add_clause(~aux[m]);
-            aux[m] = Lit();
+            retire(m);
           } else if (rm == SolveResult::Sat) {
             kill_from_model();
-            if (aux[m].x >= 0) {
-              s.add_clause(~aux[m]);
-              aux[m] = Lit();
+            if (!member_aux[m].empty()) {
+              // The solver found a violating model the extraction missed:
+              // the member IS falsifiable, so kill it explicitly (retiring
+              // without a kill would let it survive unsoundly).
               out.kills.push_back(members[m]);
+              retire(m);
             }
           } else {
             unresolved.push_back(members[m]);
-            unresolved_aux.push_back(aux[m]);
           }
         }
         members = std::move(unresolved);
@@ -835,6 +627,9 @@ struct Engine {
     };
 
     const auto reports = sup.run(batches.size(), job, proc ? &codec : nullptr);
+    // Batch members surviving in `pending` after a completed job are exactly
+    // the ones never falsified; the kills recorded in the outcomes remove
+    // the rest.
     const std::size_t removed = merge_round(batches, pending, outcomes, reports, sup.stats());
     round_telemetry(round, alive_before, sc0, ck0, bk0, removed);
     span.arg("killed", static_cast<std::int64_t>(removed));
@@ -925,7 +720,7 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
 
   // --- base case ------------------------------------------------------------
   if (!finished && !base_done) {
-    if (!dl.expired()) eng.run_base_phase();
+    if (!dl.expired()) eng.run_phase(runtime::kBaseRound);
     if (st.timed_out) {
       log_warn() << "induction: deadline expired during base case; proving nothing";
       if (stats != nullptr) *stats = st;
@@ -941,7 +736,7 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
     for (int round = next_round;; ++round) {
       if (dl.expired()) break;
       if (popcount(eng.alive) == 0) break;
-      const std::size_t removed = eng.run_step_round(round);
+      const std::size_t removed = eng.run_phase(round);
       if (st.timed_out || dl.expired()) break;
       st.rounds = round + 1;
       if (removed == 0) {

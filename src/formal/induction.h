@@ -2,22 +2,28 @@
 // on the supervised proof-job runtime (src/runtime/).
 //
 // Given a set of candidate gate properties, proves the maximal mutually
-// 1-inductive subset that also holds in the initial state, under the
-// environment restrictions:
+// k-inductive subset that also holds in the first k cycles from reset,
+// under the environment restrictions:
 //
-//   base : every surviving candidate holds in the power-on state for all
-//          allowed inputs (frame-0 SAT check, flops pinned to init values);
-//   step : assuming all surviving candidates and the environment at frame t,
-//          no surviving candidate can be violated at frame t+1.
+//   base : no surviving candidate is violated in frames 0..k-1 of an
+//          unrolling from the power-on state (flops pinned to their init
+//          values, X-initialized flops left free);
+//   step : assuming every surviving candidate at frames 0..k-1 of a
+//          free-state unrolling, no surviving candidate is violated at
+//          frame k.
 //
-// The fixpoint runs round-synchronously (Jacobi-style van Eijk): each round
-// asserts the current alive set at frames 0..k-1 in a shared CNF template,
-// shards the alive candidates into fixed-size batches, and dispatches one
-// supervised proof job per batch. A job copies the template into a private
-// solver, runs an aggregated "some batch member violated at frame k" loop,
-// and reports which candidates its counterexample models (and their
-// simulation replays) falsified. Verdicts are merged by candidate index —
-// a union, so the result is independent of worker count and scheduling.
+// The base case and every step round are one kind of proof phase. A phase
+// encodes a shared CNF template (FrameEncoder::unroll, plus the alive set
+// asserted at frames 0..k-1 in a step round), shards the alive candidates
+// into fixed-size batches, and dispatches one supervised proof job per
+// batch. A job copies the template into a private solver, runs an
+// aggregated "some batch member violated at a checked frame" loop, and
+// reports which candidates its counterexample models falsified; in a step
+// round each model is also replayed in simulation to kill more. Verdicts
+// are merged by candidate index — a union, so the result is independent of
+// worker count and scheduling. One base phase settles the base case; step
+// rounds then repeat round-synchronously (Jacobi-style van Eijk) until one
+// removes nothing.
 // Jobs that blow their conflict/wall/memory budget or throw are retried by
 // the supervisor with exponentially escalated budgets; after bounded
 // attempts their remaining candidates are dropped (conservative: a dropped

@@ -32,7 +32,7 @@ enum class RvFormat : std::uint8_t {
   Fixed, // fully fixed encoding (ecall, ebreak, fence.i variant)
   Fence, // fence pred/succ
   // Compressed formats:
-  CIW, CL, CS, CI, CI16, CLUI, CShamt, CAnd, CA, CJ, CB, CBShamt, CR, CSS, CLSP,
+  CIW, CL, CS, CI, CI16, CLUI, CShamt, CAnd, CA, CJ, CB, CR, CSS, CLSP,
 };
 
 struct RvInstrSpec {

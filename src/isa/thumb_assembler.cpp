@@ -45,11 +45,14 @@ std::vector<std::string> split_top(const std::string& s) {
       cur += c;
     }
   }
-  if (!cur.empty()) out.push_back(cur);
+  out.push_back(cur);
   for (auto& o : out) {
     while (!o.empty() && std::isspace(static_cast<unsigned char>(o.front()))) o.erase(o.begin());
     while (!o.empty() && std::isspace(static_cast<unsigned char>(o.back()))) o.pop_back();
   }
+  // Blank tokens (e.g. the whitespace left before a stripped comment) carry
+  // no operand; parse_operand must never see an empty string.
+  std::erase_if(out, [](const std::string& o) { return o.empty(); });
   return out;
 }
 

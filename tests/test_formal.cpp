@@ -263,6 +263,76 @@ TEST_P(InductionSoundness, ProvenInvariantsHoldUnderBmc) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InductionSoundness, ::testing::Range(1, 9));
 
+// --- the proof schedule is pinned ----------------------------------------------
+
+TEST(InductionDeterminism, CountersMatchPinnedValues) {
+  // The engine is deterministic, so every counter below is a fixed function
+  // of the netlist, the candidates and the options. The table covers the
+  // base case's per-member OR literal (k > 1), the no-replay path
+  // (cex_sim_cycles = 0) and multi-job rounds (batch_size = 8). A change to
+  // the CNF a job emits, the kill order or the batching moves these numbers
+  // and must update the table on purpose.
+  const Netlist nl = test::random_netlist(7, 8, 160, 14, 6);
+  std::vector<GateProperty> cands;
+  for (CellId id : nl.live_cells()) {
+    const auto& c = nl.cell(id);
+    if (cell_is_const(c.kind)) continue;
+    cands.push_back(const0(c.out));
+    cands.push_back(const1(c.out));
+  }
+  PropertyLibraryOptions lib;
+  lib.const_props = false;
+  const std::vector<GateProperty> implications = annotate_netlist(nl, lib);
+  ASSERT_FALSE(implications.empty());
+  cands.insert(cands.end(), implications.begin(), implications.end());
+
+  struct Pinned {
+    int k;
+    int cex_sim_cycles;
+    int batch_size;
+    std::size_t after_base;
+    int rounds;
+    std::size_t sat_calls;
+    std::size_t cex_kills;
+    std::size_t budget_kills;
+    std::size_t proven;
+  };
+  const Pinned table[] = {
+      // k cex  batch after_base rounds sat_calls cex_kills budget_kills proven
+      {1, 0, 8, 157, 4, 288, 404, 0, 26},
+      {1, 0, 2048, 157, 4, 44, 404, 0, 26},
+      {1, 48, 8, 157, 3, 226, 404, 0, 26},
+      {1, 48, 2048, 157, 3, 19, 404, 0, 26},
+      {2, 0, 8, 59, 4, 251, 404, 0, 26},
+      {2, 0, 2048, 59, 4, 35, 404, 0, 26},
+      {2, 48, 8, 59, 2, 231, 404, 0, 26},
+      {2, 48, 2048, 59, 2, 22, 404, 0, 26},
+      {3, 0, 8, 39, 3, 228, 404, 0, 26},
+      {3, 0, 2048, 39, 3, 33, 404, 0, 26},
+      {3, 48, 8, 39, 2, 221, 404, 0, 26},
+      {3, 48, 2048, 39, 2, 27, 404, 0, 26},
+  };
+  const Environment env;
+  for (const Pinned& want : table) {
+    SCOPED_TRACE("k=" + std::to_string(want.k) + " cex_sim_cycles=" +
+                 std::to_string(want.cex_sim_cycles) +
+                 " batch_size=" + std::to_string(want.batch_size));
+    InductionOptions opt;
+    opt.k = want.k;
+    opt.cex_sim_cycles = want.cex_sim_cycles;
+    opt.batch_size = want.batch_size;
+    InductionStats st;
+    const auto proven = prove_invariants(nl, env, cands, opt, &st);
+    EXPECT_EQ(st.after_base, want.after_base);
+    EXPECT_EQ(st.rounds, want.rounds);
+    EXPECT_EQ(st.sat_calls, want.sat_calls);
+    EXPECT_EQ(st.cex_kills, want.cex_kills);
+    EXPECT_EQ(st.budget_kills, want.budget_kills);
+    EXPECT_EQ(st.proven, want.proven);
+    EXPECT_EQ(proven.size(), st.proven);
+  }
+}
+
 // --- resource exhaustion degrades conservatively ------------------------------
 
 TEST(Induction, TinyConflictBudgetDropsCandidatesNeverProvesUnsoundly) {

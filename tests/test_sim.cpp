@@ -1,13 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "base/rng.h"
 #include "sim/bitsim.h"
-#include "sim/ternary.h"
-#include "sim/vcd.h"
 #include "synth/builder.h"
-#include "test_util.h"
 
 namespace pdat {
 namespace {
@@ -94,73 +89,6 @@ TEST(BitSim, ReadPortPerSlotMatchesReadPort) {
       EXPECT_EQ(out[slot], ~in[slot] & mask) << width << "/" << slot;
     }
   }
-}
-
-TEST(TernarySim, XInitFlopsProduceX) {
-  Netlist nl;
-  const NetId q = nl.add_cell(CellKind::Dff, nl.const0());
-  nl.cell(nl.driver(q)).init = Tri::X;
-  const NetId y = nl.add_cell(CellKind::And2, q, nl.const1());
-  nl.add_output("y", {y});
-  TernarySim sim(nl);
-  sim.eval();
-  EXPECT_EQ(sim.value(y), Tri::X);
-  sim.step();  // D = const0 resolves the X
-  sim.eval();
-  EXPECT_EQ(sim.value(y), Tri::F);
-}
-
-TEST(TernarySim, AgreesWithBitSimWhenFullyDriven) {
-  Netlist nl = test::random_netlist(99);
-  BitSim bs(nl);
-  TernarySim ts(nl);
-  Rng rng(4242);
-  for (int cycle = 0; cycle < 32; ++cycle) {
-    for (const auto& p : nl.inputs()) {
-      for (NetId n : p.bits) {
-        const bool v = rng.chance(128);
-        bs.set_input(n, v ? ~0ULL : 0);
-        ts.set_input(n, v ? Tri::T : Tri::F);
-      }
-    }
-    bs.eval();
-    ts.eval();
-    for (const auto& p : nl.outputs()) {
-      for (NetId n : p.bits) {
-        ASSERT_NE(ts.value(n), Tri::X);
-        EXPECT_EQ(bs.value(n) != 0, ts.value(n) == Tri::T);
-      }
-    }
-    bs.latch();
-    ts.step();
-  }
-}
-
-TEST(Vcd, EmitsWellFormedDumpWithChangesOnly) {
-  Netlist nl;
-  synth::Builder b(nl);
-  auto en = b.input("en", 1);
-  auto r = b.reg_decl(4, 0);
-  b.connect_en(r, en[0], b.add_const(r.q, 1));
-  b.output("count", r.q);
-  BitSim sim(nl);
-  std::ostringstream os;
-  {
-    VcdWriter vcd(os, nl, 0, {r.q[0]});
-    sim.set_port_uniform(*nl.find_input("en"), 1);
-    for (int t = 0; t < 5; ++t) {
-      sim.eval();
-      vcd.sample(sim);
-      sim.latch();
-    }
-  }
-  const std::string text = os.str();
-  EXPECT_NE(text.find("$enddefinitions"), std::string::npos);
-  EXPECT_NE(text.find("$var wire 4"), std::string::npos);
-  EXPECT_NE(text.find("b0001"), std::string::npos) << "count reaches 1";
-  EXPECT_NE(text.find("b0100"), std::string::npos) << "count reaches 4";
-  // Change-only encoding: 'en' appears exactly once (it never toggles).
-  EXPECT_EQ(text.find("$date"), 0u);
 }
 
 }  // namespace

@@ -24,6 +24,9 @@ TEST(ThumbAsm, CanonicalEncodings) {
   EXPECT_EQ(one("muls r2, r3"), 0x435a);
   EXPECT_EQ(one("bx lr"), 0x4770);
   EXPECT_EQ(one("nop"), 0xbf00);
+  // Blanks left before a stripped comment are no operand.
+  EXPECT_EQ(one("nop   ; comment"), 0xbf00);
+  EXPECT_EQ(one("nop \t@ comment"), 0xbf00);
   EXPECT_EQ(one("bkpt #1"), 0xbe01);
   EXPECT_EQ(one("str r1, [r2, #4]"), 0x6051);
   EXPECT_EQ(one("ldrb r1, [r2, #3]"), 0x78d1);

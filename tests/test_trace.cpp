@@ -12,12 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "json.h"
 #include "opt/optimizer.h"
 #include "pdat/errors.h"
 #include "pdat/pipeline.h"
 #include "synth/builder.h"
 #include "test_util.h"
-#include "trace/json.h"
 #include "trace/metrics.h"
 #include "trace/registry.h"
 #include "trace/trace.h"
@@ -37,6 +37,17 @@ void* operator new(std::size_t size) {
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
+
+// The nothrow forms are replaced too: libstdc++'s temporary buffers (e.g.
+// in std::stable_sort) allocate with nothrow new and release with plain
+// delete, which would otherwise pair the runtime's allocator with free().
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
