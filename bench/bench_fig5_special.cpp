@@ -16,8 +16,8 @@ int main() {
   std::vector<VariantRow> rows;
   {
     Timer t;
-    rows.push_back(make_row("RV32i (PDAT baseline)",
-                            pdat_ibex(core, isa::rv32_subset_named("rv32i")), t.seconds()));
+    const PdatResult res = pdat_ibex(core, isa::rv32_subset_named("rv32i"));
+    rows.push_back(make_row("RV32i (PDAT baseline)", res, t.seconds()));
   }
 
   struct V {
@@ -33,21 +33,7 @@ int main() {
   };
   for (const auto& v : variants) {
     Timer t;
-    PdatResult res;
-    if (v.subset.aligned_mem) {
-      // Alignment is a cutpoint-based I/O-protocol restriction on the data
-      // address low bits (paper Fig. 3): the property checker drives them
-      // and the environment pins them to zero.
-      const auto instr_q = core.instr_reg_q;
-      const auto addr = core.dmem_addr;
-      res = run_pdat(core.netlist, [&](Netlist& a) {
-        RestrictionResult r = restrict_isa_cutpoint(a, instr_q, v.subset);
-        restrict_cut_to_zero(a, r, {addr[0], addr[1]});
-        return r;
-      });
-    } else {
-      res = pdat_ibex(core, v.subset);
-    }
+    const PdatResult res = pdat_ibex(core, v.subset);
     rows.push_back(make_row(v.label, res, t.seconds()));
   }
   print_variant_table(std::cout, rows, "Figure 5 (right): special Ibex variants",

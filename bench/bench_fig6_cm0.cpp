@@ -21,45 +21,6 @@
 using namespace pdat;
 using namespace pdat::bench;
 
-namespace {
-
-PdatResult pdat_cm0(const Netlist& obfuscated, const isa::ThumbSubset& subset) {
-  return run_pdat(obfuscated, [&](Netlist& a) {
-    const Port* port = a.find_input("imem_rdata");
-    RestrictionResult r;
-    synth::Builder b(a);
-    r.env.add_assume(isa::build_thumb_halfword_matcher(b, port->bits, subset));
-    // Stateful stimulus: wide encodings emit their second halfword next.
-    class Driver final : public StimulusDriver {
-     public:
-      Driver(std::vector<NetId> bits, isa::ThumbSubset s) : bits_(std::move(bits)), s_(std::move(s)) {}
-      void drive(BitSim& sim, Rng& rng) override {
-        std::uint64_t slots[64];
-        for (int i = 0; i < 64; ++i) {
-          slots[i] = isa::sample_thumb_halfword(s_, rng, pend_[i], has_[i]);
-        }
-        Port tmp;
-        tmp.bits = bits_;
-        sim.set_port_per_slot(tmp, slots);
-      }
-      std::vector<NetId> owned_nets() const override { return bits_; }
-      std::unique_ptr<StimulusDriver> clone() const override {
-        return std::make_unique<Driver>(*this);
-      }
-
-     private:
-      std::vector<NetId> bits_;
-      isa::ThumbSubset s_;
-      std::uint32_t pend_[64] = {};
-      bool has_[64] = {};
-    };
-    r.env.drivers.push_back(std::make_shared<Driver>(port->bits, subset));
-    return r;
-  });
-}
-
-}  // namespace
-
 int main() {
   cores::Cm0Core core = cores::build_cm0();
   opt::optimize(core.netlist);
@@ -86,7 +47,8 @@ int main() {
   PdatResult kept_all;
   for (const auto& v : variants) {
     Timer t;
-    PdatResult res = pdat_cm0(obf, v.subset);
+    PdatResult res = run_pdat(
+        obf, [&](Netlist& a) { return restrict_thumb_port(a, "imem_rdata", v.subset); });
     rows.push_back(make_row(v.label, res, t.seconds()));
     if (v.label == "MiBench All") kept_all = std::move(res);
   }

@@ -33,12 +33,16 @@ inline cores::IbexCore make_ibex_baseline() {
   return core;
 }
 
-/// Runs PDAT on the Ibex baseline with a cutpoint-based ISA restriction.
+/// Runs PDAT on the Ibex baseline with a cutpoint-based ISA restriction. An
+/// `aligned_mem` subset (Fig. 5 "Aligned") also cuts the data address low
+/// bits (paper Fig. 3): the checker drives them, the environment pins them 0.
 inline PdatResult pdat_ibex(const cores::IbexCore& core, const isa::RvSubset& subset,
                             const PdatOptions& opt = {}) {
-  const auto instr_q = core.instr_reg_q;
-  return run_pdat(core.netlist,
-                  [&](Netlist& a) { return restrict_isa_cutpoint(a, instr_q, subset); }, opt);
+  return run_pdat(core.netlist, [&](Netlist& a) {
+    RestrictionResult r = restrict_isa_cutpoint(a, core.instr_reg_q, subset);
+    if (subset.aligned_mem) restrict_cut_to_zero(a, r, {core.dmem_addr[0], core.dmem_addr[1]});
+    return r;
+  }, opt);
 }
 
 /// Port-based environment over both RIDECORE fetch ports, plus subset-

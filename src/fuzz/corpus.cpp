@@ -2,6 +2,8 @@
 
 #include "base/types.h"
 #include "fuzz/fuzz.h"
+#include "isa/rv32_encoding.h"
+#include "isa/thumb_encoding.h"
 
 namespace pdat::fuzz {
 
@@ -67,6 +69,9 @@ std::string serialize_program(const AbsProgram& p, const std::string& isa_name) 
 }
 
 AbsProgram parse_program(const std::string& text, const std::string& expect_isa) {
+  // A spec past the ISA's instruction table would be read out of bounds.
+  const std::size_t specs =
+      expect_isa == "rv32" ? isa::rv32_instructions().size() : isa::thumb_instructions().size();
   AbsProgram p;
   std::istringstream is(text);
   std::string line;
@@ -89,7 +94,8 @@ AbsProgram parse_program(const std::string& text, const std::string& expect_isa)
     AbsOp op;
     unsigned cls = 0, skip = 0;
     ls >> op.spec >> cls >> std::hex >> op.opseed >> std::dec >> skip;
-    if (ls.fail() || cls > static_cast<unsigned>(OpClass::Illegal) || skip > 255)
+    if (ls.fail() || cls > static_cast<unsigned>(OpClass::Illegal) || skip > 255 ||
+        (op.spec >= 0 && static_cast<std::size_t>(op.spec) >= specs))
       throw PdatError("fuzz replay: malformed op line '" + line + "'");
     op.cls = static_cast<OpClass>(cls);
     op.skip = static_cast<std::uint8_t>(skip);

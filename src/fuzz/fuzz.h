@@ -218,7 +218,8 @@ FuzzStats run_fuzz(const Target& target, const FuzzOptions& opt);
 // table; the `isa <name>` header line guards against replaying across ISAs.
 
 std::string serialize_program(const AbsProgram& p, const std::string& isa_name);
-/// Throws PdatError on malformed input or an ISA mismatch.
+/// Throws PdatError on malformed input (including a spec index outside the
+/// ISA's table) or an ISA mismatch.
 AbsProgram parse_program(const std::string& text, const std::string& expect_isa);
 
 /// Pipeline hook (PdatOptions.fuzz_fn): fuzz `design` against `reduced`.

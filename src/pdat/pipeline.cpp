@@ -329,7 +329,7 @@ PdatResult run_pdat(const Netlist& design,
   check_stage_deadline(PdatStage::Resynthesis);
 
   // --- validation safety net -------------------------------------------------
-  const bool fuzzing = opt.fuzz_iterations > 0;
+  const bool fuzzing = opt.fuzz.iterations > 0;
   if (opt.validate.enabled || fuzzing) {
     check_interrupt(PdatStage::Validate);
     begin_stage(PdatStage::Validate);
@@ -354,13 +354,8 @@ PdatResult run_pdat(const Netlist& design,
       }
       if (fuzzing) {
         if (!opt.fuzz_fn)
-          throw PdatError("fuzz_iterations > 0 but no fuzz_fn installed (ISA hook missing)");
-        fuzz::FuzzOptions fopt;
-        fopt.seed = opt.fuzz_seed;
-        fopt.iterations = opt.fuzz_iterations;
-        fopt.threads = opt.fuzz_threads;
-        fopt.out_dir = opt.fuzz_dir;
-        res.fuzz = opt.fuzz_fn(design, res.transformed, fopt);
+          throw PdatError("fuzz.iterations > 0 but no fuzz_fn installed (ISA hook missing)");
+        res.fuzz = opt.fuzz_fn(design, res.transformed, opt.fuzz);
         if (!res.fuzz.findings.empty()) {
           const std::string msg =
               "fuzz found " + std::to_string(res.fuzz.divergences) +

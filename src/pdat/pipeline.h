@@ -76,20 +76,16 @@ struct PdatOptions {
   /// Post-transform validation (off by default; see src/validate/).
   validate::ValidationOptions validate;
   /// Coverage-guided differential fuzzing of the reduced core (src/fuzz/,
-  /// docs/fuzzing.md). When `fuzz_iterations > 0` the validation stage also
-  /// runs `fuzz_iterations` random subset-constrained programs in lockstep
-  /// across the ISS and the bitsims of the original and reduced cores.
-  /// `fuzz_fn` is the ISA-specific hook (the CLIs install fuzz::fuzz_rv32 /
-  /// fuzz::fuzz_thumb bound to their subset; src/pdat itself stays
-  /// core-agnostic). A divergence is treated like a failed validation:
+  /// docs/fuzzing.md). When `fuzz.iterations > 0` the validation stage also
+  /// hands `fuzz` to `fuzz_fn`, which runs that many random subset-constrained
+  /// programs in lockstep across the ISS and the bitsims of the original and
+  /// reduced cores. `fuzz_fn` is the ISA-specific hook (the CLI installs
+  /// fuzz::fuzz_rv32 / fuzz::fuzz_thumb bound to its subset; src/pdat itself
+  /// stays core-agnostic). A divergence is treated like a failed validation:
   /// revert to the unreduced design and degrade, or throw ValidationError
-  /// when `validate.fail_hard` is set. Artifacts (corpus, coverage report,
-  /// shrunk reproducers) land under `fuzz_dir` when non-empty and are
-  /// byte-identical for a fixed seed at any `fuzz_threads`.
-  std::size_t fuzz_iterations = 0;
-  std::uint64_t fuzz_seed = 1;
-  int fuzz_threads = 1;
-  std::string fuzz_dir;
+  /// when `validate.fail_hard` is set. Artifacts land under `fuzz.out_dir`
+  /// and are byte-identical for a fixed seed at any `fuzz.threads`.
+  fuzz::FuzzOptions fuzz;
   fuzz::FuzzFn fuzz_fn;
 };
 
@@ -107,7 +103,7 @@ struct PdatResult {
   opt::OptimizeStats resynthesis;
   // Validation safety net.
   validate::ValidationReport validation;
-  // Differential fuzzing (populated only when fuzz_iterations > 0).
+  // Differential fuzzing (populated only when fuzz.iterations > 0).
   fuzz::FuzzStats fuzz;
   // Graceful degradation: true when any stage fell back to a safe partial
   // result; each entry in `degradations` names the stage and the reason.

@@ -37,6 +37,49 @@ RestrictionResult restrict_isa_port(Netlist& analysis, const std::string& port_n
   return res;
 }
 
+namespace {
+
+/// Feeds subset halfwords to a fetch port, one stream per simulation slot:
+/// a slot that sampled the first half of a 32-bit encoding emits its second
+/// half on the next cycle.
+struct ThumbHalfwordDriver final : StimulusDriver {
+  std::vector<NetId> bits;
+  isa::ThumbSubset subset;
+  std::uint32_t pending[64] = {};
+  bool has_pending[64] = {};
+  ThumbHalfwordDriver(std::vector<NetId> b, isa::ThumbSubset s)
+      : bits(std::move(b)), subset(std::move(s)) {}
+  void drive(BitSim& sim, Rng& rng) override {
+    std::uint64_t slots[64];
+    for (int i = 0; i < 64; ++i) {
+      slots[i] = isa::sample_thumb_halfword(subset, rng, pending[i], has_pending[i]);
+    }
+    Port port;
+    port.bits = bits;
+    sim.set_port_per_slot(port, slots);
+  }
+  std::vector<NetId> owned_nets() const override { return bits; }
+  std::unique_ptr<StimulusDriver> clone() const override {
+    return std::make_unique<ThumbHalfwordDriver>(*this);
+  }
+};
+
+}  // namespace
+
+RestrictionResult restrict_thumb_port(Netlist& analysis, const std::string& port_name,
+                                      const isa::ThumbSubset& subset) {
+  const Port* port = analysis.find_input(port_name);
+  if (port == nullptr || port->bits.size() != 16) {
+    throw PdatError("restrict_thumb_port: no 16-bit input named " + port_name);
+  }
+  RestrictionResult res;
+  const std::vector<NetId> bits = port->bits;
+  synth::Builder b(analysis);
+  res.env.add_assume(isa::build_thumb_halfword_matcher(b, bits, subset));
+  res.env.drivers.push_back(std::make_shared<ThumbHalfwordDriver>(bits, subset));
+  return res;
+}
+
 void strengthen_subset_membership(Netlist& analysis, RestrictionResult& r,
                                   const std::vector<NetId>& regs, const isa::RvSubset& subset) {
   synth::Builder b(analysis);
@@ -45,13 +88,6 @@ void strengthen_subset_membership(Netlist& analysis, RestrictionResult& r,
   p.target = isa::build_subset_matcher(b, regs, subset);
   p.rewireable = false;
   r.strengthen.push_back(p);
-}
-
-void restrict_word_aligned(Netlist& analysis, Environment& env, NetId req,
-                           const std::vector<NetId>& addr_low2) {
-  synth::Builder b(analysis);
-  const NetId aligned = b.nor_(addr_low2.at(0), addr_low2.at(1));
-  env.add_assume(b.implies(req, aligned));
 }
 
 void restrict_cut_to_zero(Netlist& analysis, RestrictionResult& r,

@@ -13,6 +13,7 @@
 #include "formal/environment.h"
 #include "formal/property.h"
 #include "isa/rv32_subsets.h"
+#include "isa/thumb_subsets.h"
 #include "netlist/netlist.h"
 
 namespace pdat {
@@ -38,10 +39,12 @@ RestrictionResult restrict_isa_cutpoint(Netlist& analysis, const std::vector<Net
 RestrictionResult restrict_isa_port(Netlist& analysis, const std::string& port_name,
                                     const isa::RvSubset& subset);
 
-/// Additional restriction: whenever `req` is 1, addr[1:0] == 0 (the paper's
-/// "Aligned" Ibex variant — only word-aligned memory accesses occur).
-void restrict_word_aligned(Netlist& analysis, Environment& env, NetId req,
-                           const std::vector<NetId>& addr_low2);
+/// Port-based Thumb restriction (paper §VII-B): constrains a 16-bit
+/// primary-input halfword port (e.g. a CM0's imem_rdata) to the subset's
+/// halfword stream. The stimulus keeps each two-halfword encoding in order
+/// per simulation slot.
+RestrictionResult restrict_thumb_port(Netlist& analysis, const std::string& port_name,
+                                      const isa::ThumbSubset& subset);
 
 /// Adds a strengthening candidate: "the 32-bit register `regs` always holds
 /// an instruction from `subset`" (a matcher circuit is appended to the

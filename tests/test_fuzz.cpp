@@ -154,6 +154,8 @@ TEST(FuzzCorpus, SerializeParseRoundTrip) {
   EXPECT_EQ(parse_program(text, "rv32"), p);
   EXPECT_THROW(parse_program(text, "thumb"), PdatError);
   EXPECT_THROW(parse_program("op 1 2", "rv32"), PdatError);
+  EXPECT_THROW(parse_program("isa thumb\nop 9999 0 1 0\n", "thumb"), PdatError)
+      << "a spec past the instruction table is malformed";
 }
 
 // --- shrinker ----------------------------------------------------------------

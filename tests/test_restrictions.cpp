@@ -45,6 +45,30 @@ TEST(Restrictions, PortBasedRejectsMissingPort) {
   EXPECT_THROW(restrict_isa_port(nl, "nope", isa::rv32_subset_named("rv32i")), PdatError);
 }
 
+TEST(Restrictions, ThumbPortRejectsMissingOrWrongWidthPort) {
+  Netlist nl = tiny_core_like();
+  const auto subset = isa::thumb_subset_interesting();
+  EXPECT_THROW(restrict_thumb_port(nl, "nope", subset), PdatError);
+  EXPECT_THROW(restrict_thumb_port(nl, "instr", subset), PdatError) << "instr is 32 bits wide";
+}
+
+TEST(Restrictions, ThumbPortStimulusSatisfiesAssume) {
+  Netlist nl;
+  synth::Builder b(nl);
+  b.output("half_q", b.input("half", 16));
+  RestrictionResult r = restrict_thumb_port(nl, "half", isa::thumb_subset_all());
+  EXPECT_TRUE(r.cut_nets.empty());
+  ASSERT_EQ(r.env.assumes.size(), 1u);
+  BitSim sim(nl);
+  Rng rng(11);
+  for (int cyc = 0; cyc < 200; ++cyc) {
+    drive_inputs(nl, r.env, sim, rng);
+    sim.eval();
+    ASSERT_EQ(sim.value(r.env.assumes[0]), ~0ULL) << "cycle " << cyc;
+    sim.latch();
+  }
+}
+
 TEST(Restrictions, CutpointFreesNetsAndConstrainsThem) {
   Netlist nl = tiny_core_like();
   const Port* q = nl.find_output("q");
@@ -53,31 +77,6 @@ TEST(Restrictions, CutpointFreesNetsAndConstrainsThem) {
   EXPECT_EQ(r.cut_nets.size(), 32u);
   for (NetId n : qbits) EXPECT_EQ(nl.driver(n), kNoCell) << "cut net must be free";
   EXPECT_TRUE(env_satisfiable(nl, r.env, 3));
-}
-
-TEST(Restrictions, ConditionalAlignmentAssume) {
-  // restrict_word_aligned adds "req -> addr[1:0] == 0" as an assume.
-  Netlist nl;
-  synth::Builder b(nl);
-  auto req = b.input("req", 1);
-  auto addr = b.input("addr", 2);
-  nl.add_output("o", {b.and_(req[0], addr[0])});
-  Environment env;
-  restrict_word_aligned(nl, env, req[0], {addr[0], addr[1]});
-  ASSERT_EQ(env.assumes.size(), 1u);
-  BitSim sim(nl);
-  const NetId a = env.assumes[0];
-  auto check = [&](bool r, unsigned ad) {
-    sim.set_input(req[0], r ? ~0ULL : 0);
-    sim.set_input(addr[0], (ad & 1) ? ~0ULL : 0);
-    sim.set_input(addr[1], (ad & 2) ? ~0ULL : 0);
-    sim.eval();
-    return sim.value(a) == ~0ULL;
-  };
-  EXPECT_TRUE(check(false, 3));   // no request: anything goes
-  EXPECT_TRUE(check(true, 0));    // aligned request
-  EXPECT_FALSE(check(true, 1));   // misaligned request violates
-  EXPECT_FALSE(check(true, 2));
 }
 
 TEST(Restrictions, CutToZeroPinsNets) {

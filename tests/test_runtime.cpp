@@ -716,32 +716,7 @@ TEST(Cm0Determinism, ThreadsAndMidRunResumeAreBitExact) {
   const isa::ThumbSubset subset = isa::thumb_subset_interesting();
 
   const auto restrict_fn = [&](Netlist& a) {
-    const Port* port = a.find_input("imem_rdata");
-    RestrictionResult rr;
-    synth::Builder b(a);
-    rr.env.add_assume(isa::build_thumb_halfword_matcher(b, port->bits, subset));
-    struct Driver final : StimulusDriver {
-      std::vector<NetId> bits;
-      isa::ThumbSubset s;
-      std::uint32_t pend[64] = {};
-      bool has[64] = {};
-      Driver(std::vector<NetId> n, isa::ThumbSubset ss) : bits(std::move(n)), s(std::move(ss)) {}
-      void drive(BitSim& sim, Rng& rng) override {
-        std::uint64_t slots[64];
-        for (int i = 0; i < 64; ++i) {
-          slots[i] = isa::sample_thumb_halfword(s, rng, pend[i], has[i]);
-        }
-        Port tmp;
-        tmp.bits = bits;
-        sim.set_port_per_slot(tmp, slots);
-      }
-      std::vector<NetId> owned_nets() const override { return bits; }
-      std::unique_ptr<StimulusDriver> clone() const override {
-        return std::make_unique<Driver>(*this);
-      }
-    };
-    rr.env.drivers.push_back(std::make_shared<Driver>(port->bits, subset));
-    return rr;
+    return restrict_thumb_port(a, "imem_rdata", subset);
   };
 
   const std::string journal = tmp_path("cm0_proof.jrn");
