@@ -150,16 +150,20 @@ Lit make_violation_aux(sat::Solver& s, const GateProperty& p, const Frame& f) {
   return aux;
 }
 
-void assert_property(sat::Solver& s, const GateProperty& p, const Frame& f) {
-  switch (p.kind) {
-    case PropKind::Const0: s.add_clause(f.lit(p.target, false)); break;
-    case PropKind::Const1: s.add_clause(f.lit(p.target, true)); break;
-    case PropKind::Implies: s.add_clause(f.lit(p.a, false), f.lit(p.b, true)); break;
-    case PropKind::Equiv:
-      s.add_clause(f.lit(p.a, false), f.lit(p.b, true));
-      s.add_clause(f.lit(p.a, true), f.lit(p.b, false));
-      break;
+std::vector<Lit> make_hypothesis(sat::Solver& s, const GateProperty& p,
+                                 std::span<const Frame> frames) {
+  std::vector<Lit> hyp;
+  if (p.kind == PropKind::Const0 || p.kind == PropKind::Const1) {
+    for (const Frame& f : frames) hyp.push_back(f.lit(p.target, p.kind == PropKind::Const1));
+    return hyp;
   }
+  const Lit act = sat::mk_lit(s.new_var());
+  for (const Frame& f : frames) {
+    s.add_clause(~act, f.lit(p.a, false), f.lit(p.b, true));
+    if (p.kind == PropKind::Equiv) s.add_clause(~act, f.lit(p.a, true), f.lit(p.b, false));
+  }
+  hyp.push_back(act);
+  return hyp;
 }
 
 bool violated_in_model(const sat::Solver& s, const GateProperty& p, const Frame& f) {

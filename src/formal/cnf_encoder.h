@@ -9,6 +9,7 @@
 // and the property helpers below put a GateProperty into such frames.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "formal/property.h"
@@ -61,8 +62,14 @@ void encode_cell_cnf(sat::Solver& s, CellKind kind, sat::Lit out, sat::Lit a, sa
 /// Assuming it asks the solver for a violation; adding ~aux retires it.
 sat::Lit make_violation_aux(sat::Solver& s, const GateProperty& p, const Frame& f);
 
-/// Asserts `p` as a hard constraint in frame `f`.
-void assert_property(sat::Solver& s, const GateProperty& p, const Frame& f);
+/// Returns literals whose conjunction asserts `p` in every frame of
+/// `frames`. A constant is its own net literal in each frame. An
+/// implication or equivalence gets one fresh activation literal `act`, with
+/// clauses act -> "`p` holds" per frame. Assuming the literals asserts the
+/// hypothesis and dropping them retracts it; adding them as unit clauses
+/// asserts it for good.
+std::vector<sat::Lit> make_hypothesis(sat::Solver& s, const GateProperty& p,
+                                      std::span<const Frame> frames);
 
 /// True iff the solver's last model violates `p` in frame `f`.
 bool violated_in_model(const sat::Solver& s, const GateProperty& p, const Frame& f);

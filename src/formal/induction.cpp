@@ -84,13 +84,21 @@ std::uint64_t hash_netlist(std::uint64_t h, const Netlist& nl) {
   return h;
 }
 
-/// Fingerprint binding a journal to a proof problem: the netlist, the
-/// environment's assume nets, the candidate list, and every option that can
-/// change verdicts (worker count deliberately excluded — it must not).
+/// Version of the proof schedule: what a round does with a given alive set.
+/// A journal written under another schedule holds rounds this engine would
+/// not produce, so the version is part of the fingerprint. Version 2
+/// retracts the hypotheses of killed members inside a step job.
+constexpr std::uint64_t kProofScheduleVersion = 2;
+
+/// Fingerprint binding a journal to a proof problem: the schedule version,
+/// the netlist, the environment's assume nets, the candidate list, and every
+/// option that can change verdicts (worker count deliberately excluded — it
+/// must not).
 std::uint64_t proof_fingerprint(const Netlist& nl, const Environment& env,
                                 const std::vector<GateProperty>& cands,
                                 const InductionOptions& opt) {
-  std::uint64_t h = hash_netlist(0xcbf29ce484222325ULL, nl);
+  std::uint64_t h = fnv_mix(0xcbf29ce484222325ULL, kProofScheduleVersion);
+  h = hash_netlist(h, nl);
   h = fnv_mix(h, env.assumes.size());
   for (const NetId a : env.assumes) h = fnv_mix(h, a);
   h = fnv_mix(h, cands.size());
@@ -437,15 +445,47 @@ struct Engine {
     trace::observe(trace::Histogram::InductionRoundKills, removed);
   }
 
-  /// One proof phase: encodes the phase's shared CNF template, shards the
-  /// alive candidates into batches, and runs one supervised job per batch
-  /// that looks for violations at the checked frames.
+  /// A phase's shared CNF template. Jobs copy it into private solvers.
+  struct Template {
+    sat::Solver s;
+    std::vector<Frame> frames;
+    /// Step template: per candidate, the literals that assert it at frames
+    /// 0..k-1 (make_hypothesis). Empty for the base case.
+    std::vector<std::vector<Lit>> hyp;
+  };
+  /// The step rounds' template. Encoded on the first step round and reused
+  /// by every later one; it depends only on the netlist, the environment,
+  /// the candidate list and k, so a resumed run encodes the same CNF.
+  std::optional<Template> step_tmpl;
+
+  /// Encodes the base template (k frames from reset) or the step template
+  /// (k+1 free-state frames plus every candidate's hypothesis literals).
+  Template encode_template(bool base, int k) const {
+    Template t;
+    t.frames = enc.unroll(t.s, base ? k : k + 1, /*from_reset=*/base, env.assumes);
+    if (!base) {
+      const std::span<const Frame> hyp_frames = std::span<const Frame>(t.frames).first(
+          static_cast<std::size_t>(k));
+      t.hyp.reserve(cands.size());
+      for (const GateProperty& p : cands) t.hyp.push_back(make_hypothesis(t.s, p, hyp_frames));
+    }
+    // Copy-and-swap: a copy allocates every solver vector at its exact size,
+    // so the growth slack of the encoding is not kept for the whole proof.
+    t.s = sat::Solver(t.s);
+    return t;
+  }
+
+  /// One proof phase: shards the alive candidates into batches and runs one
+  /// supervised job per batch that looks for violations at the checked
+  /// frames.
   ///  - round == kBaseRound, the base case: k frames from reset, no
   ///    hypothesis, every frame checked. Base verdicts are independent
   ///    across candidates, so this one phase settles the base case.
-  ///  - round >= 0, a step round: k+1 free-state frames, the alive set
-  ///    asserted at frames 0..k-1, frame k checked, and every model
-  ///    replayed in simulation.
+  ///  - round >= 0, a step round: the step template's k+1 free-state
+  ///    frames, frame k checked, every model replayed in simulation. Alive
+  ///    candidates outside the batch are hypotheses at frames 0..k-1 as
+  ///    unit clauses; the members' hypotheses are assumptions, and the job
+  ///    retracts those of the members it kills (see the job loop).
   /// Returns the number of candidates removed (in a step round, 0 means the
   /// alive set is the fixpoint).
   std::size_t run_phase(int round) {
@@ -458,22 +498,15 @@ struct Engine {
     const std::size_t bk0 = st.budget_kills;
     span.arg("alive", static_cast<std::int64_t>(alive_before));
     const int k = opt.k < 1 ? 1 : opt.k;
-    sat::Solver tmpl;
-    const std::vector<Frame> frames =
-        enc.unroll(tmpl, base ? k : k + 1, /*from_reset=*/base, env.assumes);
-    if (!base) {
-      // Round hypothesis: every alive candidate holds at frames 0..k-1. Hard
-      // clauses — kills are deferred to the round barrier (Jacobi iteration),
-      // which keeps every job a pure function of (round template, batch).
-      for (std::uint32_t i = 0; i < cands.size(); ++i) {
-        if (!alive[i]) continue;
-        for (int j = 0; j < k; ++j) {
-          assert_property(tmpl, cands[i], frames[static_cast<std::size_t>(j)]);
-        }
-      }
+    std::optional<Template> base_tmpl;
+    if (base) {
+      base_tmpl = encode_template(true, k);
+    } else if (!step_tmpl) {
+      step_tmpl = encode_template(false, k);
     }
-    const std::span<const Frame> checked =
-        base ? std::span<const Frame>(frames) : std::span<const Frame>(frames).last(1);
+    const Template& tmpl = base ? *base_tmpl : *step_tmpl;
+    const std::span<const Frame> checked = base ? std::span<const Frame>(tmpl.frames)
+                                                : std::span<const Frame>(tmpl.frames).last(1);
 
     auto batches = shard_alive(alive, opt.batch_size);
     std::vector<std::vector<std::uint32_t>> pending = batches;
@@ -486,7 +519,7 @@ struct Engine {
       attempt_begin(jid);  // proc mode: reset fx slot, snapshot telemetry
       auto& members = pending[jid];
       JobOutcome& out = outcomes[jid];
-      sat::Solver s = tmpl;  // private copy; index-based state, so this is a deep copy
+      sat::Solver s = tmpl.s;  // private copy; index-based state, so this is a deep copy
       std::optional<sat::CertifySession> cert;
       if (opt.certify) cert.emplace(s);
       if (opt.test_corrupt_solver) s.test_corrupt_next_learnt();
@@ -496,19 +529,47 @@ struct Engine {
       lim.memory_bytes = budget.memory_bytes;
       lim.interrupt = &sup.cancelled();
       lim.interrupt2 = opt.interrupt;
-      const auto timed_solve = [&](Lit assumption, const sat::SolveLimits& l) {
+
+      // Candidates this job has killed, by model or replay, in this attempt
+      // or an earlier one. They are out of every hypothesis and query.
+      std::vector<char> job_killed(cands.size(), 0);
+      for (const std::uint32_t i : out.kills) job_killed[i] = 1;
+
+      // Step round hypothesis. Alive candidates outside `members` hold at
+      // frames 0..k-1 as unit clauses. The members' hypothesis literals are
+      // assumed, so a member's can be retracted once the job kills it.
+      std::vector<Lit> hyps;
+      const auto assume_members = [&] {
+        hyps.clear();
+        for (const std::uint32_t m : members) {
+          if (!job_killed[m]) hyps.insert(hyps.end(), tmpl.hyp[m].begin(), tmpl.hyp[m].end());
+        }
+      };
+      if (!base) {
+        std::vector<char> member(cands.size(), 0);
+        for (const std::uint32_t m : members) member[m] = 1;
+        for (std::uint32_t i = 0; i < cands.size(); ++i) {
+          if (!alive[i] || job_killed[i] || member[i]) continue;
+          for (const Lit h : tmpl.hyp[i]) s.add_clause(h);
+        }
+        assume_members();
+      }
+
+      const auto timed_solve = [&](Lit query, const sat::SolveLimits& l) {
+        std::vector<Lit> assumptions{query};
+        assumptions.insert(assumptions.end(), hyps.begin(), hyps.end());
         SolveResult r;
         if (!trace::collecting()) {
-          r = s.solve({assumption}, l);
+          r = s.solve(assumptions, l);
         } else {
           const auto t0 = Clock::now();
-          r = s.solve({assumption}, l);
+          r = s.solve(assumptions, l);
           const auto us = std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0);
           trace::add(trace::Counter::InductionSolveMicrosGlobal,
                      static_cast<std::uint64_t>(us.count()));
         }
         if (cert.has_value()) {
-          cert->check(r, {assumption}, base ? "induction.base" : "induction.step");
+          cert->check(r, assumptions, base ? "induction.base" : "induction.step");
         }
         return r;
       };
@@ -552,10 +613,9 @@ struct Engine {
                                  (static_cast<std::uint64_t>(round + 2) << 20) +
                                      static_cast<std::uint64_t>(jid)));
 
-      // Members this job has already killed (by model or replay) are retired
-      // from the aggregate query so each model makes real progress — without
-      // this, replay kills would keep re-satisfying the trigger.
-      std::vector<char> job_killed(cands.size(), 0);
+      // Killed members are retired from the aggregate query so each model
+      // makes real progress; without this, replay kills would keep
+      // re-satisfying the trigger.
       const auto kill_from_model = [&]() {
         for (std::uint32_t i = 0; i < cands.size(); ++i) {
           if (!alive[i] || job_killed[i]) continue;
@@ -572,7 +632,7 @@ struct Engine {
             sim = std::make_unique<BitSim>(nl);
             local_env = std::make_unique<Environment>(clone_environment(env));
           }
-          cex_replay(s, frames.back(), *sim, *local_env, rng, job_killed, out);
+          cex_replay(s, tmpl.frames.back(), *sim, *local_env, rng, job_killed, out);
         }
         bool any = false;
         for (std::size_t m = 0; m < members.size(); ++m) {
@@ -588,8 +648,19 @@ struct Engine {
         ++out.sat_calls;
         const SolveResult r = timed_solve(trigger, lim);
         if (r == SolveResult::Unsat) {
-          members.clear();
-          return runtime::JobStatus::Done;
+          // The pass is closed: no unretired member is violated under the
+          // current hypotheses. Retract the hypotheses of the members the
+          // pass killed and query again in the same solver; a pass that
+          // killed no member ends the job. Later kills stay sound: a killed
+          // candidate is outside the greatest fixpoint, so the remaining
+          // hypotheses still contain that fixpoint.
+          const std::size_t assumed = hyps.size();
+          if (!base) assume_members();
+          if (hyps.size() == assumed) {
+            members.clear();
+            return runtime::JobStatus::Done;
+          }
+          continue;
         }
         if (r == SolveResult::Sat) {
           if (!kill_from_model()) {
@@ -614,6 +685,7 @@ struct Engine {
               // The solver found a violating model the extraction missed:
               // the member IS falsifiable, so kill it explicitly (retiring
               // without a kill would let it survive unsoundly).
+              job_killed[members[m]] = 1;
               out.kills.push_back(members[m]);
               retire(m);
             }

@@ -13,17 +13,34 @@
 //          frame k.
 //
 // The base case and every step round are one kind of proof phase. A phase
-// encodes a shared CNF template (FrameEncoder::unroll, plus the alive set
-// asserted at frames 0..k-1 in a step round), shards the alive candidates
-// into fixed-size batches, and dispatches one supervised proof job per
-// batch. A job copies the template into a private solver, runs an
-// aggregated "some batch member violated at a checked frame" loop, and
-// reports which candidates its counterexample models falsified; in a step
-// round each model is also replayed in simulation to kill more. Verdicts
-// are merged by candidate index — a union, so the result is independent of
-// worker count and scheduling. One base phase settles the base case; step
-// rounds then repeat round-synchronously (Jacobi-style van Eijk) until one
-// removes nothing.
+// shards the alive candidates into fixed-size batches and dispatches one
+// supervised proof job per batch. A job copies the phase's CNF template
+// into a private solver, runs an aggregated "some batch member violated at
+// a checked frame" loop, and reports which candidates its counterexample
+// models falsified; in a step round each model is also replayed in
+// simulation to kill more. The base template is k frames from reset. The
+// step template (FrameEncoder::unroll over k+1 free-state frames, plus the
+// literals that assert each candidate at frames 0..k-1) is encoded once per
+// run and shared by every round.
+//
+// A step job adds the hypotheses of the alive candidates outside its batch
+// as unit clauses and assumes its members'. When the aggregate query turns
+// UNSAT and the job has killed members since the last retraction, it drops
+// those members' hypotheses and queries again in the same solver; it ends
+// on an UNSAT with no new kill. Retraction is sound because every kill is:
+// a killed candidate lies outside the greatest fixpoint, so the remaining
+// hypotheses still contain that fixpoint, and a model that satisfies them
+// at frames 0..k-1 and violates a candidate at frame k shows the candidate
+// outside it too. So a chain in which each kill exposes the next, such as
+// a counter's bits, unravels inside one job rather than one link per
+// round.
+//
+// Verdicts are merged by candidate index at the round barrier — a union,
+// so the result is independent of worker count and scheduling. One base
+// phase settles the base case; step rounds then repeat until one removes
+// nothing. In such a round no job retracted anything, so every job solved
+// under exactly the alive set as its hypothesis.
+//
 // Jobs that blow their conflict/wall/memory budget or throw are retried by
 // the supervisor with exponentially escalated budgets; after bounded
 // attempts their remaining candidates are dropped (conservative: a dropped
@@ -35,8 +52,9 @@
 // checksummed record after the base case and after every completed round;
 // `resume_from` replays such a journal (tolerating a torn tail from a
 // crash mid-write) and continues from the last complete round. Because a
-// round is a deterministic function of the alive set, a resumed run is
-// bit-identical to an uninterrupted one.
+// round is a deterministic function of the alive set (the step template
+// depends only on the proof problem, not on the round that encodes it), a
+// resumed run is bit-identical to an uninterrupted one.
 #pragma once
 
 #include <atomic>

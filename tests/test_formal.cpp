@@ -234,14 +234,9 @@ TEST(Induction, XInitFlopNotProvenConstant) {
 
 // --- proved invariants never have bounded counterexamples ---------------------
 
-class InductionSoundness : public ::testing::TestWithParam<int> {};
-
-TEST_P(InductionSoundness, ProvenInvariantsHoldUnderBmc) {
-  const auto seed = static_cast<std::uint64_t>(GetParam());
-  Netlist nl = test::random_netlist(seed, 5, 60, 6, 4);
-  Environment env;  // unconstrained
-  // Candidates: const0/const1 for every gate output, plus the property
-  // library's input-implication candidates.
+/// const0/const1 for every gate output plus the property library's
+/// input implications.
+std::vector<GateProperty> gate_candidates(const Netlist& nl) {
   std::vector<GateProperty> cands;
   for (CellId id : nl.live_cells()) {
     const auto& c = nl.cell(id);
@@ -252,8 +247,18 @@ TEST_P(InductionSoundness, ProvenInvariantsHoldUnderBmc) {
   PropertyLibraryOptions lib;
   lib.const_props = false;
   const std::vector<GateProperty> implications = annotate_netlist(nl, lib);
-  ASSERT_FALSE(implications.empty());
+  EXPECT_FALSE(implications.empty());
   cands.insert(cands.end(), implications.begin(), implications.end());
+  return cands;
+}
+
+class InductionSoundness : public ::testing::TestWithParam<int> {};
+
+TEST_P(InductionSoundness, ProvenInvariantsHoldUnderBmc) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  Netlist nl = test::random_netlist(seed, 5, 60, 6, 4);
+  Environment env;  // unconstrained
+  const std::vector<GateProperty> cands = gate_candidates(nl);
   auto proven = prove_invariants(nl, env, cands);
   for (const auto& p : proven) {
     const BmcResult r = bmc_check(nl, env, p, 6);
@@ -262,6 +267,127 @@ TEST_P(InductionSoundness, ProvenInvariantsHoldUnderBmc) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InductionSoundness, ::testing::Range(1, 9));
+
+// --- the step schedule proves the greatest fixpoint ----------------------------
+
+/// Asserts `p` in frame `f` as hard clauses.
+void assert_holds(sat::Solver& s, const GateProperty& p, const Frame& f) {
+  switch (p.kind) {
+    case PropKind::Const0: s.add_clause(f.lit(p.target, false)); break;
+    case PropKind::Const1: s.add_clause(f.lit(p.target, true)); break;
+    case PropKind::Implies: s.add_clause(f.lit(p.a, false), f.lit(p.b, true)); break;
+    case PropKind::Equiv:
+      s.add_clause(f.lit(p.a, false), f.lit(p.b, true));
+      s.add_clause(f.lit(p.a, true), f.lit(p.b, false));
+      break;
+  }
+}
+
+bool can_violate(sat::Solver& s, const GateProperty& p, const Frame& f) {
+  return s.solve({make_violation_aux(s, p, f)}) == sat::SolveResult::Sat;
+}
+
+/// The greatest mutually k-inductive subset by its definition: drop every
+/// candidate violated within k frames of reset, then run Jacobi rounds until
+/// one kills nothing. Each round builds a fresh solver with the alive set as
+/// hard clauses at frames 0..k-1 and checks every alive candidate alone at
+/// frame k. No batching, replay, retraction or supervisor.
+std::vector<GateProperty> reference_fixpoint(const Netlist& nl, const Environment& env,
+                                             const std::vector<GateProperty>& cands, int k) {
+  const FrameEncoder enc(nl);
+  std::vector<bool> alive(cands.size(), true);
+  {
+    sat::Solver s;
+    const std::vector<Frame> frames = enc.unroll(s, k, /*from_reset=*/true, env.assumes);
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      for (const Frame& f : frames) {
+        if (can_violate(s, cands[i], f)) alive[i] = false;
+      }
+    }
+  }
+  for (bool killed = true; killed;) {
+    sat::Solver s;
+    const std::vector<Frame> frames = enc.unroll(s, k + 1, /*from_reset=*/false, env.assumes);
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (!alive[i]) continue;
+      for (int t = 0; t < k; ++t) assert_holds(s, cands[i], frames[static_cast<std::size_t>(t)]);
+    }
+    std::vector<bool> next = alive;
+    killed = false;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (alive[i] && can_violate(s, cands[i], frames.back())) {
+        next[i] = false;
+        killed = true;
+      }
+    }
+    alive = std::move(next);
+  }
+  std::vector<GateProperty> proven;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
+    if (alive[i]) proven.push_back(cands[i]);
+  }
+  return proven;
+}
+
+std::vector<std::string> describe_all(const std::vector<GateProperty>& props) {
+  std::vector<std::string> out;
+  for (const GateProperty& p : props) out.push_back(p.describe());
+  return out;
+}
+
+class InductionFixpoint : public ::testing::TestWithParam<int> {};
+
+TEST_P(InductionFixpoint, MatchesReferenceAtEveryBatchSizeAndThreadCount) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const Netlist nl = test::random_netlist(seed, 6, 90, 10, 4);
+  const std::vector<GateProperty> cands = gate_candidates(nl);
+  const Environment env;
+  for (const int k : {1, 2}) {
+    const std::vector<std::string> want = describe_all(reference_fixpoint(nl, env, cands, k));
+    for (const int batch_size : {8, 2048}) {
+      for (const int threads : {1, 3}) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " batch_size=" + std::to_string(batch_size) +
+                     " threads=" + std::to_string(threads));
+        InductionOptions opt;
+        opt.k = k;
+        opt.batch_size = batch_size;
+        opt.threads = threads;
+        InductionStats st;
+        const auto proven = prove_invariants(nl, env, cands, opt, &st);
+        ASSERT_EQ(st.budget_kills, 0u);
+        EXPECT_EQ(describe_all(proven), want);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, InductionFixpoint, ::testing::Range(1, 7));
+
+TEST(Induction, FreeRunningCounterUnravelsInsideOneRound) {
+  // A free-running 16-bit counter from 0: no bit is invariant, but "bit i
+  // == 0" is inductive while the bits above it are assumed 0. A schedule
+  // that acts on kills only at the round barrier loses one bit per round
+  // (or a few, with replay). Retracting killed hypotheses inside the job
+  // kills the whole chain in the first step round.
+  Netlist nl;
+  synth::Builder b(nl);
+  auto r = b.reg_decl(16, 0);
+  b.connect(r, b.add_const(r.q, 1));
+  b.output("q", r.q);
+  const Environment env;
+  std::vector<GateProperty> cands;
+  for (NetId n : r.q) cands.push_back(const0(n));
+  for (const int cex_sim_cycles : {0, 48}) {
+    SCOPED_TRACE("cex_sim_cycles=" + std::to_string(cex_sim_cycles));
+    InductionOptions opt;
+    opt.cex_sim_cycles = cex_sim_cycles;
+    InductionStats st;
+    EXPECT_TRUE(prove_invariants(nl, env, cands, opt, &st).empty());
+    EXPECT_EQ(st.after_base, 16u);
+    EXPECT_EQ(st.cex_kills, 16u);
+    EXPECT_LE(st.rounds, 2);
+  }
+}
 
 // --- the proof schedule is pinned ----------------------------------------------
 
@@ -273,18 +399,7 @@ TEST(InductionDeterminism, CountersMatchPinnedValues) {
   // the CNF a job emits, the kill order or the batching moves these numbers
   // and must update the table on purpose.
   const Netlist nl = test::random_netlist(7, 8, 160, 14, 6);
-  std::vector<GateProperty> cands;
-  for (CellId id : nl.live_cells()) {
-    const auto& c = nl.cell(id);
-    if (cell_is_const(c.kind)) continue;
-    cands.push_back(const0(c.out));
-    cands.push_back(const1(c.out));
-  }
-  PropertyLibraryOptions lib;
-  lib.const_props = false;
-  const std::vector<GateProperty> implications = annotate_netlist(nl, lib);
-  ASSERT_FALSE(implications.empty());
-  cands.insert(cands.end(), implications.begin(), implications.end());
+  const std::vector<GateProperty> cands = gate_candidates(nl);
 
   struct Pinned {
     int k;
@@ -299,18 +414,18 @@ TEST(InductionDeterminism, CountersMatchPinnedValues) {
   };
   const Pinned table[] = {
       // k cex  batch after_base rounds sat_calls cex_kills budget_kills proven
-      {1, 0, 8, 157, 4, 288, 404, 0, 26},
-      {1, 0, 2048, 157, 4, 44, 404, 0, 26},
-      {1, 48, 8, 157, 3, 226, 404, 0, 26},
-      {1, 48, 2048, 157, 3, 19, 404, 0, 26},
-      {2, 0, 8, 59, 4, 251, 404, 0, 26},
-      {2, 0, 2048, 59, 4, 35, 404, 0, 26},
-      {2, 48, 8, 59, 2, 231, 404, 0, 26},
-      {2, 48, 2048, 59, 2, 22, 404, 0, 26},
-      {3, 0, 8, 39, 3, 228, 404, 0, 26},
-      {3, 0, 2048, 39, 3, 33, 404, 0, 26},
-      {3, 48, 8, 39, 2, 221, 404, 0, 26},
-      {3, 48, 2048, 39, 2, 27, 404, 0, 26},
+      {1, 0, 8, 157, 4, 326, 404, 0, 26},
+      {1, 0, 2048, 157, 2, 48, 404, 0, 26},
+      {1, 48, 8, 157, 3, 247, 404, 0, 26},
+      {1, 48, 2048, 157, 2, 20, 404, 0, 26},
+      {2, 0, 8, 59, 4, 268, 404, 0, 26},
+      {2, 0, 2048, 59, 2, 36, 404, 0, 26},
+      {2, 48, 8, 59, 2, 239, 404, 0, 26},
+      {2, 48, 2048, 59, 2, 23, 404, 0, 26},
+      {3, 0, 8, 39, 3, 237, 404, 0, 26},
+      {3, 0, 2048, 39, 2, 34, 404, 0, 26},
+      {3, 48, 8, 39, 2, 226, 404, 0, 26},
+      {3, 48, 2048, 39, 2, 28, 404, 0, 26},
   };
   const Environment env;
   for (const Pinned& want : table) {
