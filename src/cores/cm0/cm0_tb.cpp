@@ -156,6 +156,50 @@ unsigned Cm0Testbench::final_flags(unsigned lane) const {
   return static_cast<unsigned>(sim_.read_port(*out_flags_, static_cast<int>(lane)));
 }
 
+ThumbGolden thumb_golden(const iss::ThumbIss& iss) {
+  return {iss.reg_writes(), iss.mem_writes(),
+          (iss.flag_n() ? 1u : 0) | (iss.flag_z() ? 2u : 0) | (iss.flag_c() ? 4u : 0) |
+              (iss.flag_v() ? 8u : 0)};
+}
+
+std::string compare_thumb(const ThumbGolden& g, const Cm0Testbench& tb, unsigned lane) {
+  std::ostringstream os;
+  const auto& ra = g.regs;
+  const auto& rb = tb.reg_writes(lane);
+  for (std::size_t i = 0; i < std::min(ra.size(), rb.size()); ++i) {
+    if (ra[i].reg != rb[i].reg || ra[i].value != rb[i].value) {
+      os << "reg stream entry " << i << ": iss r" << ra[i].reg << "=0x" << std::hex
+         << ra[i].value << " core r" << std::dec << rb[i].reg << "=0x" << std::hex
+         << rb[i].value;
+      return os.str();
+    }
+  }
+  if (ra.size() != rb.size()) {
+    os << "reg stream length: iss " << ra.size() << " core " << rb.size();
+    return os.str();
+  }
+  const auto& ma = g.mems;
+  const auto& mb = tb.mem_writes(lane);
+  for (std::size_t i = 0; i < std::min(ma.size(), mb.size()); ++i) {
+    if (ma[i].addr != mb[i].addr || ma[i].value != mb[i].value || ma[i].size != mb[i].size) {
+      os << "mem stream entry " << i << ": iss [0x" << std::hex << ma[i].addr << "]=0x"
+         << ma[i].value << "/" << std::dec << ma[i].size << " core [0x" << std::hex
+         << mb[i].addr << "]=0x" << mb[i].value << "/" << std::dec << mb[i].size;
+      return os.str();
+    }
+  }
+  if (ma.size() != mb.size()) {
+    os << "mem stream length: iss " << ma.size() << " core " << mb.size();
+    return os.str();
+  }
+  const unsigned core_flags = tb.final_flags(lane);
+  if (core_flags != g.flags) {
+    os << "final flags: iss " << g.flags << " core " << core_flags;
+    return os.str();
+  }
+  return {};
+}
+
 std::string cm0_cosim_against_iss(const Netlist& nl, const std::vector<std::uint16_t>& program,
                                   std::uint64_t max_cycles) {
   iss::ThumbIss iss;
@@ -169,44 +213,7 @@ std::string cm0_cosim_against_iss(const Netlist& nl, const std::vector<std::uint
   Cm0Testbench tb(nl);
   tb.load_halfwords(0, program);
   tb.run(max_cycles);
-
-  std::ostringstream os;
-  const auto& ra = iss.reg_writes();
-  const auto& rb = tb.reg_writes();
-  for (std::size_t i = 0; i < std::min(ra.size(), rb.size()); ++i) {
-    if (ra[i].reg != rb[i].reg || ra[i].value != rb[i].value) {
-      os << "reg stream diverges at " << i << ": iss r" << ra[i].reg << "=0x" << std::hex
-         << ra[i].value << " core r" << std::dec << rb[i].reg << "=0x" << std::hex
-         << rb[i].value;
-      return os.str();
-    }
-  }
-  if (ra.size() != rb.size()) {
-    os << "reg stream length: iss " << ra.size() << " core " << rb.size();
-    return os.str();
-  }
-  const auto& ma = iss.mem_writes();
-  const auto& mb = tb.mem_writes();
-  for (std::size_t i = 0; i < std::min(ma.size(), mb.size()); ++i) {
-    if (ma[i].addr != mb[i].addr || ma[i].value != mb[i].value || ma[i].size != mb[i].size) {
-      os << "mem stream diverges at " << i << ": iss [0x" << std::hex << ma[i].addr << "]=0x"
-         << ma[i].value << "/" << std::dec << ma[i].size << " core [0x" << std::hex
-         << mb[i].addr << "]=0x" << mb[i].value << "/" << std::dec << mb[i].size;
-      return os.str();
-    }
-  }
-  if (ma.size() != mb.size()) {
-    os << "mem stream length: iss " << ma.size() << " core " << mb.size();
-    return os.str();
-  }
-  const unsigned core_flags = tb.final_flags();
-  const unsigned iss_flags = (iss.flag_n() ? 1u : 0) | (iss.flag_z() ? 2u : 0) |
-                             (iss.flag_c() ? 4u : 0) | (iss.flag_v() ? 8u : 0);
-  if (core_flags != iss_flags) {
-    os << "final flags differ: iss " << iss_flags << " core " << core_flags;
-    return os.str();
-  }
-  return std::string();
+  return compare_thumb(thumb_golden(iss), tb);
 }
 
 }  // namespace pdat::cores

@@ -77,6 +77,19 @@ class Cm0Testbench {
   std::uint32_t fetch_half(unsigned lane, std::uint32_t addr) const;  // imem + chaos hook
 };
 
+/// What a Thumb ISS run leaves for the comparison with a core.
+struct ThumbGolden {
+  std::vector<iss::ThumbIss::RegWrite> regs;
+  std::vector<iss::ThumbIss::MemWrite> mems;
+  unsigned flags = 0;  // N, Z, C, V as bits 0..3 (Cm0Testbench::final_flags)
+};
+ThumbGolden thumb_golden(const iss::ThumbIss& iss);
+
+/// The first difference between `g` and lane `lane` of `tb`: the register
+/// write stream, the memory write stream, then the final flags, worded as
+/// the fuzz oracle reports it. Empty when they agree.
+std::string compare_thumb(const ThumbGolden& g, const Cm0Testbench& tb, unsigned lane = 0);
+
 /// Runs the program on the netlist and on ThumbIss; compares the register
 /// and memory write streams plus final flags. Empty string = match.
 std::string cm0_cosim_against_iss(const Netlist& nl, const std::vector<std::uint16_t>& program,

@@ -1,7 +1,6 @@
 #include "cores/ibex/ibex_tb.h"
 
 #include <algorithm>
-#include <sstream>
 
 #include "base/types.h"
 #include "util/failpoint.h"
@@ -180,31 +179,7 @@ std::string cosim_against_iss(const Netlist& nl, const std::vector<std::uint32_t
   IbexTestbench tb(nl);
   tb.load_words(0, program);
   tb.run(max_cycles);
-
-  const auto& a = iss.trace();
-  const auto& b = tb.trace();
-  std::ostringstream os;
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i].pc != b[i].pc || a[i].rd != b[i].rd || a[i].rd_value != b[i].rd_value ||
-        a[i].mem_write != b[i].mem_write || a[i].mem_addr != b[i].mem_addr ||
-        a[i].mem_value != b[i].mem_value || a[i].mem_size != b[i].mem_size) {
-      os << "trace divergence at entry " << i << ": iss pc=0x" << std::hex << a[i].pc << " rd=x"
-         << std::dec << a[i].rd << "=0x" << std::hex << a[i].rd_value << " vs core pc=0x"
-         << b[i].pc << " rd=x" << std::dec << b[i].rd << "=0x" << std::hex << b[i].rd_value;
-      if (a[i].mem_write || b[i].mem_write) {
-        os << " | mem iss [0x" << a[i].mem_addr << "]=0x" << a[i].mem_value << "/" << std::dec
-           << a[i].mem_size << " core [0x" << std::hex << b[i].mem_addr << "]=0x"
-           << b[i].mem_value << "/" << std::dec << b[i].mem_size;
-      }
-      return os.str();
-    }
-  }
-  if (a.size() != b.size()) {
-    os << "trace length mismatch: iss " << a.size() << " vs core " << b.size();
-    return os.str();
-  }
-  return std::string();
+  return iss::compare_traces(iss.trace(), tb.trace());
 }
 
 }  // namespace pdat::cores

@@ -1,7 +1,5 @@
 #include "cores/ridecore/ride_tb.h"
 
-#include <sstream>
-
 #include "base/types.h"
 
 namespace pdat::cores {
@@ -148,26 +146,7 @@ std::string ride_cosim_against_iss(const Netlist& nl, const std::vector<std::uin
   tb.load_words(0, program);
   tb.reset();
   tb.run(max_cycles);
-
-  const auto& a = iss.trace();
-  const auto& b = tb.trace();
-  std::ostringstream os;
-  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-    if (a[i].pc != b[i].pc || a[i].rd != b[i].rd || a[i].rd_value != b[i].rd_value ||
-        a[i].mem_write != b[i].mem_write || a[i].mem_addr != b[i].mem_addr ||
-        a[i].mem_value != b[i].mem_value || a[i].mem_size != b[i].mem_size) {
-      os << "trace diverges at " << i << ": iss pc=0x" << std::hex << a[i].pc << " rd=x"
-         << std::dec << a[i].rd << "=0x" << std::hex << a[i].rd_value << " mem=" << a[i].mem_write
-         << " vs core pc=0x" << b[i].pc << " rd=x" << std::dec << b[i].rd << "=0x" << std::hex
-         << b[i].rd_value << " mem=" << b[i].mem_write << "@0x" << b[i].mem_addr;
-      return os.str();
-    }
-  }
-  if (a.size() != b.size()) {
-    os << "trace length: iss " << a.size() << " core " << b.size();
-    return os.str();
-  }
-  return std::string();
+  return iss::compare_traces(iss.trace(), tb.trace());
 }
 
 }  // namespace pdat::cores

@@ -1,7 +1,6 @@
 #include "formal/induction.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <memory>
 #include <optional>
@@ -12,7 +11,6 @@
 #include "formal/cnf_encoder.h"
 #include "runtime/checkpoint.h"
 #include "runtime/journal.h"
-#include "runtime/procworker.h"
 #include "runtime/supervisor.h"
 #include "sat/dratcheck.h"
 #include "sim/bitsim.h"
@@ -119,16 +117,40 @@ std::uint64_t proof_fingerprint(const Netlist& nl, const Environment& env,
   h = fnv_mix(h, opt.seed);
   h = fnv_mix(h, static_cast<std::uint64_t>(opt.batch_size));
   h = fnv_mix(h, static_cast<std::uint64_t>(opt.max_job_attempts));
-  h = fnv_mix(h, static_cast<std::uint64_t>(opt.budget_escalation * 1024.0));
-  h = fnv_mix(h, opt.job_memory_bytes);
   return h;
 }
 
-/// Per-job result, merged by candidate index after the round completes (a
-/// union, so worker count and completion order cannot change the outcome).
-struct JobOutcome {
-  std::vector<std::uint32_t> kills;  // indices falsified by models / replay
+/// One proof job's state, merged by candidate index after the round
+/// completes (a union, so worker count and completion order cannot change
+/// the outcome). An attempt starts from the state the last settled attempt
+/// left and hands its new state back as bytes, which the supervisor applies
+/// before settling the attempt — the one result path for thread and
+/// process isolation alike.
+struct JobState {
+  std::vector<std::uint32_t> members;  // batch members not yet resolved
+  std::vector<std::uint32_t> kills;    // indices falsified by models / replay
   std::uint64_t sat_calls = 0;
+
+  std::string encode() const {
+    std::string p;
+    for (const auto* v : {&members, &kills}) {
+      runtime::put_u32(p, static_cast<std::uint32_t>(v->size()));
+      for (const std::uint32_t i : *v) runtime::put_u32(p, i);
+    }
+    runtime::put_u64(p, sat_calls);
+    return p;
+  }
+
+  static JobState decode(const std::string& bytes) {
+    JobState js;
+    std::size_t pos = 0;
+    for (auto* v : {&js.members, &js.kills}) {
+      v->resize(runtime::get_u32(bytes, pos));
+      for (std::uint32_t& i : *v) i = runtime::get_u32(bytes, pos);
+    }
+    js.sat_calls = runtime::get_u64(bytes, pos);
+    return js;
+  }
 };
 
 /// Shards the alive candidate indices into fixed-size batches. Batching
@@ -175,156 +197,17 @@ struct Engine {
   const Deadline& dl;
   FrameEncoder enc;
   std::vector<bool> alive;
-  /// Process isolation is active (opt.isolation == Process on a platform
-  /// with fork): job attempts run in forked children against copy-on-write
-  /// memory, so every side effect the round barrier needs — the job's
-  /// pending/outcome state and child-side telemetry — is recorded per
-  /// attempt (AttemptFx) and shipped back through the supervisor's
-  /// ProcResultCodec (proc_encode/proc_apply).
-  bool proc = false;
 
   Engine(const Netlist& nl_, const Environment& env_, const std::vector<GateProperty>& c,
          const InductionOptions& o, InductionStats& s, const Deadline& d)
       : nl(nl_), env(env_), cands(c), opt(o), st(s), dl(d), enc(nl_),
         alive(c.size(), true) {}
 
-  // --- process-isolation result codec ---------------------------------------
-  // A forked child's writes die with its copy-on-write memory, so the child
-  // serializes one attempt's full effect and the parent replays it before
-  // the supervisor settles the attempt. pending/outcome state ships *whole*
-  // (apply overwrites), so a retry child forks from exactly the state a
-  // thread-mode retry would observe, keeping the two modes byte-identical.
-
-  /// One attempt's recorded side effects (child-side in process mode).
-  /// Telemetry ships as deltas against a snapshot taken at attempt entry:
-  /// the child inherits the parent's totals through fork, so end-minus-base
-  /// is exactly what this attempt added.
-  struct AttemptFx {
-    bool traced = false;
-    std::array<std::uint64_t, trace::kNumCounters> base_counters{};
-    std::array<trace::HistogramSnapshot, trace::kNumHistograms> base_hists{};
-  };
-  mutable std::vector<AttemptFx> fx;  // one slot per job, reset per round
-
-  /// Child-side bookkeeping at attempt entry (no-op in thread mode): resets
-  /// this job's fx slot and snapshots telemetry for delta encoding.
-  void attempt_begin(std::size_t jid) const {
-    if (!proc) return;
-    AttemptFx& f = fx[jid];
-    f.traced = trace::collecting();
-    if (f.traced) {
-      for (std::size_t c = 0; c < trace::kNumCounters; ++c) {
-        f.base_counters[c] = trace::counter_value(static_cast<trace::Counter>(c));
-      }
-      for (std::size_t h = 0; h < trace::kNumHistograms; ++h) {
-        f.base_hists[h] = trace::histogram_snapshot(static_cast<trace::Histogram>(h));
-      }
-    }
-  }
-
-  /// Runs in the child after the job function returns (ProcResultCodec
-  /// contract): serializes the attempt's effect for the parent.
-  std::string proc_encode(std::size_t j, const std::vector<std::vector<std::uint32_t>>& pending,
-                          const std::vector<JobOutcome>& outcomes) const {
-    const AttemptFx& f = fx[j];
-    std::string p;
-    runtime::put_u32(p, static_cast<std::uint32_t>(pending[j].size()));
-    for (const std::uint32_t m : pending[j]) runtime::put_u32(p, m);
-    runtime::put_u64(p, outcomes[j].sat_calls);
-    runtime::put_u32(p, static_cast<std::uint32_t>(outcomes[j].kills.size()));
-    for (const std::uint32_t k : outcomes[j].kills) runtime::put_u32(p, k);
-    runtime::put_u32(p, f.traced ? 1 : 0);
-    if (f.traced) {
-      runtime::put_u32(p, static_cast<std::uint32_t>(trace::kNumCounters));
-      for (std::size_t c = 0; c < trace::kNumCounters; ++c) {
-        runtime::put_u64(p, trace::counter_value(static_cast<trace::Counter>(c)) -
-                                f.base_counters[c]);
-      }
-      runtime::put_u32(p, static_cast<std::uint32_t>(trace::kNumHistograms));
-      for (std::size_t h = 0; h < trace::kNumHistograms; ++h) {
-        const trace::HistogramSnapshot now =
-            trace::histogram_snapshot(static_cast<trace::Histogram>(h));
-        const trace::HistogramSnapshot& base = f.base_hists[h];
-        for (std::size_t b = 0; b < trace::kHistogramBuckets; ++b) {
-          runtime::put_u64(p, now.buckets[b] - base.buckets[b]);
-        }
-        runtime::put_u64(p, now.count - base.count);
-        runtime::put_u64(p, now.sum - base.sum);
-        runtime::put_u64(p, now.max);  // absolute; folds via max()
-      }
-    }
-    return p;
-  }
-
-  /// Runs in the parent when the result record arrives: decodes fully, then
-  /// commits — a malformed payload throws before any state changes and the
-  /// supervisor degrades the attempt to the retry ladder.
-  void proc_apply(std::size_t j, const std::string& payload,
-                  std::vector<std::vector<std::uint32_t>>& pending,
-                  std::vector<JobOutcome>& outcomes) const {
-    std::size_t pos = 0;
-    std::vector<std::uint32_t> pend(runtime::get_u32(payload, pos));
-    for (std::uint32_t& m : pend) m = runtime::get_u32(payload, pos);
-    JobOutcome out;
-    out.sat_calls = runtime::get_u64(payload, pos);
-    out.kills.resize(runtime::get_u32(payload, pos));
-    for (std::uint32_t& k : out.kills) k = runtime::get_u32(payload, pos);
-    std::array<std::uint64_t, trace::kNumCounters> counter_delta{};
-    std::array<trace::HistogramSnapshot, trace::kNumHistograms> hist_delta{};
-    const bool traced = runtime::get_u32(payload, pos) != 0;
-    if (traced) {
-      if (runtime::get_u32(payload, pos) != trace::kNumCounters) {
-        throw PdatError("proc_apply: counter table size mismatch");
-      }
-      for (std::uint64_t& d : counter_delta) d = runtime::get_u64(payload, pos);
-      if (runtime::get_u32(payload, pos) != trace::kNumHistograms) {
-        throw PdatError("proc_apply: histogram table size mismatch");
-      }
-      for (trace::HistogramSnapshot& d : hist_delta) {
-        for (std::size_t b = 0; b < trace::kHistogramBuckets; ++b) {
-          d.buckets[b] = runtime::get_u64(payload, pos);
-        }
-        d.count = runtime::get_u64(payload, pos);
-        d.sum = runtime::get_u64(payload, pos);
-        d.max = runtime::get_u64(payload, pos);
-      }
-    }
-    // Decode complete — commit.
-    pending[j] = std::move(pend);
-    outcomes[j] = std::move(out);
-    if (traced && trace::collecting()) {
-      for (std::size_t c = 0; c < trace::kNumCounters; ++c) {
-        if (counter_delta[c] != 0) {
-          trace::add(static_cast<trace::Counter>(c), counter_delta[c]);
-        }
-      }
-      for (std::size_t h = 0; h < trace::kNumHistograms; ++h) {
-        trace::merge(static_cast<trace::Histogram>(h), hist_delta[h]);
-      }
-    }
-  }
-
-  runtime::ProcResultCodec make_codec(std::vector<std::vector<std::uint32_t>>& pending,
-                                      std::vector<JobOutcome>& outcomes) const {
-    runtime::ProcResultCodec c;
-    if (!proc) return c;
-    c.encode = [this, &pending, &outcomes](std::size_t j) {
-      return proc_encode(j, pending, outcomes);
-    };
-    c.apply = [this, &pending, &outcomes](std::size_t j, const std::string& p) {
-      proc_apply(j, p, pending, outcomes);
-    };
-    return c;
-  }
-
   runtime::SupervisorOptions supervisor_options() const {
     runtime::SupervisorOptions sopt;
     sopt.threads = opt.threads;
     sopt.max_attempts = opt.max_job_attempts < 1 ? 1 : opt.max_job_attempts;
-    sopt.escalation = opt.budget_escalation;
     sopt.initial.conflicts = opt.conflict_budget;
-    sopt.initial.wall_seconds = opt.job_wall_seconds;
-    sopt.initial.memory_bytes = opt.job_memory_bytes;
     sopt.isolation = opt.isolation;
     sopt.proc_limits.address_space_bytes = opt.job_rlimit_bytes;
     sopt.proc_limits.cpu_seconds = opt.job_rlimit_cpu_seconds;
@@ -336,27 +219,14 @@ struct Engine {
     return sopt;
   }
 
-  /// Applies the attempt-level wall budget and the global deadline to a
-  /// job's private solver.
-  void arm_solver(sat::Solver& s, const runtime::JobBudget& budget) const {
-    bool armed = dl.armed;
-    Clock::time_point at = dl.at;
-    if (budget.wall_seconds > 0) {
-      const auto attempt_at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                                 std::chrono::duration<double>(budget.wall_seconds));
-      at = armed ? std::min(at, attempt_at) : attempt_at;
-      armed = true;
-    }
-    if (armed) s.set_deadline(at);
-  }
-
   /// Replays a SAT model's frame-`fk` state through the bit-parallel
   /// simulator under cloned (job-private) environment drivers, appending
   /// every falsified candidate. Deterministic: the RNG seed depends only on
   /// the round and job index, and driver clones always start from the same
   /// (post-sim-filter) state.
   void cex_replay(const sat::Solver& s, const Frame& fk, BitSim& sim, Environment& local_env,
-                  Rng& rng, std::vector<char>& job_killed, JobOutcome& out) const {
+                  Rng& rng, std::vector<char>& job_killed,
+                  std::vector<std::uint32_t>& kills) const {
     trace::add(trace::Counter::InductionCexReplays, 1);
     trace::add(trace::Counter::InductionCexReplayCycles,
                static_cast<std::uint64_t>(opt.cex_sim_cycles));
@@ -371,7 +241,7 @@ struct Engine {
         for (std::uint32_t i = 0; i < cands.size(); ++i) {
           if (alive[i] && !job_killed[i] && violated_in_sim(sim, cands[i])) {
             job_killed[i] = 1;
-            out.kills.push_back(i);
+            kills.push_back(i);
           }
         }
       }
@@ -384,15 +254,13 @@ struct Engine {
   /// for jobs the supervisor gave up on. Returns the number of candidates
   /// removed; sets timed_out via the reports when the global deadline
   /// aborted any job.
-  std::size_t merge_round(const std::vector<std::vector<std::uint32_t>>& batches,
-                          std::vector<std::vector<std::uint32_t>>& pending,
-                          const std::vector<JobOutcome>& outcomes,
+  std::size_t merge_round(const std::vector<JobState>& states,
                           const std::vector<runtime::JobReport>& reports,
                           const runtime::SupervisorStats& sup_stats) {
     std::size_t removed = 0;
-    for (const JobOutcome& out : outcomes) st.sat_calls += out.sat_calls;
-    for (const JobOutcome& out : outcomes) {
-      for (std::uint32_t i : out.kills) {
+    for (const JobState& js : states) st.sat_calls += js.sat_calls;
+    for (const JobState& js : states) {
+      for (std::uint32_t i : js.kills) {
         if (alive[i]) {
           alive[i] = false;
           ++st.cex_kills;
@@ -408,8 +276,7 @@ struct Engine {
       }
       if (!reports[j].dropped) continue;
       // Conservative drop: whatever the job could not resolve is not proved.
-      const auto& unresolved = pending[j].empty() ? batches[j] : pending[j];
-      for (std::uint32_t i : unresolved) {
+      for (std::uint32_t i : states[j].members) {
         if (alive[i]) {
           alive[i] = false;
           ++st.budget_kills;
@@ -421,7 +288,6 @@ struct Engine {
     st.job_drops += sup_stats.drops;
     st.job_crashes += sup_stats.crashes;
     st.proc_restarts += sup_stats.proc_restarts;
-    st.proc_kills += sup_stats.proc_kills;
     return removed;
   }
 
@@ -508,32 +374,34 @@ struct Engine {
     const std::span<const Frame> checked = base ? std::span<const Frame>(tmpl.frames)
                                                 : std::span<const Frame>(tmpl.frames).last(1);
 
-    auto batches = shard_alive(alive, opt.batch_size);
-    std::vector<std::vector<std::uint32_t>> pending = batches;
-    std::vector<JobOutcome> outcomes(batches.size());
-    if (proc) fx.assign(batches.size(), {});
+    std::vector<JobState> states;
+    for (std::vector<std::uint32_t>& batch : shard_alive(alive, opt.batch_size)) {
+      states.push_back({std::move(batch), {}, 0});
+    }
 
     runtime::Supervisor sup(supervisor_options());
-    const runtime::ProcResultCodec codec = make_codec(pending, outcomes);
-    const auto job = [&](std::size_t jid, int /*attempt*/, const runtime::JobBudget& budget) {
-      attempt_begin(jid);  // proc mode: reset fx slot, snapshot telemetry
-      auto& members = pending[jid];
-      JobOutcome& out = outcomes[jid];
+    const auto job = [&](std::size_t jid, int /*attempt*/, const runtime::JobBudget& budget,
+                         std::string& state) {
+      JobState js = states[jid];
+      auto& members = js.members;
+      const auto finish = [&](runtime::JobStatus status) {
+        state = js.encode();
+        return status;
+      };
       sat::Solver s = tmpl.s;  // private copy; index-based state, so this is a deep copy
       std::optional<sat::CertifySession> cert;
       if (opt.certify) cert.emplace(s);
       if (opt.test_corrupt_solver) s.test_corrupt_next_learnt();
-      arm_solver(s, budget);
+      if (dl.armed) s.set_deadline(dl.at);
       sat::SolveLimits lim;
       lim.conflict_budget = budget.conflicts;
-      lim.memory_bytes = budget.memory_bytes;
       lim.interrupt = &sup.cancelled();
       lim.interrupt2 = opt.interrupt;
 
       // Candidates this job has killed, by model or replay, in this attempt
       // or an earlier one. They are out of every hypothesis and query.
       std::vector<char> job_killed(cands.size(), 0);
-      for (const std::uint32_t i : out.kills) job_killed[i] = 1;
+      for (const std::uint32_t i : js.kills) job_killed[i] = 1;
 
       // Step round hypothesis. Alive candidates outside `members` hold at
       // frames 0..k-1 as unit clauses. The members' hypothesis literals are
@@ -622,7 +490,7 @@ struct Engine {
           for (const Frame& f : checked) {
             if (violated_in_model(s, cands[i], f)) {
               job_killed[i] = 1;
-              out.kills.push_back(i);
+              js.kills.push_back(i);
               break;
             }
           }
@@ -632,7 +500,7 @@ struct Engine {
             sim = std::make_unique<BitSim>(nl);
             local_env = std::make_unique<Environment>(clone_environment(env));
           }
-          cex_replay(s, tmpl.frames.back(), *sim, *local_env, rng, job_killed, out);
+          cex_replay(s, tmpl.frames.back(), *sim, *local_env, rng, job_killed, js.kills);
         }
         bool any = false;
         for (std::size_t m = 0; m < members.size(); ++m) {
@@ -645,7 +513,7 @@ struct Engine {
       };
 
       for (;;) {
-        ++out.sat_calls;
+        ++js.sat_calls;
         const SolveResult r = timed_solve(trigger, lim);
         if (r == SolveResult::Unsat) {
           // The pass is closed: no unretired member is violated under the
@@ -658,7 +526,7 @@ struct Engine {
           if (!base) assume_members();
           if (hyps.size() == assumed) {
             members.clear();
-            return runtime::JobStatus::Done;
+            return finish(runtime::JobStatus::Done);
           }
           continue;
         }
@@ -675,7 +543,7 @@ struct Engine {
         std::vector<std::uint32_t> unresolved;
         for (std::size_t m = 0; m < members.size(); ++m) {
           if (member_aux[m].empty()) continue;  // already retired
-          ++out.sat_calls;
+          ++js.sat_calls;
           const SolveResult rm = timed_solve(member_lit[m], small);
           if (rm == SolveResult::Unsat) {
             retire(m);
@@ -686,7 +554,7 @@ struct Engine {
               // the member IS falsifiable, so kill it explicitly (retiring
               // without a kill would let it survive unsoundly).
               job_killed[members[m]] = 1;
-              out.kills.push_back(members[m]);
+              js.kills.push_back(members[m]);
               retire(m);
             }
           } else {
@@ -694,15 +562,17 @@ struct Engine {
           }
         }
         members = std::move(unresolved);
-        return members.empty() ? runtime::JobStatus::Done : runtime::JobStatus::Retry;
+        return finish(members.empty() ? runtime::JobStatus::Done : runtime::JobStatus::Retry);
       }
     };
 
-    const auto reports = sup.run(batches.size(), job, proc ? &codec : nullptr);
-    // Batch members surviving in `pending` after a completed job are exactly
-    // the ones never falsified; the kills recorded in the outcomes remove
-    // the rest.
-    const std::size_t removed = merge_round(batches, pending, outcomes, reports, sup.stats());
+    const auto apply = [&](std::size_t jid, const std::string& bytes) {
+      states[jid] = JobState::decode(bytes);
+    };
+    const auto reports = sup.run(states.size(), job, apply);
+    // A completed job has resolved every member; the kills recorded in the
+    // states remove the falsified ones.
+    const std::size_t removed = merge_round(states, reports, sup.stats());
     round_telemetry(round, alive_before, sc0, ck0, bk0, removed);
     span.arg("killed", static_cast<std::int64_t>(removed));
     return removed;
@@ -729,11 +599,6 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
   }
 
   Engine eng(nl, env, candidates, opt, st, dl);
-  // Must mirror the supervisor's own fallback test exactly: if the engine
-  // diverted side effects to the codec while the supervisor silently ran
-  // threads, the job outcomes would be lost.
-  eng.proc = opt.isolation == runtime::Isolation::Process &&
-             runtime::process_isolation_supported();
 
   const runtime::ProofJournalHeader header{proof_fingerprint(nl, env, candidates, opt),
                                            candidates.size()};

@@ -41,12 +41,15 @@
 // nothing. In such a round no job retracted anything, so every job solved
 // under exactly the alive set as its hypothesis.
 //
-// Jobs that blow their conflict/wall/memory budget or throw are retried by
-// the supervisor with exponentially escalated budgets; after bounded
-// attempts their remaining candidates are dropped (conservative: a dropped
-// candidate is never kept, matching the paper's §VII-C observation that
-// inconclusive analyses merely reduce optimization quality). A round with
-// no kills and no drops certifies the surviving set mutually k-inductive.
+// Jobs that blow their conflict budget or throw are retried by the
+// supervisor with a ×4 budget per attempt; after bounded attempts their
+// remaining candidates are dropped (conservative: a dropped candidate is
+// never kept, matching the paper's §VII-C observation that inconclusive
+// analyses merely reduce optimization quality). A job attempt hands its new
+// state back as bytes that the supervisor applies before settling the
+// attempt, in thread and process isolation alike, so both modes merge the
+// same states. A round with no kills and no drops certifies the surviving
+// set mutually k-inductive.
 //
 // Checkpoint/resume: with `journal_path` set, the engine appends a
 // checksummed record after the base case and after every completed round;
@@ -122,15 +125,10 @@ struct InductionOptions {
   /// it is part of the resume fingerprint.
   int batch_size = 2048;
   /// Attempts per job before its unresolved candidates are conservatively
-  /// dropped; each retry multiplies the budgets by budget_escalation.
+  /// dropped; each retry multiplies the conflict budget by
+  /// runtime::kBudgetEscalation (×4). The conflict budget is the only job
+  /// budget, so verdicts are deterministic on any host.
   int max_job_attempts = 3;
-  double budget_escalation = 4.0;
-  /// Optional per-job wall-clock / solver-memory budgets (0 = off). The
-  /// wall-clock budget is not deterministic across machines; leave it off
-  /// when bit-reproducibility across hosts matters (conflict and memory
-  /// budgets are deterministic).
-  double job_wall_seconds = 0;
-  std::size_t job_memory_bytes = 0;
   /// Worker isolation. Thread (default) runs job attempts on an in-process
   /// pool; Process forks one child per attempt (src/runtime/procworker.h),
   /// so a segfaulting or OOM-killed solver is contained and retried instead
@@ -140,10 +138,10 @@ struct InductionOptions {
   /// falls back to Thread with a warning.
   runtime::Isolation isolation = runtime::Isolation::Thread;
   /// Hard per-child rlimits under Process isolation (0 = unlimited). These
-  /// are OS-enforced backstops behind the cooperative job_memory_bytes /
-  /// job_wall_seconds budgets: a child that blows them is killed by the
-  /// kernel, counted out-of-band, and the attempt retried or dropped per
-  /// the usual escalation ladder.
+  /// are OS-enforced backstops behind the cooperative conflict budget: a
+  /// child that blows them is killed by the kernel, counted out-of-band, and
+  /// the same attempt runs again (the job is dropped after max_job_attempts
+  /// deaths).
   std::size_t job_rlimit_bytes = 0;   // RLIMIT_AS (address space)
   long job_rlimit_cpu_seconds = 0;    // RLIMIT_CPU (SIGXCPU on expiry)
 
@@ -174,13 +172,12 @@ struct InductionStats {
   /// empty (aborting mid-fixpoint must not ship unproved survivors).
   bool timed_out = false;
   // Supervised-runtime accounting.
-  std::size_t job_retries = 0;   // re-dispatches with escalated budgets
+  std::size_t job_retries = 0;   // re-dispatches with an escalated budget
   std::size_t job_drops = 0;     // jobs whose candidates were dropped
   std::size_t job_crashes = 0;   // attempts contained after throwing
   /// Process-isolation accounting (timing-class: child deaths can be
-  /// environmental, so these never feed the deterministic report columns).
+  /// environmental, so this never feeds the deterministic report columns).
   std::size_t proc_restarts = 0; // attempts re-queued after a child died
-  std::size_t proc_kills = 0;    // wedged children SIGKILLed at the deadline
   /// Resume provenance: -2 = fresh run, kBaseRound(-1) = resumed after the
   /// base case, r >= 0 = resumed after step round r.
   int resumed_from_round = -2;

@@ -29,6 +29,7 @@
 
 namespace pdat {
 class Netlist;
+class Rng;
 }
 
 namespace pdat::fuzz {
@@ -116,13 +117,18 @@ struct GenOptions {
 };
 
 /// Subset-aware abstract-program generator. Implementations are immutable
-/// after construction and safe to share across worker threads.
+/// after construction and safe to share across worker threads; they differ
+/// only in how they sample ops and encode them.
 class Generator {
  public:
+  explicit Generator(GenOptions opt) : opt_(opt) {}
   virtual ~Generator() = default;
 
-  virtual AbsProgram generate(std::uint64_t seed) const = 0;
-  virtual AbsProgram mutate(const AbsProgram& p, std::uint64_t seed) const = 0;
+  /// A fresh program of min_ops..max_ops sampled ops.
+  AbsProgram generate(std::uint64_t seed) const;
+  /// One random edit of `p`: reseed an operand, delete, duplicate, append
+  /// a sample, or change a skip.
+  AbsProgram mutate(const AbsProgram& p, std::uint64_t seed) const;
 
   /// Concrete encoding, including the register-setup prologue and the
   /// in-subset halting terminator. Units are 32-bit words for RV32 and
@@ -135,6 +141,12 @@ class Generator {
   /// corpus; drop into tests/repro/ to make it a ctest case).
   virtual std::string render_repro(const AbsProgram& p, const std::string& case_name,
                                    const std::string& detail) const = 0;
+
+ protected:
+  /// Appends one sampled op (or a hazard pair) to `p`.
+  virtual void sample_into(AbsProgram& p, Rng& rng) const = 0;
+
+  GenOptions opt_;
 };
 
 // --- oracles -----------------------------------------------------------------

@@ -77,10 +77,51 @@ int pool_pick(Rng& rng, const std::vector<int>& pool) {
 
 }  // namespace
 
+// --- shared ------------------------------------------------------------------
+
+AbsProgram Generator::generate(std::uint64_t seed) const {
+  Rng rng(seed);
+  const std::size_t len = opt_.min_ops + rng.below(opt_.max_ops - opt_.min_ops + 1);
+  AbsProgram p;
+  while (p.size() < len) sample_into(p, rng);
+  if (p.size() > opt_.max_ops) p.resize(opt_.max_ops);
+  return p;
+}
+
+AbsProgram Generator::mutate(const AbsProgram& in, std::uint64_t seed) const {
+  Rng rng(seed);
+  AbsProgram p = in;
+  if (p.empty()) {
+    sample_into(p, rng);
+    return p;
+  }
+  switch (rng.below(5)) {
+    case 0:
+      p[rng.below(p.size())].opseed = rng.next();
+      break;
+    case 1:
+      if (p.size() > 1) p.erase(p.begin() + static_cast<std::ptrdiff_t>(rng.below(p.size())));
+      break;
+    case 2: {
+      const AbsOp dup = p[rng.below(p.size())];
+      p.insert(p.begin() + static_cast<std::ptrdiff_t>(rng.below(p.size() + 1)), dup);
+      break;
+    }
+    case 3:
+      sample_into(p, rng);
+      break;
+    default:
+      p[rng.below(p.size())].skip = static_cast<std::uint8_t>(1 + rng.below(6));
+      break;
+  }
+  if (p.size() > 2 * opt_.max_ops) p.resize(2 * opt_.max_ops);
+  return p;
+}
+
 // --- RV32 --------------------------------------------------------------------
 
 Rv32Generator::Rv32Generator(isa::RvSubset subset, GenOptions opt)
-    : subset_(std::move(subset)), opt_(opt) {
+    : Generator(opt), subset_(std::move(subset)) {
   for (const char* t : {"ebreak", "ecall", "c.ebreak"}) {
     if (subset_.contains(t)) {
       terminator_ = isa::rv32_instr_index(t);
@@ -347,45 +388,6 @@ void Rv32Generator::sample_into(AbsProgram& p, Rng& rng) const {
   }
 }
 
-AbsProgram Rv32Generator::generate(std::uint64_t seed) const {
-  Rng rng(seed);
-  const std::size_t len = opt_.min_ops + rng.below(opt_.max_ops - opt_.min_ops + 1);
-  AbsProgram p;
-  while (p.size() < len) sample_into(p, rng);
-  if (p.size() > opt_.max_ops) p.resize(opt_.max_ops);
-  return p;
-}
-
-AbsProgram Rv32Generator::mutate(const AbsProgram& in, std::uint64_t seed) const {
-  Rng rng(seed);
-  AbsProgram p = in;
-  if (p.empty()) {
-    sample_into(p, rng);
-    return p;
-  }
-  switch (rng.below(5)) {
-    case 0:
-      p[rng.below(p.size())].opseed = rng.next();
-      break;
-    case 1:
-      if (p.size() > 1) p.erase(p.begin() + static_cast<std::ptrdiff_t>(rng.below(p.size())));
-      break;
-    case 2: {
-      const AbsOp dup = p[rng.below(p.size())];
-      p.insert(p.begin() + static_cast<std::ptrdiff_t>(rng.below(p.size() + 1)), dup);
-      break;
-    }
-    case 3:
-      sample_into(p, rng);
-      break;
-    default:
-      p[rng.below(p.size())].skip = static_cast<std::uint8_t>(1 + rng.below(6));
-      break;
-  }
-  if (p.size() > 2 * opt_.max_ops) p.resize(2 * opt_.max_ops);
-  return p;
-}
-
 std::vector<std::uint32_t> Rv32Generator::encode_units(const AbsProgram& p) const {
   std::vector<std::uint8_t> bytes;
   if (!mem_.empty()) {
@@ -480,7 +482,7 @@ bool thumb_writes_rd(std::string_view n) {
 }  // namespace
 
 ThumbGenerator::ThumbGenerator(isa::ThumbSubset subset, GenOptions opt)
-    : subset_(std::move(subset)), opt_(opt) {
+    : Generator(opt), subset_(std::move(subset)) {
   for (const char* t : {"bkpt", "udf", "svc"}) {
     if (subset_.contains(t)) {
       terminator_ = isa::thumb_instr_index(t);
@@ -696,45 +698,6 @@ void ThumbGenerator::sample_into(AbsProgram& p, Rng& rng) const {
       break;
     }
   }
-}
-
-AbsProgram ThumbGenerator::generate(std::uint64_t seed) const {
-  Rng rng(seed);
-  const std::size_t len = opt_.min_ops + rng.below(opt_.max_ops - opt_.min_ops + 1);
-  AbsProgram p;
-  while (p.size() < len) sample_into(p, rng);
-  if (p.size() > opt_.max_ops) p.resize(opt_.max_ops);
-  return p;
-}
-
-AbsProgram ThumbGenerator::mutate(const AbsProgram& in, std::uint64_t seed) const {
-  Rng rng(seed);
-  AbsProgram p = in;
-  if (p.empty()) {
-    sample_into(p, rng);
-    return p;
-  }
-  switch (rng.below(5)) {
-    case 0:
-      p[rng.below(p.size())].opseed = rng.next();
-      break;
-    case 1:
-      if (p.size() > 1) p.erase(p.begin() + static_cast<std::ptrdiff_t>(rng.below(p.size())));
-      break;
-    case 2: {
-      const AbsOp dup = p[rng.below(p.size())];
-      p.insert(p.begin() + static_cast<std::ptrdiff_t>(rng.below(p.size() + 1)), dup);
-      break;
-    }
-    case 3:
-      sample_into(p, rng);
-      break;
-    default:
-      p[rng.below(p.size())].skip = static_cast<std::uint8_t>(1 + rng.below(6));
-      break;
-  }
-  if (p.size() > 2 * opt_.max_ops) p.resize(2 * opt_.max_ops);
-  return p;
 }
 
 std::vector<std::uint32_t> ThumbGenerator::encode_units(const AbsProgram& p) const {

@@ -28,8 +28,6 @@ class Rv32Generator : public Generator {
   /// (ebreak/ecall/c.ebreak) or contains no generatable instruction.
   Rv32Generator(isa::RvSubset subset, GenOptions opt = {});
 
-  AbsProgram generate(std::uint64_t seed) const override;
-  AbsProgram mutate(const AbsProgram& p, std::uint64_t seed) const override;
   std::vector<std::uint32_t> encode_units(const AbsProgram& p) const override;
   unsigned unit_hex_digits() const override { return 8; }
   std::string isa_name() const override { return "rv32"; }
@@ -40,14 +38,13 @@ class Rv32Generator : public Generator {
 
  private:
   AbsOp sample_op(Rng& rng) const;
-  void sample_into(AbsProgram& p, Rng& rng) const;  // may append a hazard pair
+  void sample_into(AbsProgram& p, Rng& rng) const override;
   // Encodes one op at byte offset `at`; `target_off` is the byte offset of
   // the op's control-transfer target (terminator offset when past the end).
   std::uint32_t encode_op(const AbsOp& op, std::uint32_t at, std::uint32_t target_off) const;
   unsigned op_bytes(const AbsOp& op) const;
 
   isa::RvSubset subset_;
-  GenOptions opt_;
   int terminator_ = -1;           // spec index of the halting terminator
   bool have_lui_ = false;         // base/sp prologue uses lui
   bool have_clui_ = false;        // ... or c.lui (base only)
@@ -62,8 +59,6 @@ class ThumbGenerator : public Generator {
  public:
   ThumbGenerator(isa::ThumbSubset subset, GenOptions opt = {});
 
-  AbsProgram generate(std::uint64_t seed) const override;
-  AbsProgram mutate(const AbsProgram& p, std::uint64_t seed) const override;
   std::vector<std::uint32_t> encode_units(const AbsProgram& p) const override;
   unsigned unit_hex_digits() const override { return 4; }
   std::string isa_name() const override { return "thumb"; }
@@ -74,12 +69,11 @@ class ThumbGenerator : public Generator {
 
  private:
   AbsOp sample_op(Rng& rng) const;
-  void sample_into(AbsProgram& p, Rng& rng) const;
+  void sample_into(AbsProgram& p, Rng& rng) const override;
   std::uint32_t encode_op(const AbsOp& op, std::uint32_t at_hw, std::uint32_t target_hw) const;
   unsigned op_halfwords(const AbsOp& op) const;
 
   isa::ThumbSubset subset_;
-  GenOptions opt_;
   int terminator_ = -1;
   bool mem_ok_ = false;  // movs.i8 + lsls present => base registers settable
   std::vector<int> plain_, mem_, branch_, raw_;

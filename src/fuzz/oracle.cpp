@@ -1,7 +1,5 @@
 #include "fuzz/oracle.h"
 
-#include <sstream>
-
 #include "base/types.h"
 #include "netlist/netlist.h"
 #include "trace/trace.h"
@@ -15,77 +13,6 @@ namespace {
 // reported as Inconclusive rather than a divergence.
 constexpr std::uint64_t kIssSteps = 4096;
 constexpr std::uint64_t kTbCycles = 8192;
-
-std::string compare_rv32(const std::vector<iss::Rv32Iss::TraceEntry>& a,
-                         const std::vector<iss::Rv32Iss::TraceEntry>& b) {
-  std::ostringstream os;
-  const std::size_t n = std::min(a.size(), b.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (a[i].pc != b[i].pc || a[i].rd != b[i].rd || a[i].rd_value != b[i].rd_value ||
-        a[i].mem_write != b[i].mem_write || a[i].mem_addr != b[i].mem_addr ||
-        a[i].mem_value != b[i].mem_value || a[i].mem_size != b[i].mem_size) {
-      os << "trace entry " << i << ": iss pc=0x" << std::hex << a[i].pc << " rd=x" << std::dec
-         << a[i].rd << "=0x" << std::hex << a[i].rd_value << " vs core pc=0x" << b[i].pc
-         << " rd=x" << std::dec << b[i].rd << "=0x" << std::hex << b[i].rd_value;
-      if (a[i].mem_write || b[i].mem_write) {
-        os << " | mem iss [0x" << a[i].mem_addr << "]=0x" << a[i].mem_value << "/" << std::dec
-           << a[i].mem_size << " core [0x" << std::hex << b[i].mem_addr << "]=0x"
-           << b[i].mem_value << "/" << std::dec << b[i].mem_size;
-      }
-      return os.str();
-    }
-  }
-  if (a.size() != b.size()) {
-    os << "trace length: iss " << a.size() << " vs core " << b.size();
-    return os.str();
-  }
-  return {};
-}
-
-/// What the Thumb ISS leaves behind for the comparison.
-struct ThumbGolden {
-  std::vector<iss::ThumbIss::RegWrite> regs;
-  std::vector<iss::ThumbIss::MemWrite> mems;
-  unsigned flags = 0;  // NZCV packed as bits 3..0
-};
-
-std::string compare_thumb(const ThumbGolden& g, const cores::Cm0Testbench& tb, unsigned lane) {
-  std::ostringstream os;
-  const auto& ra = g.regs;
-  const auto& rb = tb.reg_writes(lane);
-  for (std::size_t i = 0; i < std::min(ra.size(), rb.size()); ++i) {
-    if (ra[i].reg != rb[i].reg || ra[i].value != rb[i].value) {
-      os << "reg stream entry " << i << ": iss r" << ra[i].reg << "=0x" << std::hex
-         << ra[i].value << " core r" << std::dec << rb[i].reg << "=0x" << std::hex
-         << rb[i].value;
-      return os.str();
-    }
-  }
-  if (ra.size() != rb.size()) {
-    os << "reg stream length: iss " << ra.size() << " core " << rb.size();
-    return os.str();
-  }
-  const auto& ma = g.mems;
-  const auto& mb = tb.mem_writes(lane);
-  for (std::size_t i = 0; i < std::min(ma.size(), mb.size()); ++i) {
-    if (ma[i].addr != mb[i].addr || ma[i].value != mb[i].value || ma[i].size != mb[i].size) {
-      os << "mem stream entry " << i << ": iss [0x" << std::hex << ma[i].addr << "]=0x"
-         << ma[i].value << "/" << std::dec << ma[i].size << " core [0x" << std::hex
-         << mb[i].addr << "]=0x" << mb[i].value << "/" << std::dec << mb[i].size;
-      return os.str();
-    }
-  }
-  if (ma.size() != mb.size()) {
-    os << "mem stream length: iss " << ma.size() << " core " << mb.size();
-    return os.str();
-  }
-  const unsigned core_flags = tb.final_flags(lane);
-  if (core_flags != g.flags) {
-    os << "final flags: iss " << g.flags << " core " << core_flags;
-    return os.str();
-  }
-  return {};
-}
 
 /// Runs `jobs` (indices into `out`) as one pack on `tb`, job jobs[k] in lane
 /// k, and settles each job's outcome the way a run of that job alone would:
@@ -185,7 +112,9 @@ std::vector<RunOutcome> Rv32DiffOracle::run(std::span<const AbsProgram> programs
     return run_pack(
         tb, label, jobs, out, target, lane_cov_,
         [&](unsigned lane, std::size_t job) { tb.load_words(0, words[job], lane); },
-        [&](unsigned lane, std::size_t job) { return compare_rv32(golden[job], tb.trace(lane)); });
+        [&](unsigned lane, std::size_t job) {
+          return iss::compare_traces(golden[job], tb.trace(lane));
+        });
   };
   jobs = on(base_tb_, "baseline", red_tb_ ? std::span<CoverageMap>() : covs);
   if (red_tb_) on(*red_tb_, "reduced", covs);
@@ -206,7 +135,7 @@ std::vector<RunOutcome> ThumbDiffOracle::run(std::span<const AbsProgram> program
   check_pack(programs, covs, cov_nets_);
   std::vector<RunOutcome> out(programs.size());
   std::vector<std::vector<std::uint16_t>> halves(programs.size());
-  std::vector<ThumbGolden> golden(programs.size());
+  std::vector<cores::ThumbGolden> golden(programs.size());
   std::vector<std::size_t> jobs;
   for (std::size_t i = 0; i < programs.size(); ++i) {
     for (const std::uint32_t u : gen_.encode_units(programs[i]))
@@ -221,9 +150,7 @@ std::vector<RunOutcome> ThumbDiffOracle::run(std::span<const AbsProgram> program
       out[i].detail = "iss: did not halt";
       continue;
     }
-    golden[i] = {iss.reg_writes(), iss.mem_writes(),
-                 (iss.flag_n() ? 1u : 0) | (iss.flag_z() ? 2u : 0) | (iss.flag_c() ? 4u : 0) |
-                     (iss.flag_v() ? 8u : 0)};
+    golden[i] = cores::thumb_golden(iss);
     jobs.push_back(i);
   }
 
@@ -231,7 +158,9 @@ std::vector<RunOutcome> ThumbDiffOracle::run(std::span<const AbsProgram> program
     return run_pack(
         tb, label, jobs, out, target, lane_cov_,
         [&](unsigned lane, std::size_t job) { tb.load_halfwords(0, halves[job], lane); },
-        [&](unsigned lane, std::size_t job) { return compare_thumb(golden[job], tb, lane); });
+        [&](unsigned lane, std::size_t job) {
+          return cores::compare_thumb(golden[job], tb, lane);
+        });
   };
   jobs = on(base_tb_, "baseline", red_tb_ ? std::span<CoverageMap>() : covs);
   if (red_tb_) on(*red_tb_, "reduced", covs);

@@ -1,5 +1,8 @@
 #include "iss/rv32_iss.h"
 
+#include <algorithm>
+#include <sstream>
+
 #include "base/types.h"
 #include "isa/rv32_isa.h"
 
@@ -206,6 +209,32 @@ std::uint64_t Rv32Iss::run(std::uint64_t max_instructions) {
     ++n;
   }
   return n;
+}
+
+std::string compare_traces(const std::vector<Rv32Iss::TraceEntry>& a,
+                           const std::vector<Rv32Iss::TraceEntry>& b) {
+  std::ostringstream os;
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (a[i].pc != b[i].pc || a[i].rd != b[i].rd || a[i].rd_value != b[i].rd_value ||
+        a[i].mem_write != b[i].mem_write || a[i].mem_addr != b[i].mem_addr ||
+        a[i].mem_value != b[i].mem_value || a[i].mem_size != b[i].mem_size) {
+      os << "trace entry " << i << ": iss pc=0x" << std::hex << a[i].pc << " rd=x" << std::dec
+         << a[i].rd << "=0x" << std::hex << a[i].rd_value << " vs core pc=0x" << b[i].pc
+         << " rd=x" << std::dec << b[i].rd << "=0x" << std::hex << b[i].rd_value;
+      if (a[i].mem_write || b[i].mem_write) {
+        os << " | mem iss [0x" << a[i].mem_addr << "]=0x" << a[i].mem_value << "/" << std::dec
+           << a[i].mem_size << " core [0x" << std::hex << b[i].mem_addr << "]=0x"
+           << b[i].mem_value << "/" << std::dec << b[i].mem_size;
+      }
+      return os.str();
+    }
+  }
+  if (a.size() != b.size()) {
+    os << "trace length: iss " << a.size() << " vs core " << b.size();
+    return os.str();
+  }
+  return {};
 }
 
 }  // namespace pdat::iss

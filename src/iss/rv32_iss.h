@@ -76,4 +76,11 @@ class Rv32Iss {
   void csr_write(unsigned addr, std::uint32_t value);
 };
 
+/// The first difference between an ISS trace and a core's, worded as the
+/// fuzz oracle reports it ("trace entry i: ..." or "trace length: ...");
+/// empty when the traces agree. Shared by the fuzz oracle and the Ibex and
+/// RIDECORE lockstep checks.
+std::string compare_traces(const std::vector<Rv32Iss::TraceEntry>& iss,
+                           const std::vector<Rv32Iss::TraceEntry>& core);
+
 }  // namespace pdat::iss

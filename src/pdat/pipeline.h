@@ -59,9 +59,11 @@ struct PdatOptions {
   std::string run_label;
   /// Certified solving (paranoid mode, DESIGN.md §5.10): every SAT verdict
   /// that can keep a candidate alive or pass validation — induction proof
-  /// jobs, BMC frames, the equivalence miter — is DRAT-checked by the
-  /// independent in-tree checker before it is acted on. Forwards into
-  /// `induction.certify` and `validate.miter.certify`. A certificate that
+  /// jobs and the equivalence miter — is DRAT-checked by the independent
+  /// in-tree checker before it is acted on. The environment vacuity check
+  /// stays uncertified (both of its failure directions are fail-safe).
+  /// Forwards into `induction.certify` and `validate.miter.certify`. A
+  /// certificate that
   /// fails to check raises StageError regardless of `strict`: no gate is
   /// ever removed on the strength of an uncertified UNSAT. Reports are
   /// byte-identical with certification on or off.

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 
 #include "base/types.h"
 #include "util/failpoint.h"
@@ -23,16 +24,26 @@ constexpr std::size_t kRecordHeaderBytes = 2 * sizeof(std::uint32_t) + sizeof(st
 // Sanity cap on a single record; anything larger is treated as corruption.
 constexpr std::uint32_t kMaxPayload = 1u << 30;
 
-std::uint32_t load_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
+/// Reads a little-endian N-byte value at `pos` and advances it.
+template <class T>
+T get_le(const std::string& in, std::size_t& pos) {
+  if (pos + sizeof(T) > in.size()) throw PdatError("journal: truncated payload field");
+  T v = 0;
+  for (std::size_t i = sizeof(T); i-- > 0;) v = (v << 8) | static_cast<unsigned char>(in[pos + i]);
+  pos += sizeof(T);
   return v;
 }
 
-std::uint64_t load_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<unsigned char>(p[i]);
-  return v;
+/// FNV-1a over the record type and payload.
+std::uint64_t record_checksum(std::uint32_t type, const std::string& payload) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](unsigned char c) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  };
+  for (int i = 0; i < 4; ++i) mix(static_cast<unsigned char>(type >> (8 * i)));
+  for (char c : payload) mix(static_cast<unsigned char>(c));
+  return h;
 }
 
 bool fsync_disabled() {
@@ -66,17 +77,6 @@ void durable_sync_parent(const std::string& path) {
   sync_path(parent.string().c_str());
 }
 
-std::uint64_t journal_checksum(std::uint32_t type, const std::string& payload) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](unsigned char c) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  };
-  for (int i = 0; i < 4; ++i) mix(static_cast<unsigned char>(type >> (8 * i)));
-  for (char c : payload) mix(static_cast<unsigned char>(c));
-  return h;
-}
-
 void put_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
@@ -86,49 +86,60 @@ void put_u64(std::string& out, std::uint64_t v) {
 }
 
 std::uint32_t get_u32(const std::string& in, std::size_t& pos) {
-  if (pos + 4 > in.size()) throw PdatError("journal: truncated payload field");
-  const std::uint32_t v = load_u32(in.data() + pos);
-  pos += 4;
-  return v;
+  return get_le<std::uint32_t>(in, pos);
 }
 
 std::uint64_t get_u64(const std::string& in, std::size_t& pos) {
-  if (pos + 8 > in.size()) throw PdatError("journal: truncated payload field");
-  const std::uint64_t v = load_u64(in.data() + pos);
-  pos += 8;
-  return v;
+  return get_le<std::uint64_t>(in, pos);
+}
+
+std::string encode_record(std::uint32_t type, const std::string& payload) {
+  std::string rec;
+  rec.reserve(kRecordHeaderBytes + payload.size());
+  put_u32(rec, static_cast<std::uint32_t>(payload.size()));
+  put_u32(rec, type);
+  put_u64(rec, record_checksum(type, payload));
+  rec += payload;
+  return rec;
+}
+
+bool decode_record(const std::string& buf, std::size_t& pos, std::uint32_t& type,
+                   std::string& payload) {
+  if (buf.size() < pos + kRecordHeaderBytes) return false;
+  std::size_t p = pos;
+  const std::uint32_t len = get_u32(buf, p);
+  const std::uint32_t t = get_u32(buf, p);
+  const std::uint64_t sum = get_u64(buf, p);
+  if (len > kMaxPayload) throw PdatError("record: oversized length field");
+  if (buf.size() - p < len) return false;
+  std::string pl = buf.substr(p, len);
+  if (record_checksum(t, pl) != sum) throw PdatError("record: checksum mismatch");
+  type = t;
+  payload = std::move(pl);
+  pos = p + len;
+  return true;
 }
 
 std::optional<std::vector<JournalRecord>> read_journal(const std::string& path,
                                                        std::uint64_t* valid_bytes) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
-  char header[kFileHeaderBytes];
-  in.read(header, static_cast<std::streamsize>(kFileHeaderBytes));
-  if (in.gcount() != static_cast<std::streamsize>(kFileHeaderBytes)) return std::nullopt;
-  for (std::size_t i = 0; i < sizeof(kMagic); ++i) {
-    if (header[i] != kMagic[i]) return std::nullopt;
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  if (bytes.size() < kFileHeaderBytes ||
+      bytes.compare(0, sizeof(kMagic), kMagic, sizeof(kMagic)) != 0) {
+    return std::nullopt;
   }
-  if (load_u32(header + sizeof(kMagic)) != kVersion) return std::nullopt;
+  std::size_t pos = sizeof(kMagic);
+  if (get_u32(bytes, pos) != kVersion) return std::nullopt;
 
   std::vector<JournalRecord> records;
-  std::uint64_t offset = kFileHeaderBytes;
-  for (;;) {
-    char rh[kRecordHeaderBytes];
-    in.read(rh, static_cast<std::streamsize>(kRecordHeaderBytes));
-    if (in.gcount() != static_cast<std::streamsize>(kRecordHeaderBytes)) break;
-    const std::uint32_t len = load_u32(rh);
-    const std::uint32_t type = load_u32(rh + 4);
-    const std::uint64_t checksum = load_u64(rh + 8);
-    if (len > kMaxPayload) break;
-    std::string payload(len, '\0');
-    in.read(payload.data(), static_cast<std::streamsize>(len));
-    if (in.gcount() != static_cast<std::streamsize>(len)) break;
-    if (journal_checksum(type, payload) != checksum) break;
-    records.push_back({type, std::move(payload)});
-    offset += kRecordHeaderBytes + len;
+  try {
+    JournalRecord rec;
+    while (decode_record(bytes, pos, rec.type, rec.payload)) records.push_back(std::move(rec));
+  } catch (const PdatError&) {
+    // A corrupt record ends the valid prefix exactly like a torn one.
   }
-  if (valid_bytes != nullptr) *valid_bytes = offset;
+  if (valid_bytes != nullptr) *valid_bytes = pos;
   return records;
 }
 
@@ -175,11 +186,7 @@ JournalWriter JournalWriter::append_after_valid_prefix(const std::string& path) 
 }
 
 void JournalWriter::append(std::uint32_t type, const std::string& payload) {
-  std::string rec;
-  put_u32(rec, static_cast<std::uint32_t>(payload.size()));
-  put_u32(rec, type);
-  put_u64(rec, journal_checksum(type, payload));
-  rec += payload;
+  const std::string rec = encode_record(type, payload);
   if (util::failpoint("journal.append") != 0) {
     // Injected ENOSPC: ship the torn half-record a full disk leaves behind
     // (readers drop it as an invalid tail), then fail like the real error

@@ -9,11 +9,15 @@
 //   record := payload_len(u32) type(u32) checksum(u64) payload
 //
 // The checksum is FNV-1a over the type and payload. A reader accepts the
-// longest valid prefix: a record with a short header, a payload extending
-// past end-of-file, or a checksum mismatch ends the replay at the previous
-// record boundary — so a crash mid-write (torn tail) silently costs one
-// round, never the journal. Appending after a crash truncates the torn tail
-// first so the file never contains garbage between valid records.
+// longest valid prefix: a record that fails to decode (a short header, a
+// payload extending past end-of-file, an oversized length, or a checksum
+// mismatch) ends the replay at the previous record boundary — so a crash
+// mid-write (torn tail) silently costs one round, never the journal.
+// Appending after a crash truncates the torn tail first so the file never
+// contains garbage between valid records.
+//
+// The process-isolated proof workers (runtime/procworker.h) frame their
+// pipe messages with the same record codec, encode_record/decode_record.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +32,6 @@ struct JournalRecord {
   std::uint32_t type = 0;
   std::string payload;
 };
-
-std::uint64_t journal_checksum(std::uint32_t type, const std::string& payload);
 
 // --- durability --------------------------------------------------------------
 // The longest-valid-prefix recovery story only holds under power loss if the
@@ -56,6 +58,17 @@ void put_u64(std::string& out, std::uint64_t v);
 /// torn tail).
 std::uint32_t get_u32(const std::string& in, std::size_t& pos);
 std::uint64_t get_u64(const std::string& in, std::size_t& pos);
+
+// --- the record codec (journal files and worker pipes) ----------------------
+
+/// Encodes one record := payload_len(u32) type(u32) checksum(u64) payload.
+std::string encode_record(std::uint32_t type, const std::string& payload);
+/// Decodes the record starting at `pos`, advancing it. Returns false when
+/// `buf` holds an incomplete record prefix (the cursor does not move);
+/// throws PdatError on a checksum mismatch or an oversized length
+/// (corruption is never silently accepted).
+bool decode_record(const std::string& buf, std::size_t& pos, std::uint32_t& type,
+                   std::string& payload);
 
 /// Reads the longest valid record prefix of the journal at `path`.
 /// Returns nullopt when the file is missing, shorter than the file header,

@@ -1,11 +1,9 @@
 #include "runtime/procworker.h"
 
+#include <array>
 #include <chrono>
-#include <cstring>
-#include <deque>
 #include <exception>
 
-#include "base/log.h"
 #include "base/types.h"
 #include "runtime/journal.h"
 #include "trace/trace.h"
@@ -24,75 +22,27 @@
 
 namespace pdat::runtime {
 
-namespace {
-
-// record := payload_len(u32) type(u32) checksum(u64) payload
-constexpr std::size_t kRecordHeaderBytes = 2 * sizeof(std::uint32_t) + sizeof(std::uint64_t);
-constexpr std::uint32_t kMaxPayload = 1u << 30;
-
-// Pipe record types. The request carries (job, attempt, budget, consumed
-// child_entry failpoint spec); results carry either the codec payload
-// (Done/Retry) or an error message (Crash/Fatal).
-constexpr std::uint32_t kReqJob = 1;
-constexpr std::uint32_t kResDone = 2;
-constexpr std::uint32_t kResRetry = 3;
-constexpr std::uint32_t kResCrash = 4;
-constexpr std::uint32_t kResFatal = 5;
-
-}  // namespace
-
-std::string encode_proc_record(std::uint32_t type, const std::string& payload) {
-  std::string rec;
-  rec.reserve(kRecordHeaderBytes + payload.size());
-  put_u32(rec, static_cast<std::uint32_t>(payload.size()));
-  put_u32(rec, type);
-  put_u64(rec, journal_checksum(type, payload));
-  rec += payload;
-  return rec;
-}
-
-bool decode_proc_record(const std::string& buf, std::size_t& pos, std::uint32_t& type,
-                        std::string& payload) {
-  if (buf.size() < pos + kRecordHeaderBytes) return false;
-  std::size_t p = pos;
-  const std::uint32_t len = get_u32(buf, p);
-  const std::uint32_t t = get_u32(buf, p);
-  const std::uint64_t sum = get_u64(buf, p);
-  if (len > kMaxPayload) throw PdatError("procworker: oversized pipe record");
-  if (buf.size() - p < len) return false;
-  std::string pl = buf.substr(p, len);
-  if (journal_checksum(t, pl) != sum) {
-    throw PdatError("procworker: pipe record checksum mismatch");
-  }
-  type = t;
-  payload = std::move(pl);
-  pos = p + len;
-  return true;
-}
-
 #ifdef PDAT_HAVE_PROCWORKER
 
 namespace {
 
 constexpr int kChildExitWriteFailed = 81;  // result pipe write failed in the child
 
-struct QueuedAttempt {
-  std::size_t job;
-  int attempt;  // 1-based
-  JobBudget budget;
-};
+// Pipe record types. The request carries (job, attempt, budget, consumed
+// child_entry failpoint spec); every result carries the child's telemetry
+// delta, then the job state (Done/Retry) or an error message (Crash/Fatal).
+constexpr std::uint32_t kReqJob = 1;
+constexpr std::uint32_t kResDone = 2;
+constexpr std::uint32_t kResRetry = 3;
+constexpr std::uint32_t kResCrash = 4;
+constexpr std::uint32_t kResFatal = 5;
 
 struct ChildProc {
   pid_t pid = -1;
   int res_fd = -1;
   std::string buf;  // result pipe bytes drained so far
-  std::size_t job = 0;
-  int attempt = 0;
-  JobBudget budget;
+  Attempt a;
   std::chrono::steady_clock::time_point spawned;
-  std::chrono::steady_clock::time_point kill_at{};
-  bool has_kill_at = false;
-  bool killed_by_watchdog = false;
 };
 
 // The parent writes job requests to children that may already be dead
@@ -122,7 +72,7 @@ bool write_all(int fd, const char* data, std::size_t n) {
 /// Writes one record; an armed procworker.pipe_write failpoint (enospc)
 /// simulates a torn write by shipping only half the record.
 bool write_record(int fd, std::uint32_t type, const std::string& payload) {
-  const std::string rec = encode_proc_record(type, payload);
+  const std::string rec = encode_record(type, payload);
   if (util::failpoint("procworker.pipe_write") != 0) {
     write_all(fd, rec.data(), rec.size() / 2);
     return false;
@@ -149,10 +99,7 @@ std::string signal_name(int sig) {
   }
 }
 
-std::string describe_wait_status(int status, bool killed_by_watchdog) {
-  if (killed_by_watchdog) {
-    return "child SIGKILLed by the supervisor at the attempt deadline";
-  }
+std::string describe_wait_status(int status) {
   if (WIFSIGNALED(status)) return "child killed by " + signal_name(WTERMSIG(status));
   if (WIFEXITED(status) && WEXITSTATUS(status) == kChildExitWriteFailed) {
     return "child could not write its result record";
@@ -173,32 +120,95 @@ void apply_rlimits(const ProcLimits& lim) {
     ::setrlimit(res, &rl);
   };
   if (lim.address_space_bytes > 0) cap(RLIMIT_AS, static_cast<rlim_t>(lim.address_space_bytes));
-  if (lim.stack_bytes > 0) cap(RLIMIT_STACK, static_cast<rlim_t>(lim.stack_bytes));
   if (lim.cpu_seconds > 0) cap(RLIMIT_CPU, static_cast<rlim_t>(lim.cpu_seconds));
 }
 
-std::string encode_request(const QueuedAttempt& a, const std::string& entry_spec) {
+/// The telemetry totals a child starts its attempt from. A forked child
+/// inherits the parent's totals, so end minus start is exactly what the
+/// attempt added — the delta every result record ships back.
+struct Telemetry {
+  bool traced = false;
+  std::array<std::uint64_t, trace::kNumCounters> counters{};
+  std::array<trace::HistogramSnapshot, trace::kNumHistograms> hists{};
+
+  static Telemetry now() {
+    Telemetry t;
+    t.traced = trace::collecting();
+    if (!t.traced) return t;
+    for (std::size_t c = 0; c < trace::kNumCounters; ++c) {
+      t.counters[c] = trace::counter_value(static_cast<trace::Counter>(c));
+    }
+    for (std::size_t h = 0; h < trace::kNumHistograms; ++h) {
+      t.hists[h] = trace::histogram_snapshot(static_cast<trace::Histogram>(h));
+    }
+    return t;
+  }
+
+  /// Encodes this attempt's telemetry as the delta `now() - *this`.
+  std::string delta() const {
+    std::string p;
+    put_u32(p, traced ? 1 : 0);
+    if (!traced) return p;
+    const Telemetry end = now();
+    for (std::size_t c = 0; c < trace::kNumCounters; ++c) {
+      put_u64(p, end.counters[c] - counters[c]);
+    }
+    for (std::size_t h = 0; h < trace::kNumHistograms; ++h) {
+      for (std::size_t b = 0; b < trace::kHistogramBuckets; ++b) {
+        put_u64(p, end.hists[h].buckets[b] - hists[h].buckets[b]);
+      }
+      put_u64(p, end.hists[h].count - hists[h].count);
+      put_u64(p, end.hists[h].sum - hists[h].sum);
+      put_u64(p, end.hists[h].max);  // absolute; folds via max()
+    }
+    return p;
+  }
+
+  /// Decodes a delta() at `pos` and folds it into this process's telemetry
+  /// (decoded in full first, so a short payload folds nothing).
+  static void merge(const std::string& in, std::size_t& pos) {
+    if (get_u32(in, pos) == 0) return;
+    Telemetry d;
+    for (std::uint64_t& c : d.counters) c = get_u64(in, pos);
+    for (trace::HistogramSnapshot& h : d.hists) {
+      for (std::uint64_t& b : h.buckets) b = get_u64(in, pos);
+      h.count = get_u64(in, pos);
+      h.sum = get_u64(in, pos);
+      h.max = get_u64(in, pos);
+    }
+    if (!trace::collecting()) return;
+    for (std::size_t c = 0; c < trace::kNumCounters; ++c) {
+      if (d.counters[c] != 0) trace::add(static_cast<trace::Counter>(c), d.counters[c]);
+    }
+    for (std::size_t h = 0; h < trace::kNumHistograms; ++h) {
+      trace::merge(static_cast<trace::Histogram>(h), d.hists[h]);
+    }
+  }
+};
+
+std::string encode_request(const Attempt& a, const std::string& entry_spec) {
   std::string p;
   put_u64(p, static_cast<std::uint64_t>(a.job));
   put_u32(p, static_cast<std::uint32_t>(a.attempt));
   put_u64(p, static_cast<std::uint64_t>(a.budget.conflicts));
-  std::uint64_t wall_bits = 0;
-  static_assert(sizeof(wall_bits) == sizeof(a.budget.wall_seconds));
-  std::memcpy(&wall_bits, &a.budget.wall_seconds, sizeof(wall_bits));
-  put_u64(p, wall_bits);
-  put_u64(p, static_cast<std::uint64_t>(a.budget.memory_bytes));
-  put_u32(p, static_cast<std::uint32_t>(entry_spec.size()));
-  p += entry_spec;
-  return p;
+  return p + entry_spec;
 }
 
-[[noreturn]] void child_main(int req_fd, int res_fd, const JobFn& fn,
-                             const ProcResultCodec* codec, const ProcLimits& lim) {
+/// Ships one result record — the attempt's telemetry delta, then `body` —
+/// and exits the child.
+[[noreturn]] void child_exit(int res_fd, std::uint32_t type, const Telemetry& start,
+                             const std::string& body) {
+  if (!write_record(res_fd, type, start.delta() + body)) ::_exit(kChildExitWriteFailed);
+  ::_exit(0);
+}
+
+[[noreturn]] void child_main(int req_fd, int res_fd, const JobFn& fn, const ProcLimits& lim) {
   // The child must die on the signals containment decodes, even if the
   // parent installed cooperative handlers for them.
   ::signal(SIGINT, SIG_DFL);
   ::signal(SIGTERM, SIG_DFL);
   apply_rlimits(lim);
+  const Telemetry start = Telemetry::now();
   try {
     // Drain the request pipe to EOF (the parent closes its end right after
     // writing), then decode the single checksummed request record.
@@ -219,43 +229,27 @@ std::string encode_request(const QueuedAttempt& a, const std::string& entry_spec
     std::size_t pos = 0;
     std::uint32_t type = 0;
     std::string payload;
-    if (!decode_proc_record(buf, pos, type, payload) || type != kReqJob) {
+    if (!decode_record(buf, pos, type, payload) || type != kReqJob) {
       throw PdatError("procworker: malformed job request");
     }
     std::size_t p = 0;
-    const auto job = static_cast<std::size_t>(get_u64(payload, p));
-    const auto attempt = static_cast<int>(get_u32(payload, p));
-    JobBudget budget;
-    budget.conflicts = static_cast<std::int64_t>(get_u64(payload, p));
-    std::uint64_t wall_bits = get_u64(payload, p);
-    std::memcpy(&budget.wall_seconds, &wall_bits, sizeof(budget.wall_seconds));
-    budget.memory_bytes = static_cast<std::size_t>(get_u64(payload, p));
-    const std::uint32_t spec_len = get_u32(payload, p);
-    if (payload.size() - p < spec_len) throw PdatError("procworker: malformed job request");
-    if (spec_len > 0) {
-      util::failpoint_fire("procworker.child_entry", payload.substr(p, spec_len));
-    }
+    Attempt a;
+    a.job = static_cast<std::size_t>(get_u64(payload, p));
+    a.attempt = static_cast<int>(get_u32(payload, p));
+    a.budget.conflicts = static_cast<std::int64_t>(get_u64(payload, p));
+    if (p < payload.size()) util::failpoint_fire("procworker.child_entry", payload.substr(p));
 
-    const JobStatus status = fn(job, attempt, budget);
-    std::string out;
-    if (codec != nullptr && codec->encode) out = codec->encode(job);
-    if (!write_record(res_fd, status == JobStatus::Done ? kResDone : kResRetry, out)) {
-      ::_exit(kChildExitWriteFailed);
-    }
-    ::_exit(0);
+    std::string state;
+    const JobStatus status = fn(a.job, a.attempt, a.budget, state);
+    child_exit(res_fd, status == JobStatus::Done ? kResDone : kResRetry, start, state);
   } catch (const CertificationError& e) {
     // Not contained (see supervisor.h): surface in-band so the parent can
     // cancel the batch and rethrow.
-    write_record(res_fd, kResFatal, e.what());
-    ::_exit(0);
+    child_exit(res_fd, kResFatal, start, e.what());
   } catch (const std::exception& e) {
-    if (!write_record(res_fd, kResCrash, e.what())) ::_exit(kChildExitWriteFailed);
-    ::_exit(0);
+    child_exit(res_fd, kResCrash, start, e.what());
   } catch (...) {
-    if (!write_record(res_fd, kResCrash, "non-standard exception")) {
-      ::_exit(kChildExitWriteFailed);
-    }
-    ::_exit(0);
+    child_exit(res_fd, kResCrash, start, "non-standard exception");
   }
 }
 
@@ -263,91 +257,16 @@ std::string encode_request(const QueuedAttempt& a, const std::string& entry_spec
 
 bool process_isolation_supported() { return true; }
 
-std::vector<JobReport> run_process_pool(const SupervisorOptions& opt, std::size_t n,
-                                        const JobFn& fn, const ProcResultCodec* codec,
-                                        SupervisorStats& stats, std::atomic<bool>& cancelled) {
+void run_process_pool(Ladder& ladder, const SupervisorOptions& opt, const JobFn& fn,
+                      const ApplyFn& apply) {
   using Clock = std::chrono::steady_clock;
-  std::vector<JobReport> reports(n);
-  if (n == 0) return reports;
   ignore_sigpipe_once();
 
-  std::deque<QueuedAttempt> queue;
-  for (std::size_t j = 0; j < n; ++j) queue.push_back({j, 1, opt.initial});
   std::vector<ChildProc> inflight;
   const std::size_t max_children = opt.threads < 1 ? 1 : static_cast<std::size_t>(opt.threads);
   std::exception_ptr fatal;
 
-  const auto past_deadline = [&] {
-    if (cancelled.load(std::memory_order_relaxed)) return true;
-    if (opt.interrupt != nullptr && opt.interrupt->load(std::memory_order_relaxed)) {
-      cancelled.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    if (!opt.has_deadline) return false;
-    if (Clock::now() >= opt.deadline) {
-      cancelled.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
-
-  // In-band settle: identical ladder and accounting to thread mode.
-  const auto settle = [&](const ChildProc& c, JobStatus status, bool crashed,
-                          const std::string& error) {
-    JobReport& r = reports[c.job];
-    r.attempts = c.attempt;
-    if (crashed) {
-      r.crashed = true;
-      r.last_error = error;
-      ++stats.crashes;
-      trace::add(trace::Counter::RuntimeJobCrashes, 1);
-    }
-    if (status == JobStatus::Done && !crashed) {
-      r.completed = true;
-    } else if (c.attempt < opt.max_attempts) {
-      ++stats.retries;
-      trace::add(trace::Counter::RuntimeJobRetries, 1);
-      queue.push_back({c.job, c.attempt + 1, c.budget.escalated(opt.escalation)});
-    } else {
-      r.dropped = true;
-      ++stats.drops;
-      trace::add(trace::Counter::RuntimeJobDrops, 1);
-    }
-  };
-
-  // Out-of-band settle: the child died without a result record. Same
-  // escalation ladder, separate accounting (deaths can be environmental —
-  // they must never perturb the deterministic report columns).
-  const auto settle_death = [&](const ChildProc& c, const std::string& error) {
-    JobReport& r = reports[c.job];
-    r.attempts = c.attempt;
-    ++r.child_deaths;
-    r.last_error = error;
-    trace::add(trace::Counter::RuntimeProcDeaths, 1);
-    if (c.attempt < opt.max_attempts) {
-      ++stats.proc_restarts;
-      trace::add(trace::Counter::RuntimeProcRestarts, 1);
-      queue.push_back({c.job, c.attempt + 1, c.budget.escalated(opt.escalation)});
-      log_warn() << "procworker: job " << c.job << " attempt " << c.attempt << ": " << error
-                 << "; retrying with an escalated budget";
-    } else {
-      r.dropped = true;
-      ++stats.drops;
-      trace::add(trace::Counter::RuntimeJobDrops, 1);
-      log_warn() << "procworker: job " << c.job << " attempt " << c.attempt << ": " << error
-                 << "; dropping the job (conservative)";
-    }
-  };
-
-  const auto abort_attempt = [&](std::size_t job, int attempt) {
-    JobReport& r = reports[job];
-    r.attempts = attempt - 1;
-    r.aborted = true;
-    ++stats.aborted;
-    trace::add(trace::Counter::RuntimeJobAborts, 1);
-  };
-
-  const auto spawn = [&](const QueuedAttempt& a) {
+  const auto spawn = [&](const Attempt& a) {
     // Consume a child_entry injection in the *parent* so a `:count` bound
     // is global across children (a child's decrement would be lost to
     // copy-on-write). Spawn order is deterministic: single-threaded loop,
@@ -364,8 +283,6 @@ std::vector<JobReport> run_process_pool(const SupervisorOptions& opt, std::size_
       ::close(req[1]);
       throw PdatError("procworker: pipe() failed");
     }
-    trace::add(trace::Counter::RuntimeJobAttempts, 1);
-    trace::observe(trace::Histogram::RuntimeQueueDepth, queue.size());
     const pid_t pid = ::fork();
     if (pid < 0) {
       ::close(req[0]);
@@ -377,7 +294,7 @@ std::vector<JobReport> run_process_pool(const SupervisorOptions& opt, std::size_
     if (pid == 0) {
       ::close(req[1]);
       ::close(res[0]);
-      child_main(req[0], res[1], fn, codec, opt.proc_limits);  // never returns
+      child_main(req[0], res[1], fn, opt.proc_limits);  // never returns
     }
     ::close(req[0]);
     ::close(res[1]);
@@ -394,18 +311,8 @@ std::vector<JobReport> run_process_pool(const SupervisorOptions& opt, std::size_
     ChildProc c;
     c.pid = pid;
     c.res_fd = res[0];
-    c.job = a.job;
-    c.attempt = a.attempt;
-    c.budget = a.budget;
+    c.a = a;
     c.spawned = Clock::now();
-    if (a.budget.wall_seconds > 0) {
-      const double grace = opt.proc_limits.kill_grace_seconds > 0
-                               ? opt.proc_limits.kill_grace_seconds
-                               : 0.0;
-      c.has_kill_at = true;
-      c.kill_at = c.spawned + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(a.budget.wall_seconds + grace));
-    }
     inflight.push_back(std::move(c));
   };
 
@@ -420,51 +327,49 @@ std::vector<JobReport> run_process_pool(const SupervisorOptions& opt, std::size_
                                                                            c.spawned)
                          .count()));
     }
-    std::uint32_t rtype = 0;
-    std::string rpayload;
-    bool got = false;
+    std::uint32_t type = 0;
+    std::string body;
     std::string decode_error;
     try {
       if (util::failpoint("procworker.pipe_read") != 0) {
         throw PdatError("procworker: result read failed (injected)");
       }
       std::size_t pos = 0;
-      got = decode_proc_record(c.buf, pos, rtype, rpayload);
+      std::string payload;
+      if (decode_record(c.buf, pos, type, payload)) {
+        pos = 0;
+        Telemetry::merge(payload, pos);
+        body = payload.substr(pos);
+      } else {
+        type = 0;
+      }
     } catch (const std::exception& e) {
-      got = false;
+      type = 0;
       decode_error = e.what();
     }
-    if (got && rtype == kResFatal) {
-      if (!fatal) fatal = std::make_exception_ptr(CertificationError(rpayload));
-      cancelled.store(true, std::memory_order_relaxed);
+    if (type < kResDone || type > kResFatal) {
+      std::string error = describe_wait_status(status);
+      if (!decode_error.empty()) error += " [" + decode_error + "]";
+      ladder.settle(c.a, AttemptEnd::Death, error);
       return;
     }
-    if (got && (rtype == kResDone || rtype == kResRetry)) {
-      trace::add(trace::Counter::RuntimeProcResults, 1);
-      // A codec that cannot apply the payload degrades to the death path
-      // (retry with nothing merged), never a torn half-applied merge — the
-      // codec is expected to decode fully before committing any state.
-      bool applied = true;
-      if (codec != nullptr && codec->apply) {
-        try {
-          codec->apply(c.job, rpayload);
-        } catch (const std::exception& e) {
-          applied = false;
-          decode_error = std::string("result apply failed: ") + e.what();
-        }
-      }
-      if (applied) {
-        settle(c, rtype == kResDone ? JobStatus::Done : JobStatus::Retry, false, "");
-        return;
-      }
-    }
-    if (got && rtype == kResCrash) {
-      settle(c, JobStatus::Retry, true, rpayload);
+    trace::add(trace::Counter::RuntimeProcResults, 1);
+    if (type == kResFatal) {
+      if (!fatal) fatal = std::make_exception_ptr(CertificationError(body));
+      ladder.cancel();
       return;
     }
-    std::string error = describe_wait_status(status, c.killed_by_watchdog);
-    if (!decode_error.empty()) error += " [" + decode_error + "]";
-    settle_death(c, error);
+    if (type == kResCrash) {
+      ladder.settle(c.a, AttemptEnd::Crash, body);
+      return;
+    }
+    try {
+      if (apply) apply(c.a.job, body);
+    } catch (const std::exception& e) {
+      ladder.settle(c.a, AttemptEnd::Crash, e.what());
+      return;
+    }
+    ladder.settle(c.a, type == kResDone ? AttemptEnd::Done : AttemptEnd::Retry);
   };
 
   const auto kill_all_inflight = [&](bool mark_aborted) {
@@ -472,47 +377,32 @@ std::vector<JobReport> run_process_pool(const SupervisorOptions& opt, std::size_
       ::kill(c.pid, SIGKILL);
       ::close(c.res_fd);
       reap(c.pid);
-      if (mark_aborted) abort_attempt(c.job, c.attempt);
+      if (mark_aborted) ladder.abort(c.a);
     }
     inflight.clear();
   };
 
-  while (!queue.empty() || !inflight.empty()) {
-    if (fatal != nullptr) {
-      kill_all_inflight(/*mark_aborted=*/false);
-      std::rethrow_exception(fatal);
-    }
-    if (past_deadline()) {
+  while (!ladder.idle() || !inflight.empty()) {
+    if (fatal != nullptr) break;
+    if (ladder.cancelled()) {
       kill_all_inflight(/*mark_aborted=*/true);
-      while (!queue.empty()) {
-        abort_attempt(queue.front().job, queue.front().attempt);
-        queue.pop_front();
-      }
+      ladder.abort_queued();
       break;
     }
-    while (!queue.empty() && inflight.size() < max_children) {
-      const QueuedAttempt a = queue.front();
-      queue.pop_front();
-      spawn(a);
-    }
+    while (!ladder.idle() && inflight.size() < max_children) spawn(ladder.next());
 
-    // Wait for result bytes, a watchdog expiry, the global deadline, or an
-    // interrupt (bounded poll so the flag is noticed promptly).
+    // Wait for result bytes, the global deadline, or an interrupt (bounded
+    // poll so the flag is noticed promptly).
     std::vector<struct pollfd> fds;
     fds.reserve(inflight.size());
     for (const ChildProc& c : inflight) fds.push_back({c.res_fd, POLLIN, 0});
     int timeout_ms = 100;
-    const auto now = Clock::now();
-    const auto clamp = [&](Clock::time_point when) {
+    if (opt.has_deadline) {
       const auto ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(when - now).count();
-      const int bounded = ms <= 0 ? 0 : (ms > 100 ? 100 : static_cast<int>(ms));
-      if (bounded < timeout_ms) timeout_ms = bounded;
-    };
-    for (const ChildProc& c : inflight) {
-      if (c.has_kill_at && !c.killed_by_watchdog) clamp(c.kill_at);
+          std::chrono::duration_cast<std::chrono::milliseconds>(opt.deadline - Clock::now())
+              .count();
+      if (ms < timeout_ms) timeout_ms = ms <= 0 ? 0 : static_cast<int>(ms);
     }
-    if (opt.has_deadline) clamp(opt.deadline);
     const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
     if (rc < 0 && errno != EINTR) throw PdatError("procworker: poll() failed");
 
@@ -530,16 +420,6 @@ std::vector<JobReport> run_process_pool(const SupervisorOptions& opt, std::size_
       }
     }
 
-    const auto now2 = Clock::now();
-    for (ChildProc& c : inflight) {
-      if (c.has_kill_at && !c.killed_by_watchdog && now2 >= c.kill_at) {
-        ::kill(c.pid, SIGKILL);
-        c.killed_by_watchdog = true;
-        ++stats.proc_kills;
-        trace::add(trace::Counter::RuntimeProcDeadlineKills, 1);
-      }
-    }
-
     // Settle finished children (reverse index order keeps erase() valid;
     // results merge by job index, so settle order is irrelevant).
     for (auto it = finished.rbegin(); it != finished.rend(); ++it) {
@@ -552,17 +432,13 @@ std::vector<JobReport> run_process_pool(const SupervisorOptions& opt, std::size_
     kill_all_inflight(/*mark_aborted=*/false);
     std::rethrow_exception(fatal);
   }
-  return reports;
 }
 
 #else  // !PDAT_HAVE_PROCWORKER
 
 bool process_isolation_supported() { return false; }
 
-std::vector<JobReport> run_process_pool(const SupervisorOptions&, std::size_t n, const JobFn&,
-                                        const ProcResultCodec*, SupervisorStats&,
-                                        std::atomic<bool>&) {
-  (void)n;
+void run_process_pool(Ladder&, const SupervisorOptions&, const JobFn&, const ApplyFn&) {
   throw PdatError("procworker: process isolation is not supported on this platform");
 }
 

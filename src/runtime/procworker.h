@@ -1,23 +1,26 @@
-// Process-isolated proof workers (DESIGN.md §5.11).
+// The attempt ladder both dispatch loops share, and the process-isolated
+// proof workers (DESIGN.md §5.11).
 //
 // Thread-mode crash containment in supervisor.cpp stops at C++ exceptions:
 // a segfault, a stack overflow, or the kernel OOM killer inside one SAT job
 // takes down the whole run. Process isolation closes that gap by running
 // every job *attempt* in a freshly forked child:
 //
-//   - the child applies hard setrlimit() caps (RLIMIT_AS / RLIMIT_CPU /
-//     RLIMIT_STACK from ProcLimits) before touching the job, so a blown-up
-//     solver is killed by the kernel instead of starving the machine;
+//   - the child applies hard setrlimit() caps (RLIMIT_AS / RLIMIT_CPU from
+//     ProcLimits) before touching the job, so a blown-up solver is killed by
+//     the kernel instead of starving the machine;
 //   - the parent writes the job assignment down a pipe and reads the result
-//     back, both as length-prefixed records carrying the same FNV-1a
-//     checksum the journal uses — a torn or corrupt record is detected,
-//     never trusted;
+//     back, both framed with the journal's checksummed record codec
+//     (runtime/journal.h) — a torn or corrupt record is detected, never
+//     trusted;
+//   - every result record (done, retry, crash) carries the attempt's state
+//     bytes or error and the telemetry the child added, so the parent
+//     applies exactly what a thread-mode attempt would have;
 //   - waitpid() status decoding maps SIGSEGV / SIGABRT / SIGKILL (OOM) /
-//     SIGXCPU (RLIMIT_CPU) / nonzero exits into the existing
-//     retry-with-escalation → conservative-drop ladder;
-//   - a wedged child that ignores its cooperative wall budget is SIGKILLed
-//     `kill_grace_seconds` after its attempt deadline, so one stuck solver
-//     can no longer stall a round.
+//     SIGXCPU (RLIMIT_CPU) / nonzero exits into child deaths, which re-run
+//     the same attempt with the same budget;
+//   - when the global deadline passes or the interrupt is raised, every
+//     in-flight child is SIGKILLed and reaped.
 //
 // Scheduling model: the parent runs a single-threaded poll() event loop
 // with up to `threads` children in flight. No worker threads exist in
@@ -25,24 +28,17 @@
 // (another thread may hold the malloc lock at fork time), and the children
 // provide the parallelism anyway.
 //
-// Determinism: identical to thread mode. Each attempt is a pure function of
-// (job, attempt, budget); the child ships its outcome back through the
-// caller's ProcResultCodec and the parent applies results keyed by job
-// index, never by completion order. An out-of-band child death re-enters
-// the ladder exactly like a thrown attempt, but is accounted separately
-// (JobReport::child_deaths, SupervisorStats::proc_restarts) because deaths
-// can be environmental and must not perturb byte-compared reports.
-//
 // The child runs against copy-on-write memory: it sees the parent's entire
-// state at fork time for free (CNF templates, netlist) and its own writes
-// are invisible to the parent — all result state must flow through the
-// codec. Children exit with _exit(), never exit(): running static
-// destructors in the child (journal flushes) would corrupt parent-owned
-// files.
+// state at fork time for free (CNF templates, netlist, applied job state)
+// and its own writes are invisible to the parent — all result state flows
+// through the record. Children exit with _exit(), never exit(): running
+// static destructors in the child (journal flushes) would corrupt
+// parent-owned files.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -50,29 +46,67 @@
 
 namespace pdat::runtime {
 
+/// One queued job attempt.
+struct Attempt {
+  std::size_t job = 0;
+  int attempt = 1;  // 1-based
+  JobBudget budget;
+};
+
+/// How an attempt ended.
+enum class AttemptEnd {
+  Done,   // in band: the job finished
+  Retry,  // in band: the budget ran out with work left
+  Crash,  // in band: the attempt threw; nothing was applied
+  Death,  // process mode: the child died without a result record
+};
+
+/// The retry-then-drop ladder of Supervisor::run, shared by the thread pool
+/// and the fork/poll loop: the attempt queue, settling, aborts, the
+/// deadline-and-interrupt check and the per-job accounting. Not
+/// thread-safe; the thread pool calls it under its queue lock.
+class Ladder {
+ public:
+  Ladder(const SupervisorOptions& opt, std::size_t n, SupervisorStats& stats,
+         std::atomic<bool>& cancelled);
+
+  bool idle() const { return queue_.empty(); }
+  /// Dequeues the next attempt.
+  Attempt next();
+  /// True once the global deadline has passed, the interrupt was raised or
+  /// cancel() was called; latches the supervisor's cancel flag.
+  bool cancelled();
+  void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
+  /// Settles one attempt: an in-band end counts as an attempt and completes
+  /// the job or re-queues it with an escalated budget; a death re-queues the
+  /// same attempt with the same budget. Either ladder drops the job after
+  /// max_attempts steps.
+  void settle(const Attempt& a, AttemptEnd end, const std::string& error = {});
+  /// Marks the attempt's job aborted by the deadline or interrupt.
+  void abort(const Attempt& a);
+  void abort_queued();
+  /// The per-job reports; records the attempts-per-job histogram.
+  std::vector<JobReport> finish();
+
+ private:
+  void drop(JobReport& r);
+
+  const SupervisorOptions& opt_;
+  SupervisorStats& stats_;
+  std::atomic<bool>& cancelled_;
+  std::deque<Attempt> queue_;
+  std::vector<JobReport> reports_;
+};
+
 /// False on platforms without fork/pipe/waitpid; Supervisor::run then falls
 /// back to thread isolation with a warning.
 bool process_isolation_supported();
 
-/// The process-mode scheduling loop. Called by Supervisor::run — use that
-/// entry point, not this one, unless you are the supervisor or its tests.
-/// Fills `reports`/`stats` exactly as thread mode would and latches
-/// `cancelled` on deadline/interrupt. Throws CertificationError when a
-/// child reports one (after killing the remaining children).
-std::vector<JobReport> run_process_pool(const SupervisorOptions& opt, std::size_t n,
-                                        const JobFn& fn, const ProcResultCodec* codec,
-                                        SupervisorStats& stats, std::atomic<bool>& cancelled);
-
-// --- wire protocol (exposed for tests) --------------------------------------
-// record := payload_len(u32) type(u32) checksum(u64) payload, checksummed
-// with journal_checksum over (type, payload); little-endian throughout.
-
-/// Encodes one pipe record.
-std::string encode_proc_record(std::uint32_t type, const std::string& payload);
-/// Decodes the record starting at `pos`, advancing it. Returns false when
-/// `buf` holds an incomplete record prefix; throws PdatError on a checksum
-/// mismatch or an oversized length (corruption is never silently accepted).
-bool decode_proc_record(const std::string& buf, std::size_t& pos, std::uint32_t& type,
-                        std::string& payload);
+/// The process-mode dispatch loop. Called by Supervisor::run — use that
+/// entry point, not this one. Runs `ladder` to completion; throws
+/// CertificationError when a child reports one (after killing the
+/// remaining children).
+void run_process_pool(Ladder& ladder, const SupervisorOptions& opt, const JobFn& fn,
+                      const ApplyFn& apply);
 
 }  // namespace pdat::runtime

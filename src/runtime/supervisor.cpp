@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -14,131 +13,148 @@
 
 namespace pdat::runtime {
 
+// --- the attempt ladder ------------------------------------------------------
+
+Ladder::Ladder(const SupervisorOptions& opt, std::size_t n, SupervisorStats& stats,
+               std::atomic<bool>& cancelled)
+    : opt_(opt), stats_(stats), cancelled_(cancelled), reports_(n) {
+  for (std::size_t j = 0; j < n; ++j) queue_.push_back({j, 1, opt.initial});
+}
+
+Attempt Ladder::next() {
+  const Attempt a = queue_.front();
+  queue_.pop_front();
+  trace::observe(trace::Histogram::RuntimeQueueDepth, queue_.size());
+  return a;
+}
+
+bool Ladder::cancelled() {
+  if (cancelled_.load(std::memory_order_relaxed)) return true;
+  if ((opt_.interrupt != nullptr && opt_.interrupt->load(std::memory_order_relaxed)) ||
+      (opt_.has_deadline && std::chrono::steady_clock::now() >= opt_.deadline)) {
+    cancel();
+    return true;
+  }
+  return false;
+}
+
+void Ladder::drop(JobReport& r) {
+  r.dropped = true;
+  ++stats_.drops;
+  trace::add(trace::Counter::RuntimeJobDrops, 1);
+}
+
+void Ladder::settle(const Attempt& a, AttemptEnd end, const std::string& error) {
+  JobReport& r = reports_[a.job];
+  if (end == AttemptEnd::Death) {
+    // Out of band: the child died without a result record, so nothing was
+    // applied. Re-running the same attempt on the same budget keeps the
+    // job's results exactly what an undisturbed run computes.
+    ++r.child_deaths;
+    r.last_error = error;
+    trace::add(trace::Counter::RuntimeProcDeaths, 1);
+    if (r.child_deaths < opt_.max_attempts) {
+      ++stats_.proc_restarts;
+      trace::add(trace::Counter::RuntimeProcRestarts, 1);
+      queue_.push_back(a);
+      log_warn() << "procworker: job " << a.job << " attempt " << a.attempt << ": " << error
+                 << "; running the attempt again";
+    } else {
+      drop(r);
+      log_warn() << "procworker: job " << a.job << " attempt " << a.attempt << ": " << error
+                 << "; dropping the job (conservative)";
+    }
+    return;
+  }
+  r.attempts = a.attempt;
+  trace::add(trace::Counter::RuntimeJobAttempts, 1);
+  if (end == AttemptEnd::Crash) {
+    r.crashed = true;
+    r.last_error = error;
+    ++stats_.crashes;
+    trace::add(trace::Counter::RuntimeJobCrashes, 1);
+  }
+  if (end == AttemptEnd::Done) {
+    r.completed = true;
+  } else if (a.attempt < opt_.max_attempts) {
+    ++stats_.retries;
+    trace::add(trace::Counter::RuntimeJobRetries, 1);
+    queue_.push_back({a.job, a.attempt + 1, a.budget.escalated()});
+  } else {
+    drop(r);
+  }
+}
+
+void Ladder::abort(const Attempt& a) {
+  reports_[a.job].aborted = true;
+  ++stats_.aborted;
+  trace::add(trace::Counter::RuntimeJobAborts, 1);
+}
+
+void Ladder::abort_queued() {
+  while (!queue_.empty()) abort(next());
+}
+
+std::vector<JobReport> Ladder::finish() {
+  if (trace::collecting()) {
+    for (const JobReport& r : reports_) {
+      trace::observe(trace::Histogram::RuntimeAttemptsPerJob,
+                     static_cast<std::uint64_t>(r.attempts));
+    }
+  }
+  return std::move(reports_);
+}
+
+// --- thread isolation --------------------------------------------------------
+
 namespace {
 
-struct QueuedAttempt {
-  std::size_t job;
-  int attempt;  // 1-based
-  JobBudget budget;
-};
-
-}  // namespace
-
-std::vector<JobReport> Supervisor::run(std::size_t n, const JobFn& fn,
-                                       const ProcResultCodec* codec) {
-  std::vector<JobReport> reports(n);
-  cancelled_.store(false, std::memory_order_relaxed);
-  if (n == 0) return reports;
-  trace::Span run_span("runtime.run", {"jobs", static_cast<std::int64_t>(n)},
-                       {"threads", opt_.threads});
-  trace::add(trace::Counter::RuntimeJobsDispatched, n);
-
-  if (opt_.isolation == Isolation::Process) {
-    if (process_isolation_supported()) {
-      reports = run_process_pool(opt_, n, fn, codec, stats_, cancelled_);
-      if (trace::collecting()) {
-        for (const JobReport& r : reports) {
-          trace::observe(trace::Histogram::RuntimeAttemptsPerJob,
-                         static_cast<std::uint64_t>(r.attempts));
-        }
-      }
-      return reports;
-    }
-    log_warn() << "runtime: process isolation is not supported on this platform; "
-                  "falling back to thread isolation";
+/// Runs one attempt on this thread: the job, then the apply of its state.
+/// CertificationError propagates; every other exception is a crash.
+AttemptEnd run_attempt(const Attempt& a, const JobFn& fn, const ApplyFn& apply,
+                       std::string& error) {
+  trace::Span job_span("runtime.job", {"job", static_cast<std::int64_t>(a.job)},
+                       {"attempt", a.attempt});
+  try {
+    std::string state;
+    const JobStatus status = fn(a.job, a.attempt, a.budget, state);
+    if (apply) apply(a.job, state);
+    return status == JobStatus::Done ? AttemptEnd::Done : AttemptEnd::Retry;
+  } catch (const CertificationError&) {
+    throw;
+  } catch (const std::exception& e) {
+    error = e.what();
+  } catch (...) {
+    error = "non-standard exception";
   }
+  return AttemptEnd::Crash;
+}
 
+void run_thread_pool(Ladder& ladder, int threads, const JobFn& fn, const ApplyFn& apply) {
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<QueuedAttempt> queue;
-  for (std::size_t j = 0; j < n; ++j) queue.push_back({j, 1, opt_.initial});
   std::size_t inflight = 0;
   bool all_done = false;
   std::exception_ptr fatal;  // CertificationError escapes containment
 
-  const auto past_deadline = [this] {
-    if (cancelled_.load(std::memory_order_relaxed)) return true;
-    if (opt_.interrupt != nullptr && opt_.interrupt->load(std::memory_order_relaxed)) {
-      cancelled_.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    if (!opt_.has_deadline) return false;
-    if (std::chrono::steady_clock::now() >= opt_.deadline) {
-      cancelled_.store(true, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  };
-
-  // Settles one attempt's outcome under the queue lock; returns true when
-  // the whole batch has drained.
-  const auto settle = [&](const QueuedAttempt& a, JobStatus status, bool crashed,
-                          const std::string& error) {
-    JobReport& r = reports[a.job];
-    r.attempts = a.attempt;
-    if (crashed) {
-      r.crashed = true;
-      r.last_error = error;
-      ++stats_.crashes;
-      trace::add(trace::Counter::RuntimeJobCrashes, 1);
-    }
-    if (status == JobStatus::Done && !crashed) {
-      r.completed = true;
-    } else if (a.attempt < opt_.max_attempts) {
-      ++stats_.retries;
-      trace::add(trace::Counter::RuntimeJobRetries, 1);
-      queue.push_back({a.job, a.attempt + 1, a.budget.escalated(opt_.escalation)});
-    } else {
-      r.dropped = true;
-      ++stats_.drops;
-      trace::add(trace::Counter::RuntimeJobDrops, 1);
-    }
-    --inflight;
-    if (queue.empty() && inflight == 0) {
-      all_done = true;
-      cv.notify_all();
-      return true;
-    }
-    cv.notify_one();
-    return false;
-  };
-
   const auto worker = [&] {
     std::unique_lock<std::mutex> lock(mu);
     for (;;) {
-      cv.wait(lock, [&] { return all_done || !queue.empty(); });
+      cv.wait(lock, [&] { return all_done || !ladder.idle(); });
       if (all_done) return;
-      QueuedAttempt a = queue.front();
-      queue.pop_front();
-      trace::observe(trace::Histogram::RuntimeQueueDepth, queue.size());
-      ++inflight;
-      if (past_deadline()) {
-        JobReport& r = reports[a.job];
-        r.attempts = a.attempt - 1;
-        r.aborted = true;
-        ++stats_.aborted;
-        trace::add(trace::Counter::RuntimeJobAborts, 1);
-        --inflight;
-        if (queue.empty() && inflight == 0) {
-          all_done = true;
-          cv.notify_all();
-          return;
-        }
-        continue;
-      }
-      lock.unlock();
-      JobStatus status = JobStatus::Retry;
-      bool crashed = false;
-      std::string error;
-      {
-        trace::Span job_span("runtime.job", {"job", static_cast<std::int64_t>(a.job)},
-                             {"attempt", a.attempt});
-        trace::add(trace::Counter::RuntimeJobAttempts, 1);
+      const Attempt a = ladder.next();
+      if (ladder.cancelled()) {
+        ladder.abort(a);
+      } else {
+        ++inflight;
+        lock.unlock();
         const bool busy_timing = trace::collecting();
         std::chrono::steady_clock::time_point t0;
         if (busy_timing) t0 = std::chrono::steady_clock::now();
+        std::string error;
+        AttemptEnd end = AttemptEnd::Crash;
         try {
-          status = fn(a.job, a.attempt, a.budget);
+          end = run_attempt(a, fn, apply, error);
         } catch (const CertificationError&) {
           // Not contained: a failed certificate means the solver is
           // unsound, so retrying or dropping this job would mask a bug
@@ -146,16 +162,10 @@ std::vector<JobReport> Supervisor::run(std::size_t n, const JobFn& fn,
           // and rethrow from run().
           lock.lock();
           if (!fatal) fatal = std::current_exception();
-          cancelled_.store(true, std::memory_order_relaxed);
+          ladder.cancel();
           all_done = true;
           cv.notify_all();
           return;
-        } catch (const std::exception& e) {
-          crashed = true;
-          error = e.what();
-        } catch (...) {
-          crashed = true;
-          error = "non-standard exception";
         }
         if (busy_timing) {
           trace::add(trace::Counter::RuntimeWorkerBusyMicros,
@@ -164,13 +174,19 @@ std::vector<JobReport> Supervisor::run(std::size_t n, const JobFn& fn,
                              std::chrono::steady_clock::now() - t0)
                              .count()));
         }
+        lock.lock();
+        --inflight;
+        ladder.settle(a, end, error);
       }
-      lock.lock();
-      if (settle(a, status, crashed, error)) return;
+      if (ladder.idle() && inflight == 0) {
+        all_done = true;
+        cv.notify_all();
+        return;
+      }
+      cv.notify_one();
     }
   };
 
-  const int threads = opt_.threads;
   if (threads <= 1) {
     worker();
   } else {
@@ -180,13 +196,30 @@ std::vector<JobReport> Supervisor::run(std::size_t n, const JobFn& fn,
     for (auto& t : pool) t.join();
   }
   if (fatal) std::rethrow_exception(fatal);
-  if (trace::collecting()) {
-    for (const JobReport& r : reports) {
-      trace::observe(trace::Histogram::RuntimeAttemptsPerJob,
-                     static_cast<std::uint64_t>(r.attempts));
-    }
+}
+
+}  // namespace
+
+std::vector<JobReport> Supervisor::run(std::size_t n, const JobFn& fn, const ApplyFn& apply) {
+  cancelled_.store(false, std::memory_order_relaxed);
+  if (n == 0) return {};
+  trace::Span run_span("runtime.run", {"jobs", static_cast<std::int64_t>(n)},
+                       {"threads", opt_.threads});
+  trace::add(trace::Counter::RuntimeJobsDispatched, n);
+
+  Ladder ladder(opt_, n, stats_, cancelled_);
+  bool process = opt_.isolation == Isolation::Process;
+  if (process && !process_isolation_supported()) {
+    log_warn() << "runtime: process isolation is not supported on this platform; "
+                  "falling back to thread isolation";
+    process = false;
   }
-  return reports;
+  if (process) {
+    run_process_pool(ladder, opt_, fn, apply);
+  } else {
+    run_thread_pool(ladder, opt_.threads, fn, apply);
+  }
+  return ladder.finish();
 }
 
 }  // namespace pdat::runtime

@@ -455,17 +455,6 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions, const So
   model_.clear();
 
   const std::int64_t conflict_budget = limits.conflict_budget;
-  // Fold the per-call wall limit into the deadline check: earliest cutoff wins.
-  bool check_clock = has_deadline_;
-  auto clock_cutoff = deadline_;
-  if (limits.wall_seconds > 0) {
-    const auto call_cutoff =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(limits.wall_seconds));
-    clock_cutoff = check_clock ? std::min(clock_cutoff, call_cutoff) : call_cutoff;
-    check_clock = true;
-  }
 
   std::uint64_t start_conflicts = conflicts_;
   int restart_idx = 0;
@@ -518,16 +507,10 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions, const So
         cancel_until(0);
         return SolveResult::Unknown;
       }
-      // Memory limit: deterministic (depends only on the solver run), so it
-      // can serve as a reproducible per-job budget dimension.
-      if (limits.memory_bytes > 0 && memory_estimate() >= limits.memory_bytes) {
-        cancel_until(0);
-        return SolveResult::Unknown;
-      }
       // Wall-clock deadline and cooperative interrupt: sampled every 256
       // conflicts to keep the clock read off the hot path.
       if ((conflicts_ & 0xff) == 0) {
-        if (check_clock && std::chrono::steady_clock::now() >= clock_cutoff) {
+        if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
           cancel_until(0);
           return SolveResult::Unknown;
         }

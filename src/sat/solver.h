@@ -42,15 +42,13 @@ enum class SolveResult { Sat, Unsat, Unknown };
 
 class DratLog;  // sat/dratcheck.h
 
-/// Per-call resource limits for the supervised proof runtime. Conflict and
-/// memory limits are deterministic (a pure function of the solver run);
-/// wall-clock and the interrupt flag are not, and callers that need
-/// bit-reproducible verdicts must treat hits on those as "abort everything",
-/// never as a per-candidate verdict.
+/// Per-call limits for the supervised proof runtime. The conflict limit is
+/// deterministic (a pure function of the solver run); the interrupt flags
+/// and set_deadline() are not, and callers that need bit-reproducible
+/// verdicts must treat hits on those as "abort everything", never as a
+/// per-candidate verdict.
 struct SolveLimits {
   std::int64_t conflict_budget = -1;     // < 0 = unlimited
-  double wall_seconds = 0;               // from call start; 0 = unlimited
-  std::size_t memory_bytes = 0;          // clause-arena estimate; 0 = unlimited
   const std::atomic<bool>* interrupt = nullptr;  // cooperative cancel
   /// Second cancel source, checked alongside `interrupt`. Lets a job wire
   /// both the supervisor's batch-cancel flag and a process-level
@@ -75,17 +73,9 @@ class Solver {
   /// Solves under assumptions. conflict_budget < 0 means unlimited.
   SolveResult solve(const std::vector<Lit>& assumptions = {}, std::int64_t conflict_budget = -1);
 
-  /// Solves under a full per-call limit set (returns Unknown on any limit or
-  /// interrupt). The wall-clock limit composes with set_deadline(): the
-  /// earlier cutoff wins.
+  /// Solves under a full per-call limit set (returns Unknown on any limit,
+  /// interrupt or a passed set_deadline()).
   SolveResult solve(const std::vector<Lit>& assumptions, const SolveLimits& limits);
-
-  /// Deterministic estimate of the clause-store footprint, used by
-  /// SolveLimits::memory_bytes (checked on every conflict, so a blown-up
-  /// query degrades to Unknown instead of exhausting the host).
-  std::size_t memory_estimate() const {
-    return arena_.size() * sizeof(Lit) + clauses_.size() * sizeof(Clause);
-  }
 
   /// Optional wall-clock deadline applying to every subsequent solve() call:
   /// once passed, solve() returns Unknown (checked periodically on conflicts,

@@ -12,9 +12,8 @@ constexpr MetricDef kCounterDefs[] = {
     {MetricKind::Counter, "sat.solve_sat", "1", true, "solve calls returning Sat"},
     {MetricKind::Counter, "sat.solve_unsat", "1", true, "solve calls returning Unsat"},
     {MetricKind::Counter, "sat.solve_unknown", "1", true,
-     "solve calls returning Unknown (conflict/memory budget; also deadline "
-     "or interrupt, which make this counter timing-dependent when wall "
-     "budgets are armed)"},
+     "solve calls returning Unknown (conflict budget; also deadline "
+     "or interrupt, which make this counter timing-dependent)"},
     {MetricKind::Counter, "sat.conflicts", "1", true, "CDCL conflicts across all solve calls"},
     {MetricKind::Counter, "sat.decisions", "1", true, "branching decisions"},
     {MetricKind::Counter, "sat.propagations", "1", true, "watched-literal propagations"},
@@ -55,7 +54,7 @@ constexpr MetricDef kCounterDefs[] = {
     {MetricKind::Counter, "runtime.jobs_dispatched", "jobs", true,
      "proof jobs handed to the supervisor (one per batch per round/phase)"},
     {MetricKind::Counter, "runtime.job_attempts", "attempts", true,
-     "job attempts executed, including retries with escalated budgets"},
+     "job attempts settled in band (done, retry or contained crash), not child deaths"},
     {MetricKind::Counter, "runtime.job_retries", "1", true,
      "attempts re-enqueued after budget exhaustion or a contained crash"},
     {MetricKind::Counter, "runtime.job_drops", "jobs", true,
@@ -76,10 +75,8 @@ constexpr MetricDef kCounterDefs[] = {
      "children that returned a complete, checksum-valid result record"},
     {MetricKind::Counter, "runtime.proc.child_deaths", "1", false,
      "attempts whose child died without a result record (signal/rlimit/exit)"},
-    {MetricKind::Counter, "runtime.proc.deadline_kills", "children", false,
-     "wedged children SIGKILLed by the parent at the attempt deadline"},
     {MetricKind::Counter, "runtime.proc.restarts", "attempts", false,
-     "attempts re-queued after an out-of-band child death"},
+     "attempts run again (same attempt, same budget) after an out-of-band child death"},
     // The cert.* family is populated only under --certify, so it is kept out
     // of the deterministic subtree: the subtree must be certificate-invariant
     // (identical with certification on or off).

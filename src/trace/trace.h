@@ -17,16 +17,18 @@
 // path performs no allocation — test_trace checks this with a counting
 // operator new. Instrumented hot loops (the SAT solver's conflict loop) do
 // not call into this layer per event; they accumulate locally and flush one
-// delta per solve() call, so enabled-mode overhead stays below the noise
-// floor of bench_micro (see docs/telemetry.md "Overhead").
+// delta per solve() call; the reduction benchmark reports the enabled-mode
+// cost of a whole run as trace.overhead_pct (see docs/telemetry.md
+// "Overhead").
 //
 // Determinism contract: counters and histograms marked `deterministic` in
-// the registry are bit-identical for any worker-thread count and any
-// checkpoint/resume-free schedule (sums of per-job deltas, and jobs are pure
-// functions of their inputs — see DESIGN.md §5.7). Span *sets* (name + args,
-// ignoring timestamps and thread ids) are deterministic too; timestamps,
-// durations, and the job->thread assignment are not. `normalized_events()`
-// applies exactly this erasure so two runs can be diffed.
+// the registry are bit-identical for any worker-thread count, isolation
+// mode and checkpoint/resume-free schedule (sums of per-job deltas, and
+// jobs are pure functions of their inputs — see DESIGN.md §5.7). Span
+// *sets* (name + args, ignoring timestamps and thread ids) are
+// deterministic across thread counts too; timestamps, durations, and the
+// job->thread assignment are not. `normalized_events()` applies exactly
+// this erasure so two runs can be diffed.
 #pragma once
 
 #include <array>
@@ -86,7 +88,6 @@ enum class Counter : unsigned {
   RuntimeProcForks,
   RuntimeProcResults,
   RuntimeProcDeaths,
-  RuntimeProcDeadlineKills,
   RuntimeProcRestarts,
   // Certified solving (--certify).
   CertCertificatesEmitted,
@@ -155,7 +156,7 @@ void observe(Histogram h, std::uint64_t value);
 
 /// Folds a histogram *delta* recorded elsewhere into this process's
 /// histogram — process-isolated proof workers (runtime/procworker.h) ship
-/// their child-side telemetry back in the result payload because a forked
+/// their child-side telemetry back in every result record because a forked
 /// child's counter updates die with its copy-on-write memory. Buckets,
 /// count, and sum accumulate; max folds via max(). No-op while collection
 /// is off.

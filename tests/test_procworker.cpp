@@ -4,6 +4,10 @@
 // bit-identical for crash-free runs at any worker count.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -111,83 +115,119 @@ TEST(Failpoints, EverySiteIsDocumentedInReadme) {
 // --- wire protocol ------------------------------------------------------------
 
 TEST(ProcWire, RecordRoundTrips) {
-  const std::string rec = rt::encode_proc_record(7, std::string("pay\x00load", 8));
+  const std::string rec = rt::encode_record(7, std::string("pay\x00load", 8));
   std::size_t pos = 0;
   std::uint32_t type = 0;
   std::string payload;
-  ASSERT_TRUE(rt::decode_proc_record(rec, pos, type, payload));
+  ASSERT_TRUE(rt::decode_record(rec, pos, type, payload));
   EXPECT_EQ(type, 7u);
   EXPECT_EQ(payload, std::string("pay\x00load", 8));
   EXPECT_EQ(pos, rec.size());
 }
 
 TEST(ProcWire, EveryTruncationIsAnIncompletePrefixNeverGarbage) {
-  const std::string rec = rt::encode_proc_record(3, "0123456789abcdef");
+  const std::string rec = rt::encode_record(3, "0123456789abcdef");
   for (std::size_t cut = 0; cut < rec.size(); ++cut) {
     std::size_t pos = 0;
     std::uint32_t type = 0;
     std::string payload;
-    EXPECT_FALSE(rt::decode_proc_record(rec.substr(0, cut), pos, type, payload))
+    EXPECT_FALSE(rt::decode_record(rec.substr(0, cut), pos, type, payload))
         << "cut=" << cut;
     EXPECT_EQ(pos, 0u) << "an incomplete record must not advance the cursor";
   }
 }
 
 TEST(ProcWire, CorruptPayloadFailsItsChecksum) {
-  std::string rec = rt::encode_proc_record(3, "0123456789");
+  std::string rec = rt::encode_record(3, "0123456789");
   rec[rec.size() - 1] = static_cast<char>(rec[rec.size() - 1] ^ 0x20);
   std::size_t pos = 0;
   std::uint32_t type = 0;
   std::string payload;
-  EXPECT_THROW(rt::decode_proc_record(rec, pos, type, payload), PdatError);
+  EXPECT_THROW(rt::decode_record(rec, pos, type, payload), PdatError);
 }
 
 TEST(ProcWire, OversizedLengthIsCorruptionNotAnAllocation) {
-  std::string rec = rt::encode_proc_record(3, "x");
+  std::string rec = rt::encode_record(3, "x");
   rec[0] = rec[1] = rec[2] = rec[3] = static_cast<char>(0xff);  // length field
   std::size_t pos = 0;
   std::uint32_t type = 0;
   std::string payload;
-  EXPECT_THROW(rt::decode_proc_record(rec, pos, type, payload), PdatError);
+  EXPECT_THROW(rt::decode_record(rec, pos, type, payload), PdatError);
 }
 
 // --- process pool: results, COW, containment ----------------------------------
 
-TEST(ProcWorker, ResultsFlowThroughTheCodecNotThroughMemory) {
+TEST(ProcWorker, ResultsFlowThroughTheReturnedBytesNotThroughMemory) {
   SKIP_WITHOUT_FORK();
   std::vector<int> side(9, 0);     // written only inside the child (COW)
-  std::vector<int> results(9, 0);  // written by codec.apply in the parent
-  rt::ProcResultCodec codec;
-  codec.encode = [&](std::size_t j) { return std::to_string(side[j]); };
-  codec.apply = [&](std::size_t j, const std::string& p) { results[j] = std::stoi(p); };
-  rt::SupervisorOptions o = proc_opts(4);
-  rt::Supervisor sup(o);
+  std::vector<int> results(9, 0);  // written by apply in the parent
+  rt::Supervisor sup(proc_opts(4));
   const auto reports = sup.run(
       9,
-      [&](std::size_t j, int, const rt::JobBudget&) {
+      [&](std::size_t j, int, const rt::JobBudget&, std::string& state) {
         side[j] = static_cast<int>(j) * 3 + 1;
+        state = std::to_string(side[j]);
         return rt::JobStatus::Done;
       },
-      &codec);
+      [&](std::size_t j, const std::string& state) { results[j] = std::stoi(state); });
   ASSERT_EQ(reports.size(), 9u);
   for (std::size_t j = 0; j < 9; ++j) {
     EXPECT_TRUE(reports[j].completed) << "job " << j;
-    EXPECT_EQ(results[j], static_cast<int>(j) * 3 + 1) << "codec must carry job " << j;
+    EXPECT_EQ(results[j], static_cast<int>(j) * 3 + 1) << "the state bytes must carry job " << j;
     EXPECT_EQ(side[j], 0) << "a child write must never be visible in the parent";
   }
 }
+
+// One result path for both isolation modes: the bytes of an attempt that
+// returns are applied once, before it settles; a thrown attempt applies
+// nothing, even when it filled its state first.
+class SupervisorApply : public ::testing::TestWithParam<rt::Isolation> {};
+
+TEST_P(SupervisorApply, ThrownAttemptAppliesNothingAndEveryReturnedAttemptAppliesOnce) {
+  if (GetParam() == rt::Isolation::Process) SKIP_WITHOUT_FORK();
+  rt::SupervisorOptions o;
+  o.threads = 2;
+  o.max_attempts = 3;
+  o.isolation = GetParam();
+  rt::Supervisor sup(o);
+  // Job 0 throws after filling its state, job 1 returns Retry once, job 2
+  // is clean. Jobs apply on different workers, one job at a time.
+  std::vector<std::vector<std::string>> applied(3);
+  const auto reports = sup.run(
+      3,
+      [](std::size_t j, int attempt, const rt::JobBudget&, std::string& state) {
+        state = std::to_string(j) + "/" + std::to_string(attempt);
+        if (j == 0 && attempt == 1) throw PdatError("failed after filling its state");
+        return j == 1 && attempt == 1 ? rt::JobStatus::Retry : rt::JobStatus::Done;
+      },
+      [&](std::size_t j, const std::string& state) { applied[j].push_back(state); });
+  EXPECT_EQ(applied[0], std::vector<std::string>{"0/2"}) << "the thrown attempt applied its state";
+  EXPECT_EQ(applied[1], (std::vector<std::string>{"1/1", "1/2"}));
+  EXPECT_EQ(applied[2], std::vector<std::string>{"2/1"});
+  EXPECT_TRUE(reports[0].crashed);
+  EXPECT_EQ(reports[0].attempts, 2);
+  EXPECT_EQ(reports[1].attempts, 2);
+  for (const auto& r : reports) EXPECT_TRUE(r.completed);
+  EXPECT_EQ(sup.stats().crashes, 1u);
+  EXPECT_EQ(sup.stats().retries, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Isolation, SupervisorApply,
+                         ::testing::Values(rt::Isolation::Thread, rt::Isolation::Process),
+                         [](const ::testing::TestParamInfo<rt::Isolation>& info) {
+                           return info.param == rt::Isolation::Thread ? "Thread" : "Process";
+                         });
 
 TEST(ProcWorker, EscalatedBudgetsReachTheChildren) {
   SKIP_WITHOUT_FORK();
   rt::SupervisorOptions o = proc_opts(1);
   o.max_attempts = 4;
-  o.escalation = 4.0;
   o.initial.conflicts = 10;
   rt::Supervisor sup(o);
   // Each attempt runs in a fresh child; the retry decision is made purely
   // from the budget the parent shipped, so completion at attempt 3 proves
   // the 10 → 41 → 165 escalation crossed the process boundary.
-  const auto reports = sup.run(1, [](std::size_t, int, const rt::JobBudget& b) {
+  const auto reports = sup.run(1, [](std::size_t, int, const rt::JobBudget& b, std::string&) {
     return b.conflicts < 100 ? rt::JobStatus::Retry : rt::JobStatus::Done;
   });
   EXPECT_TRUE(reports[0].completed);
@@ -200,7 +240,8 @@ TEST(ProcWorker, ThrownExceptionIsAnInBandCrashLikeThreadMode) {
   rt::SupervisorOptions o = proc_opts(2);
   o.max_attempts = 2;
   rt::Supervisor sup(o);
-  const auto reports = sup.run(3, [](std::size_t j, int attempt, const rt::JobBudget&) {
+  const auto reports = sup.run(3, [](std::size_t j, int attempt, const rt::JobBudget&,
+                                     std::string&) {
     if (j == 0 && attempt == 1) throw PdatError("transient failure");
     if (j == 1) throw std::runtime_error("pathological query");
     return rt::JobStatus::Done;
@@ -221,7 +262,7 @@ TEST(ProcWorker, ChildSegfaultIsContainedAndRetried) {
   rt::SupervisorOptions o = proc_opts(2);
   o.max_attempts = 3;
   rt::Supervisor sup(o);
-  const auto reports = sup.run(4, [](std::size_t, int, const rt::JobBudget&) {
+  const auto reports = sup.run(4, [](std::size_t, int, const rt::JobBudget&, std::string&) {
     return rt::JobStatus::Done;
   });
   int deaths = 0;
@@ -240,7 +281,7 @@ TEST(ProcWorker, ChildAbortIsContainedAndRetried) {
   rt::SupervisorOptions o = proc_opts(1);
   o.max_attempts = 2;
   rt::Supervisor sup(o);
-  const auto reports = sup.run(1, [](std::size_t, int, const rt::JobBudget&) {
+  const auto reports = sup.run(1, [](std::size_t, int, const rt::JobBudget&, std::string&) {
     return rt::JobStatus::Done;
   });
   EXPECT_TRUE(reports[0].completed);
@@ -253,7 +294,7 @@ TEST(ProcWorker, BadChildExitIsContainedAndRetried) {
   rt::SupervisorOptions o = proc_opts(1);
   o.max_attempts = 2;
   rt::Supervisor sup(o);
-  const auto reports = sup.run(1, [](std::size_t, int, const rt::JobBudget&) {
+  const auto reports = sup.run(1, [](std::size_t, int, const rt::JobBudget&, std::string&) {
     return rt::JobStatus::Done;
   });
   EXPECT_TRUE(reports[0].completed);
@@ -266,7 +307,7 @@ TEST(ProcWorker, PersistentlyDyingJobIsDroppedConservatively) {
   rt::SupervisorOptions o = proc_opts(1);
   o.max_attempts = 2;
   rt::Supervisor sup(o);
-  const auto reports = sup.run(1, [](std::size_t, int, const rt::JobBudget&) {
+  const auto reports = sup.run(1, [](std::size_t, int, const rt::JobBudget&, std::string&) {
     return rt::JobStatus::Done;
   });
   EXPECT_FALSE(reports[0].completed);
@@ -275,15 +316,27 @@ TEST(ProcWorker, PersistentlyDyingJobIsDroppedConservatively) {
   EXPECT_EQ(sup.stats().drops, 1u);
 }
 
+/// A one-shot trigger that survives fork(): true for the first caller only,
+/// in whichever process, because that caller creates the marker file. A
+/// child death re-runs the same attempt number, so tests that make only the
+/// first child misbehave cannot key on `attempt == 1`.
+bool first_call(const std::string& marker) {
+  if (std::filesystem::exists(marker)) return false;
+  std::ofstream(marker).put('1');
+  return true;
+}
+
 TEST(ProcWorker, AddressSpaceLimitContainsRunawayAllocation) {
   SKIP_WITHOUT_FORK();
   if (kAsan) GTEST_SKIP() << "RLIMIT_AS is meaningless under ASan shadow memory";
+  const std::string marker = tmp_path("hog.marker");
+  std::filesystem::remove(marker);
   rt::SupervisorOptions o = proc_opts(1);
   o.max_attempts = 2;
   o.proc_limits.address_space_bytes = std::size_t{1} << 30;  // 1 GiB
   rt::Supervisor sup(o);
-  const auto reports = sup.run(1, [](std::size_t, int attempt, const rt::JobBudget&) {
-    if (attempt == 1) {
+  const auto reports = sup.run(1, [&](std::size_t, int, const rt::JobBudget&, std::string&) {
+    if (first_call(marker)) {
       // Far past the cap: the kernel refuses the mapping, so this either
       // throws bad_alloc (in-band crash) or dies — both must be contained.
       std::vector<char> hog(std::size_t{3} << 30, 1);
@@ -291,50 +344,73 @@ TEST(ProcWorker, AddressSpaceLimitContainsRunawayAllocation) {
     }
     return rt::JobStatus::Done;
   });
+  std::filesystem::remove(marker);
   EXPECT_TRUE(reports[0].completed) << "the retry without the allocation must succeed";
-  EXPECT_EQ(reports[0].attempts, 2);
-  EXPECT_GE(reports[0].child_deaths + (reports[0].crashed ? 1 : 0), 1)
+  EXPECT_EQ(reports[0].child_deaths + (reports[0].crashed ? 1 : 0), 1)
       << "the first attempt must have been contained one way or the other";
+  // A crash is an attempt (the retry is attempt 2); a death re-runs attempt 1.
+  EXPECT_EQ(reports[0].attempts, reports[0].crashed ? 2 : 1);
 }
 
 TEST(ProcWorker, CpuLimitKillsASpinningChild) {
   SKIP_WITHOUT_FORK();
+  const std::string marker = tmp_path("spin.marker");
+  std::filesystem::remove(marker);
   rt::SupervisorOptions o = proc_opts(1);
   o.max_attempts = 2;
   o.proc_limits.cpu_seconds = 1;  // SIGXCPU after 1s of CPU time
   rt::Supervisor sup(o);
-  const auto reports = sup.run(1, [](std::size_t, int attempt, const rt::JobBudget&) {
-    if (attempt == 1) {
+  const auto reports = sup.run(1, [&](std::size_t, int, const rt::JobBudget&, std::string&) {
+    if (first_call(marker)) {
       volatile std::uint64_t spin = 0;
       for (;;) spin = spin + 1;  // ignores every cooperative budget
     }
     return rt::JobStatus::Done;
   });
+  std::filesystem::remove(marker);
   EXPECT_TRUE(reports[0].completed);
   EXPECT_EQ(reports[0].child_deaths, 1) << "SIGXCPU must read as an out-of-band death";
 }
 
-TEST(ProcWorker, WedgedChildIsKilledAtTheAttemptDeadline) {
+TEST(ProcWorker, DeadlineAndInterruptKillAndReapEveryChild) {
   SKIP_WITHOUT_FORK();
-  rt::SupervisorOptions o = proc_opts(1);
-  o.max_attempts = 2;
-  o.initial.wall_seconds = 0.2;
-  o.proc_limits.kill_grace_seconds = 0.2;
-  rt::Supervisor sup(o);
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto reports = sup.run(1, [](std::size_t, int attempt, const rt::JobBudget&) {
-    if (attempt == 1) {
-      // Sleeps through its wall budget without polling it — the watchdog
-      // must SIGKILL it instead of waiting the full minute.
-      std::this_thread::sleep_for(std::chrono::seconds(60));
+  for (const bool by_interrupt : {false, true}) {
+    std::atomic<bool> interrupt{false};
+    rt::SupervisorOptions o = proc_opts(2);
+    if (by_interrupt) {
+      o.interrupt = &interrupt;
+    } else {
+      o.has_deadline = true;
+      o.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
     }
-    return rt::JobStatus::Done;
-  });
-  const double took = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  EXPECT_TRUE(reports[0].completed);
-  EXPECT_EQ(reports[0].child_deaths, 1);
-  EXPECT_GE(sup.stats().proc_kills, 1u);
-  EXPECT_LT(took, 30.0) << "the watchdog must not wait out the sleep";
+    rt::Supervisor sup(o);
+    std::thread raiser;
+    if (by_interrupt) {
+      raiser = std::thread([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        interrupt.store(true);
+      });
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    // Both children sleep through the cutoff without polling anything.
+    const auto reports = sup.run(2, [](std::size_t, int, const rt::JobBudget&, std::string&) {
+      std::this_thread::sleep_for(std::chrono::seconds(60));
+      return rt::JobStatus::Done;
+    });
+    const double took =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    if (raiser.joinable()) raiser.join();
+    EXPECT_LT(took, 10.0) << "the supervisor must not wait out the sleep";
+    for (const auto& r : reports) {
+      EXPECT_TRUE(r.aborted) << "by_interrupt=" << by_interrupt;
+      EXPECT_FALSE(r.completed);
+      EXPECT_EQ(r.child_deaths, 0) << "a kill at the cutoff is an abort, not a death";
+    }
+    EXPECT_TRUE(sup.cancelled().load());
+    errno = 0;
+    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1) << "every child must have been reaped";
+    EXPECT_EQ(errno, ECHILD);
+  }
 }
 
 TEST(ProcWorker, CertificationErrorEscapesContainment) {
@@ -343,7 +419,7 @@ TEST(ProcWorker, CertificationErrorEscapesContainment) {
   o.max_attempts = 3;
   rt::Supervisor sup(o);
   EXPECT_THROW(sup.run(6,
-                       [](std::size_t j, int, const rt::JobBudget&) {
+                       [](std::size_t j, int, const rt::JobBudget&, std::string&) {
                          if (j == 2) throw CertificationError("UNSAT certificate rejected");
                          return rt::JobStatus::Done;
                        }),
@@ -384,6 +460,8 @@ void expect_same_deterministic_stats(const InductionStats& a, const InductionSta
   EXPECT_EQ(a.after_base, b.after_base);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.proven, b.proven);
+  EXPECT_EQ(a.job_retries, b.job_retries);
+  EXPECT_EQ(a.job_drops, b.job_drops);
 }
 
 TEST(ProcInduction, ProcessAndThreadModesAreBitIdentical) {
@@ -414,21 +492,37 @@ TEST(ProcInduction, ChaosScheduleDoesNotChangeTheProvedSet) {
   const Environment env;
   const auto cands = gate_const_candidates(nl);
 
-  InductionOptions opt;
-  opt.batch_size = 8;
-  opt.threads = 2;
-  InductionStats clean;
-  const auto proven_clean = prove_invariants(nl, env, cands, opt, &clean);
+  // The default budget, and a one-conflict budget under which jobs retry
+  // and drop: there a child death that moved a job to another attempt
+  // number or budget would change the SAT calls, the retries and the
+  // proved set.
+  struct Case {
+    std::int64_t conflict_budget;
+    const char* schedule;
+    std::size_t deaths;
+  };
+  for (const Case& c : {Case{200000, "segv:2", 2}, Case{1, "segv:45", 45}}) {
+    InductionOptions opt;
+    opt.batch_size = 8;
+    opt.threads = 2;
+    opt.conflict_budget = c.conflict_budget;
+    InductionStats clean;
+    const auto proven_clean = prove_invariants(nl, env, cands, opt, &clean);
 
-  opt.isolation = rt::Isolation::Process;
-  InductionStats chaos;
-  util::ScopedFailpoint fp("procworker.child_entry", "segv:2");
-  const auto proven_chaos = prove_invariants(nl, env, cands, opt, &chaos);
+    opt.isolation = rt::Isolation::Process;
+    InductionStats chaos;
+    util::ScopedFailpoint fp("procworker.child_entry", c.schedule);
+    const auto proven_chaos = prove_invariants(nl, env, cands, opt, &chaos);
 
-  EXPECT_EQ(describe_all(proven_clean), describe_all(proven_chaos))
-      << "a contained child death must never change the proved set";
-  expect_same_deterministic_stats(clean, chaos);
-  EXPECT_EQ(chaos.proc_restarts, 2u);
+    SCOPED_TRACE(c.schedule);
+    EXPECT_EQ(describe_all(proven_clean), describe_all(proven_chaos))
+        << "a contained child death must never change the proved set";
+    expect_same_deterministic_stats(clean, chaos);
+    EXPECT_EQ(chaos.proc_restarts, c.deaths);
+    if (c.conflict_budget == 1) {
+      EXPECT_GT(clean.job_retries, 0u) << "the budget must bind";
+    }
+  }
 }
 
 TEST(ProcInduction, MidRunKillAndResumeIsDeterministicInProcessMode) {

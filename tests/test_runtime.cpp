@@ -304,7 +304,8 @@ TEST(Supervisor, RunsEveryJobOnAnyThreadCount) {
     opt.threads = threads;
     rt::Supervisor sup(opt);
     std::vector<int> ran(17, 0);
-    const auto reports = sup.run(ran.size(), [&](std::size_t j, int, const rt::JobBudget&) {
+    const auto reports = sup.run(ran.size(), [&](std::size_t j, int, const rt::JobBudget&,
+                                                 std::string&) {
       ran[j] += 1;
       return rt::JobStatus::Done;
     });
@@ -320,11 +321,10 @@ TEST(Supervisor, RetryEscalatesBudgetThenDrops) {
   rt::SupervisorOptions opt;
   opt.threads = 1;
   opt.max_attempts = 3;
-  opt.escalation = 4.0;
   opt.initial.conflicts = 10;
   rt::Supervisor sup(opt);
   std::vector<std::int64_t> budgets;
-  const auto reports = sup.run(1, [&](std::size_t, int, const rt::JobBudget& b) {
+  const auto reports = sup.run(1, [&](std::size_t, int, const rt::JobBudget& b, std::string&) {
     budgets.push_back(b.conflicts);
     return rt::JobStatus::Retry;  // never finishes
   });
@@ -344,7 +344,8 @@ TEST(Supervisor, CrashIsContainedRetriedAndRecorded) {
   opt.max_attempts = 2;
   rt::Supervisor sup(opt);
   // Job 0 crashes once then succeeds; job 1 always crashes; job 2 is clean.
-  const auto reports = sup.run(3, [&](std::size_t j, int attempt, const rt::JobBudget&) {
+  const auto reports = sup.run(3, [&](std::size_t j, int attempt, const rt::JobBudget&,
+                                      std::string&) {
     if (j == 0 && attempt == 1) throw PdatError("transient failure");
     if (j == 1) throw std::runtime_error("pathological query");
     return rt::JobStatus::Done;
@@ -370,7 +371,7 @@ TEST(Supervisor, CertificationErrorIsNeverContained) {
     rt::Supervisor sup(opt);
     std::atomic<int> attempts{0};
     EXPECT_THROW(sup.run(8,
-                         [&](std::size_t j, int, const rt::JobBudget&) {
+                         [&](std::size_t j, int, const rt::JobBudget&, std::string&) {
                            attempts.fetch_add(1);
                            if (j == 3) throw CertificationError("UNSAT certificate rejected");
                            return rt::JobStatus::Done;
@@ -389,7 +390,7 @@ TEST(Supervisor, InterruptFlagAbortsLikeADeadline) {
   opt.interrupt = &interrupt;
   rt::Supervisor sup(opt);
   int executed = 0;
-  const auto reports = sup.run(4, [&](std::size_t, int, const rt::JobBudget&) {
+  const auto reports = sup.run(4, [&](std::size_t, int, const rt::JobBudget&, std::string&) {
     ++executed;
     return rt::JobStatus::Done;
   });
@@ -405,7 +406,7 @@ TEST(Supervisor, ExpiredDeadlineAbortsJobsAndSetsCancelFlag) {
   opt.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
   rt::Supervisor sup(opt);
   int executed = 0;
-  const auto reports = sup.run(4, [&](std::size_t, int, const rt::JobBudget&) {
+  const auto reports = sup.run(4, [&](std::size_t, int, const rt::JobBudget&, std::string&) {
     ++executed;
     return rt::JobStatus::Done;
   });
