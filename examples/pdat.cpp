@@ -52,6 +52,7 @@
 #include <atomic>
 #include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -342,7 +343,6 @@ int main(int argc, char** argv) {
   PdatOptions opt;
   std::vector<std::string> positional;
   std::string report_path, fuzz_replay;
-  std::size_t job_rlimit_mb = 0;
   bool fuzz_baseline = false;
   // A flag ending in '=' takes a value; its action returns false when the
   // value is malformed.
@@ -369,7 +369,15 @@ int main(int argc, char** argv) {
              v == "process" ? runtime::Isolation::Process : runtime::Isolation::Thread;
          return v == "process" || v == "thread";
        }},
-      {"--job-rlimit-mb=", number(job_rlimit_mb)},
+      {"--job-rlimit-mb=",
+       [&](std::string_view v) {
+         // A MiB count whose byte count wraps size_t is malformed, not a
+         // tiny cap.
+         std::size_t mb = 0;
+         if (!parse_number(v, mb) || mb > (SIZE_MAX >> 20)) return false;
+         opt.induction.job_rlimit_bytes = mb << 20;
+         return true;
+       }},
       {"--job-rlimit-cpu=", number(opt.induction.job_rlimit_cpu_seconds)},
       {"--journal=", text(opt.induction.journal_path)},
       {"--resume=", text(opt.induction.resume_from)},
@@ -435,7 +443,6 @@ int main(int argc, char** argv) {
     return stats.divergences > 0 ? 1 : 0;
   }
 
-  opt.induction.job_rlimit_bytes = job_rlimit_mb << 20;
   opt.run_label = std::string(core->name) + ":" + flow.subset;
   opt.interrupt = &g_interrupt;
   opt.fuzz_fn = [&flow](const Netlist& design, const Netlist& reduced,

@@ -1,9 +1,7 @@
 #include "formal/bmc.h"
 
-#include <chrono>
 #include <optional>
 
-#include "base/log.h"
 #include "formal/cnf_encoder.h"
 #include "sat/dratcheck.h"
 #include "trace/trace.h"
@@ -13,23 +11,8 @@ namespace pdat {
 using sat::Lit;
 using sat::SolveResult;
 
-namespace {
-
-/// Arms the solver's wall-clock deadline for a whole BMC call. PR 1 added
-/// deadline checks inside the induction fixpoint only; a pathological base
-/// (BMC) query could still blow the total pipeline deadline on its own.
-void arm_deadline(sat::Solver& s, double deadline_seconds) {
-  if (deadline_seconds <= 0) return;
-  s.set_deadline(std::chrono::steady_clock::now() +
-                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double>(deadline_seconds)));
-}
-
-}  // namespace
-
 BmcResult bmc_check(const Netlist& nl, const Environment& env, const GateProperty& prop,
-                    int depth, std::int64_t conflict_budget, double deadline_seconds,
-                    bool certify) {
+                    int depth, std::int64_t conflict_budget, bool certify) {
   trace::Span span("bmc.check", {"depth", depth});
   trace::add(trace::Counter::BmcChecks, 1);
   const FrameEncoder enc(nl);
@@ -39,7 +22,6 @@ BmcResult bmc_check(const Netlist& nl, const Environment& env, const GatePropert
   // covers the whole unrolling (a fresh solver has nothing to snapshot).
   std::optional<sat::CertifySession> cert;
   if (certify) cert.emplace(s);
-  arm_deadline(s, deadline_seconds);
   const std::vector<Frame> frames = enc.unroll(s, depth, /*from_reset=*/true, env.assumes);
   for (int t = 0; t < depth; ++t) {
     const std::vector<Lit> assumptions{
@@ -62,19 +44,12 @@ BmcResult bmc_check(const Netlist& nl, const Environment& env, const GatePropert
 // Deliberately uncertified even in --certify runs: a wrong Unsat here aborts
 // the whole run (fail-safe), and a wrong Sat merely skips the vacuity veto —
 // neither can remove a gate. See DESIGN.md §5.10.
-bool env_satisfiable(const Netlist& nl, const Environment& env, int depth,
-                     double deadline_seconds) {
+bool env_satisfiable(const Netlist& nl, const Environment& env, int depth) {
   trace::Span span("bmc.env_check", {"depth", depth});
   FrameEncoder enc(nl);
   sat::Solver s;
-  arm_deadline(s, deadline_seconds);
   enc.unroll(s, depth, /*from_reset=*/true, env.assumes);
-  const SolveResult r = s.solve({});
-  if (r == SolveResult::Unknown) {
-    log_warn() << "bmc: environment vacuity check hit its deadline; assuming satisfiable";
-    return true;
-  }
-  return r == SolveResult::Sat;
+  return s.solve({}) == SolveResult::Sat;
 }
 
 }  // namespace pdat

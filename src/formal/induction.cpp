@@ -25,27 +25,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Optional wall-clock cutoff shared by all phases. `expired()` latches
-/// InductionStats::timed_out so callers abort conservatively.
-struct Deadline {
-  bool armed = false;
-  Clock::time_point at{};
-  InductionStats* st = nullptr;
-  /// Cooperative interrupt: aborts exactly like an expiry (conservative,
-  /// journal keeps completed rounds), so resume semantics are shared.
-  const std::atomic<bool>* interrupt = nullptr;
-
-  bool expired() const {
-    if (interrupt != nullptr && interrupt->load(std::memory_order_relaxed)) {
-      st->timed_out = true;
-      return true;
-    }
-    if (!armed || Clock::now() < at) return false;
-    st->timed_out = true;
-    return true;
-  }
-};
-
 std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xff;
@@ -194,14 +173,12 @@ struct Engine {
   const std::vector<GateProperty>& cands;
   const InductionOptions& opt;
   InductionStats& st;
-  const Deadline& dl;
   FrameEncoder enc;
   std::vector<bool> alive;
 
   Engine(const Netlist& nl_, const Environment& env_, const std::vector<GateProperty>& c,
-         const InductionOptions& o, InductionStats& s, const Deadline& d)
-      : nl(nl_), env(env_), cands(c), opt(o), st(s), dl(d), enc(nl_),
-        alive(c.size(), true) {}
+         const InductionOptions& o, InductionStats& s)
+      : nl(nl_), env(env_), cands(c), opt(o), st(s), enc(nl_), alive(c.size(), true) {}
 
   runtime::SupervisorOptions supervisor_options() const {
     runtime::SupervisorOptions sopt;
@@ -211,10 +188,6 @@ struct Engine {
     sopt.isolation = opt.isolation;
     sopt.proc_limits.address_space_bytes = opt.job_rlimit_bytes;
     sopt.proc_limits.cpu_seconds = opt.job_rlimit_cpu_seconds;
-    if (dl.armed) {
-      sopt.has_deadline = true;
-      sopt.deadline = dl.at;
-    }
     sopt.interrupt = opt.interrupt;
     return sopt;
   }
@@ -252,8 +225,8 @@ struct Engine {
   /// Merges one round's job results into the alive set. Model/replay kills
   /// first (a union over jobs, order-independent), then conservative drops
   /// for jobs the supervisor gave up on. Returns the number of candidates
-  /// removed; sets timed_out via the reports when the global deadline
-  /// aborted any job.
+  /// removed; sets interrupted via the reports when the interrupt aborted
+  /// any job.
   std::size_t merge_round(const std::vector<JobState>& states,
                           const std::vector<runtime::JobReport>& reports,
                           const runtime::SupervisorStats& sup_stats) {
@@ -269,7 +242,7 @@ struct Engine {
       }
     }
     for (std::size_t j = 0; j < reports.size(); ++j) {
-      if (reports[j].aborted) st.timed_out = true;
+      if (reports[j].aborted) st.interrupted = true;
       if (reports[j].crashed && !reports[j].last_error.empty()) {
         log_warn() << "induction: job " << j << " attempt contained: "
                    << reports[j].last_error;
@@ -392,7 +365,6 @@ struct Engine {
       std::optional<sat::CertifySession> cert;
       if (opt.certify) cert.emplace(s);
       if (opt.test_corrupt_solver) s.test_corrupt_next_learnt();
-      if (dl.armed) s.set_deadline(dl.at);
       sat::SolveLimits lim;
       lim.conflict_budget = budget.conflicts;
       lim.interrupt = &sup.cancelled();
@@ -589,16 +561,16 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
   trace::Span span("induction.prove",
                    {"candidates", static_cast<std::int64_t>(candidates.size())});
 
-  Deadline dl;
-  dl.st = &st;
-  dl.interrupt = opt.interrupt;
-  if (opt.deadline_seconds > 0) {
-    dl.armed = true;
-    dl.at = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                               std::chrono::duration<double>(opt.deadline_seconds));
-  }
+  // Cooperative interrupt: polls the flag and latches st.interrupted, after
+  // which the fixpoint aborts conservatively.
+  const auto interrupted = [&] {
+    if (opt.interrupt != nullptr && opt.interrupt->load(std::memory_order_relaxed)) {
+      st.interrupted = true;
+    }
+    return st.interrupted;
+  };
 
-  Engine eng(nl, env, candidates, opt, st, dl);
+  Engine eng(nl, env, candidates, opt, st);
 
   const runtime::ProofJournalHeader header{proof_fingerprint(nl, env, candidates, opt),
                                            candidates.size()};
@@ -657,9 +629,9 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
 
   // --- base case ------------------------------------------------------------
   if (!finished && !base_done) {
-    if (!dl.expired()) eng.run_phase(runtime::kBaseRound);
-    if (st.timed_out) {
-      log_warn() << "induction: deadline expired during base case; proving nothing";
+    if (!interrupted()) eng.run_phase(runtime::kBaseRound);
+    if (st.interrupted) {
+      log_warn() << "induction: interrupted during the base case; proving nothing";
       if (stats != nullptr) *stats = st;
       return {};
     }
@@ -671,10 +643,10 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
   // --- inductive step fixpoint ---------------------------------------------
   if (!finished) {
     for (int round = next_round;; ++round) {
-      if (dl.expired()) break;
+      if (interrupted()) break;
       if (popcount(eng.alive) == 0) break;
       const std::size_t removed = eng.run_phase(round);
-      if (st.timed_out || dl.expired()) break;
+      if (interrupted()) break;
       st.rounds = round + 1;
       if (removed == 0) {
         checkpoint(runtime::kProofRecFinal, round);
@@ -684,11 +656,11 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
     }
   }
 
-  // A deadline abort leaves the survivor set unproved: return nothing rather
+  // An interrupt leaves the survivor set unproved: return nothing rather
   // than an unsound partial result. Completed rounds remain in the journal
   // for a later resume.
-  if (st.timed_out) {
-    log_warn() << "induction: deadline expired before the fixpoint closed; proving nothing"
+  if (st.interrupted) {
+    log_warn() << "induction: interrupted before the fixpoint closed; proving nothing"
                << (journal ? " (journal retains completed rounds for resume)" : "");
     if (stats != nullptr) *stats = st;
     return {};

@@ -88,15 +88,11 @@ struct InductionOptions {
   /// drive randomly when no environment driver owns them.
   std::vector<NetId> sim_free_nets;
   std::uint64_t seed = 0xCE7;
-  /// Wall-clock deadline for the whole prove_invariants call; 0 = unlimited.
-  /// On expiry the fixpoint aborts conservatively: nothing is proved
-  /// (stats->timed_out is set), never a partially-checked survivor set —
+  /// Optional cooperative interrupt (SIGINT/SIGTERM in the CLI). When it
+  /// becomes true, the fixpoint aborts conservatively: nothing is proved
+  /// (stats->interrupted is set), never a partially-checked survivor set —
   /// but completed rounds stay in the journal, so a later resume_from run
   /// continues instead of starting over.
-  double deadline_seconds = 0;
-  /// Optional cooperative interrupt (SIGINT/SIGTERM in the CLI). When it
-  /// becomes true, the fixpoint aborts exactly like a deadline expiry:
-  /// conservatively, with completed rounds preserved in the journal.
   const std::atomic<bool>* interrupt = nullptr;
 
   // --- certified solving (DESIGN.md §5.10) ----------------------------------
@@ -168,9 +164,9 @@ struct InductionStats {
   std::size_t cex_kills = 0;
   std::size_t budget_kills = 0;
   int rounds = 0;
-  /// The deadline expired before the fixpoint closed; the proved set is
+  /// The interrupt was raised before the fixpoint closed; the proved set is
   /// empty (aborting mid-fixpoint must not ship unproved survivors).
-  bool timed_out = false;
+  bool interrupted = false;
   // Supervised-runtime accounting.
   std::size_t job_retries = 0;   // re-dispatches with an escalated budget
   std::size_t job_drops = 0;     // jobs whose candidates were dropped

@@ -1,10 +1,11 @@
 // Structured pipeline errors and stage identities.
 //
 // run_pdat reports failures through PdatError subclasses that carry the
-// failing stage, so callers can distinguish configuration errors (vacuous
-// environment, malformed restriction circuit — always thrown) from internal
-// stage failures (degraded to an identity transform unless PdatOptions::
-// strict) and validation vetoes.
+// failing stage: configuration errors (vacuous environment, malformed
+// restriction circuit), the cooperative interrupt, failed certificates and,
+// under ValidationOptions::fail_hard, validation vetoes. Every other stage
+// failure degrades to a sound partial result (PdatResult::degradations)
+// instead of throwing.
 #pragma once
 
 #include <cstdio>
@@ -75,21 +76,6 @@ class EnvironmentError : public StageError {
  public:
   explicit EnvironmentError(const std::string& what)
       : StageError(PdatStage::EnvCheck, what) {}
-};
-
-/// A stage exceeded its wall-clock deadline.
-class StageTimeoutError : public StageError {
- public:
-  StageTimeoutError(PdatStage stage, double elapsed_seconds, double deadline_seconds)
-      : StageError(stage,
-                   "deadline exceeded (" + std::to_string(elapsed_seconds) + "s > " +
-                       std::to_string(deadline_seconds) + "s)",
-                   elapsed_seconds),
-        deadline_(deadline_seconds) {}
-  double deadline_seconds() const { return deadline_; }
-
- private:
-  double deadline_;
 };
 
 /// Post-transform validation rejected the transformed netlist

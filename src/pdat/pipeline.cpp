@@ -2,10 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <optional>
 
 #include "base/log.h"
@@ -21,6 +19,10 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t idx(PdatStage s) { return static_cast<std::size_t>(s); }
+
+/// Unroll depth of the environment vacuity check: an environment with no
+/// allowed execution this long would "prove" every candidate.
+constexpr int kEnvCheckDepth = 3;
 
 /// Stage span names must be literals known to the registry (registry.cpp),
 /// so this is a switch rather than string concatenation.
@@ -55,23 +57,6 @@ struct TelemetryScope {
   bool active = false;
   ~TelemetryScope() {
     if (active) trace::end_run();
-  }
-};
-
-/// Tracks the per-stage and whole-pipeline wall-clock budgets.
-struct PipelineClock {
-  Clock::time_point start = Clock::now();
-  double stage_limit = 0;
-  double total_limit = 0;
-
-  double elapsed() const { return std::chrono::duration<double>(Clock::now() - start).count(); }
-  bool total_expired() const { return total_limit > 0 && elapsed() >= total_limit; }
-  /// Seconds a stage starting now may spend (infinity when unlimited).
-  double stage_budget() const {
-    double b = std::numeric_limits<double>::infinity();
-    if (stage_limit > 0) b = stage_limit;
-    if (total_limit > 0) b = std::min(b, total_limit - elapsed());
-    return b;
   }
 };
 
@@ -114,44 +99,33 @@ PdatResult run_pdat(const Netlist& design,
   run_span.emplace("pdat.run", trace::SpanArg{"gates_before",
                                               static_cast<std::int64_t>(res.gates_before)});
 
-  PipelineClock clk;
-  clk.stage_limit = opt.stage_deadline_seconds;
-  clk.total_limit = opt.total_deadline_seconds;
+  const Clock::time_point start = Clock::now();
+  const auto elapsed = [&] { return std::chrono::duration<double>(Clock::now() - start).count(); };
 
   double stage_t0 = 0;
   std::optional<trace::Span> stage_span;
   const auto begin_stage = [&](PdatStage st) {
-    stage_t0 = clk.elapsed();
+    stage_t0 = elapsed();
     stage_span.emplace(stage_span_name(st));
   };
   const auto end_stage = [&](PdatStage st) {
-    const double took = clk.elapsed() - stage_t0;
-    res.stage_seconds[idx(st)] = took;
+    res.stage_seconds[idx(st)] = elapsed() - stage_t0;
     stage_span.reset();
-    return took;
   };
-  // Degrades gracefully (note + warn) or throws under `strict`. The pipeline
-  // clock at the failure point rides along so a degradation is placeable in
-  // time from the log / exception text alone.
+  // Degrades gracefully (note + warn) to a sound partial result.
   const auto degrade = [&](PdatStage st, const std::string& why) {
-    if (opt.strict) throw StageError(st, why, clk.elapsed());
     res.degraded = true;
     res.degradations.push_back(std::string(stage_name(st)) + ": " + why);
     log_warn() << "PDAT: stage '" << stage_name(st) << "' degraded: " << why;
   };
-  const auto check_stage_deadline = [&](PdatStage st) {
-    const double took = res.stage_seconds[idx(st)];
-    if (clk.stage_limit > 0 && took > clk.stage_limit) {
-      if (opt.strict) throw StageTimeoutError(st, took, clk.stage_limit);
-      degrade(st, "exceeded stage deadline (" + std::to_string(took) + "s)");
-    }
-  };
-  // Cooperative interrupt: always thrown (never degraded) so the CLI can
-  // print a resume command and exit with a distinct resumable status.
-  const auto check_interrupt = [&](PdatStage st) {
-    if (opt.interrupt != nullptr && opt.interrupt->load(std::memory_order_relaxed)) {
+  // Cooperative interrupt, the only early stop: always thrown (never
+  // degraded) so the CLI can print a resume command and exit with a
+  // distinct resumable status. `raised` reports an interrupt a stage saw
+  // through its own flag.
+  const auto check_interrupt = [&](PdatStage st, bool raised = false) {
+    if (raised || (opt.interrupt != nullptr && opt.interrupt->load(std::memory_order_relaxed))) {
       throw StageError(st, "interrupted; completed proof rounds remain in the journal for --resume",
-                       clk.elapsed());
+                       elapsed());
     }
   };
 
@@ -168,17 +142,13 @@ PdatResult run_pdat(const Netlist& design,
   } catch (const StageError&) {
     throw;
   } catch (const PdatError& e) {
-    throw StageError(PdatStage::Restrict, e.what(), clk.elapsed());
+    throw StageError(PdatStage::Restrict, e.what(), elapsed());
   }
   end_stage(PdatStage::Restrict);
 
   begin_stage(PdatStage::EnvCheck);
-  if (opt.check_env_satisfiable) {
-    const double env_budget = clk.stage_budget();
-    if (!env_satisfiable(analysis, restr.env, opt.env_check_depth,
-                         std::isfinite(env_budget) ? env_budget : 0)) {
-      throw EnvironmentError("environment restriction is unsatisfiable (vacuous)");
-    }
+  if (!env_satisfiable(analysis, restr.env, kEnvCheckDepth)) {
+    throw EnvironmentError("environment restriction is unsatisfiable (vacuous)");
   }
   end_stage(PdatStage::EnvCheck);
 
@@ -204,7 +174,6 @@ PdatResult run_pdat(const Netlist& design,
     degrade(PdatStage::Annotate, e.what());
   }
   end_stage(PdatStage::Annotate);
-  check_stage_deadline(PdatStage::Annotate);
   res.candidates = candidates.size();
 
   // --- property checking stage ----------------------------------------------
@@ -225,7 +194,6 @@ PdatResult run_pdat(const Netlist& design,
     degrade(PdatStage::SimFilter, e.what());
   }
   end_stage(PdatStage::SimFilter);
-  check_stage_deadline(PdatStage::SimFilter);
   res.after_sim_filter = survivors.size();
   log_info() << "PDAT: " << res.candidates << " candidates, " << res.after_sim_filter
              << " after simulation filtering";
@@ -237,26 +205,15 @@ PdatResult run_pdat(const Netlist& design,
   InductionOptions iopt = opt.induction;
   if (opt.certify) iopt.certify = true;
   if (iopt.interrupt == nullptr) iopt.interrupt = opt.interrupt;
-  if (clk.total_expired()) {
-    degrade(PdatStage::Induction, "total deadline exhausted before the proof stage; skipping");
-  } else if (!survivors.empty()) {
+  if (!survivors.empty()) {
     try {
       for (NetId n : restr.cut_nets) iopt.sim_free_nets.push_back(n);
-      const double budget = clk.stage_budget();
-      if (std::isfinite(budget)) {
-        iopt.deadline_seconds = iopt.deadline_seconds > 0
-                                    ? std::min(iopt.deadline_seconds, budget)
-                                    : budget;
-      }
       proven = prove_invariants(analysis, restr.env, std::move(survivors), iopt, &res.induction);
-      if (res.induction.timed_out) {
-        degrade(PdatStage::Induction, "proof deadline expired; no invariants proved");
-      }
     } catch (const CertificationError& e) {
       // A certificate that failed to check means the solver lied somewhere:
       // degrading would keep pipeline output built on unsound verdicts, so
       // this is always a hard stop, like a configuration error.
-      throw StageError(PdatStage::Induction, e.what(), clk.elapsed());
+      throw StageError(PdatStage::Induction, e.what(), elapsed());
     } catch (const PdatError& e) {
       // Two error families are always thrown, never degraded:
       //  - "resume:": a missing/corrupt/mismatched resume journal is a
@@ -268,15 +225,14 @@ PdatResult run_pdat(const Netlist& design,
       const std::string what = e.what();
       if (what.rfind("journal:", 0) == 0 ||
           (!iopt.resume_from.empty() && what.rfind("resume:", 0) == 0)) {
-        throw StageError(PdatStage::Induction, what, clk.elapsed());
+        throw StageError(PdatStage::Induction, what, elapsed());
       }
       proven.clear();
       degrade(PdatStage::Induction, e.what());
     }
   }
   end_stage(PdatStage::Induction);
-  check_interrupt(PdatStage::Induction);
-  if (!res.induction.timed_out) check_stage_deadline(PdatStage::Induction);
+  check_interrupt(PdatStage::Induction, res.induction.interrupted);
   if (res.induction.budget_kills > 0) {
     log_warn() << "PDAT: conflict budget dropped " << res.induction.budget_kills
                << " candidates (inconclusive, conservatively not proved)";
@@ -313,20 +269,15 @@ PdatResult run_pdat(const Netlist& design,
   // --- logic resynthesis stage ----------------------------------------------
   check_interrupt(PdatStage::Resynthesis);
   begin_stage(PdatStage::Resynthesis);
-  if (clk.total_expired()) {
-    degrade(PdatStage::Resynthesis, "total deadline exhausted; shipping unoptimized rewiring");
-  } else {
-    try {
-      res.resynthesis = opt::optimize(res.transformed, opt.resynthesis_iterations);
-      require_well_formed(res.transformed);
-    } catch (const PdatError& e) {
-      res.transformed = design;
-      res.resynthesis = {};
-      degrade(PdatStage::Resynthesis, std::string(e.what()) + " — reverted to unreduced design");
-    }
+  try {
+    res.resynthesis = opt::optimize(res.transformed, opt.resynthesis_iterations);
+    require_well_formed(res.transformed);
+  } catch (const PdatError& e) {
+    res.transformed = design;
+    res.resynthesis = {};
+    degrade(PdatStage::Resynthesis, std::string(e.what()) + " — reverted to unreduced design");
   }
   end_stage(PdatStage::Resynthesis);
-  check_stage_deadline(PdatStage::Resynthesis);
 
   // --- validation safety net -------------------------------------------------
   const bool fuzzing = opt.fuzz.iterations > 0;
@@ -337,10 +288,6 @@ PdatResult run_pdat(const Netlist& design,
       if (opt.validate.enabled) {
         validate::ValidationOptions vopt = opt.validate;
         if (opt.certify) vopt.miter.certify = true;
-        const double budget = clk.stage_budget();
-        if (std::isfinite(budget) && vopt.miter.deadline_seconds <= 0) {
-          vopt.miter.deadline_seconds = budget;
-        }
         res.validation =
             validate::run_validation(design, res.transformed, restrict_fn, proven, vopt);
         if (!res.validation.ok()) {
@@ -371,7 +318,7 @@ PdatResult run_pdat(const Netlist& design,
       throw;
     } catch (const CertificationError& e) {
       // An uncertified miter Unsat must never count as a Pass.
-      throw StageError(PdatStage::Validate, e.what(), clk.elapsed());
+      throw StageError(PdatStage::Validate, e.what(), elapsed());
     } catch (const PdatError& e) {
       degrade(PdatStage::Validate, e.what());
     }
@@ -381,7 +328,7 @@ PdatResult run_pdat(const Netlist& design,
   res.gates_after = res.transformed.gate_count();
   res.area_after = res.transformed.area();
   res.flops_after = res.transformed.num_flops();
-  res.total_seconds = clk.elapsed();
+  res.total_seconds = elapsed();
 
   // --- telemetry output ------------------------------------------------------
   run_span->arg("gates_after", static_cast<std::int64_t>(res.gates_after));

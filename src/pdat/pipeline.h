@@ -2,9 +2,10 @@
 // -> Logic Resynthesis, driven by a Property Library annotation and an
 // environment restriction — plus the post-transform validation safety net
 // (bounded equivalence miter, lockstep co-simulation) and graceful
-// degradation: internal stage failures and blown deadlines fall back to a
-// sound partial result (at worst the identity transform) instead of
-// aborting, unless `strict` is set.
+// degradation: internal stage failures fall back to a sound partial result
+// (at worst the identity transform) instead of aborting. The cooperative
+// interrupt is the only early stop, and the SAT conflict budget the only
+// limit: a run's result never depends on the host's speed.
 #pragma once
 
 #include <array>
@@ -30,19 +31,11 @@ struct PdatOptions {
   /// Proof-stage settings — threads, checkpoint journal and resume, process
   /// isolation and its rlimits — are set on `induction` directly. A missing,
   /// corrupt, or mismatched `induction.resume_from` journal is a
-  /// configuration error, thrown regardless of `strict`: a bad resume must
-  /// never silently rerun from scratch or, worse, resume an unrelated proof.
+  /// configuration error, always thrown: a bad resume must never silently
+  /// rerun from scratch or, worse, resume an unrelated proof.
   InductionOptions induction;
   PropertyLibraryOptions properties;
   int resynthesis_iterations = 32;
-  bool check_env_satisfiable = true;  // reject vacuous environments
-  int env_check_depth = 3;
-  /// Wall-clock budget per stage / for the whole pipeline; 0 = unlimited.
-  /// The induction stage aborts mid-proof (proving nothing); other stages
-  /// are checked at their boundaries, and stages that have not started when
-  /// the total budget is gone are skipped.
-  double stage_deadline_seconds = 0;
-  double total_deadline_seconds = 0;
   /// Observability (src/trace/, docs/telemetry.md). When `trace_path` is
   /// set, the run records hierarchical spans and writes a Chrome-trace/
   /// Perfetto JSON there; when `metrics_path` is set, it writes a versioned
@@ -63,18 +56,18 @@ struct PdatOptions {
   /// in-tree checker before it is acted on. The environment vacuity check
   /// stays uncertified (both of its failure directions are fail-safe).
   /// Forwards into `induction.certify` and `validate.miter.certify`. A
-  /// certificate that
-  /// fails to check raises StageError regardless of `strict`: no gate is
-  /// ever removed on the strength of an uncertified UNSAT. Reports are
-  /// byte-identical with certification on or off.
+  /// certificate that fails to check raises StageError, never a
+  /// degradation: no gate is ever removed on the strength of an
+  /// uncertified UNSAT. Reports are byte-identical with certification on
+  /// or off.
   bool certify = false;
-  /// Cooperative interrupt (SIGINT/SIGTERM in the CLI). Checked at stage
-  /// boundaries and polled inside SAT solves; when it becomes true the
-  /// pipeline throws StageError regardless of `strict`, with checkpoint
-  /// journals retaining completed proof rounds for a later --resume.
+  /// Cooperative interrupt (SIGINT/SIGTERM in the CLI), the only way to
+  /// stop a run early. Checked at stage boundaries and polled inside proof
+  /// solves; when it becomes true the pipeline throws StageError, never a
+  /// degradation, with checkpoint journals retaining completed proof rounds
+  /// for a later --resume. A CLI run's wall time is bounded the same way:
+  /// `timeout --foreground -s INT N pdat ... --journal=J`.
   const std::atomic<bool>* interrupt = nullptr;
-  /// Stage failures throw StageError instead of degrading gracefully.
-  bool strict = false;
   /// Post-transform validation (off by default; see src/validate/).
   validate::ValidationOptions validate;
   /// Coverage-guided differential fuzzing of the reduced core (src/fuzz/,
@@ -127,8 +120,8 @@ struct PdatResult {
 /// environment restrictions (cutpoints, constraint circuits, stimulus).
 ///
 /// Throws StageError(Restrict) on a malformed restriction and
-/// EnvironmentError on a vacuous one regardless of `strict` — a bad
-/// configuration must never silently produce an identity transform.
+/// EnvironmentError on a vacuous one — a bad configuration must never
+/// silently produce an identity transform.
 PdatResult run_pdat(const Netlist& design,
                     const std::function<RestrictionResult(Netlist&)>& restrict_fn,
                     const PdatOptions& opt = {});

@@ -391,19 +391,12 @@ void run_process_pool(Ladder& ladder, const SupervisorOptions& opt, const JobFn&
     }
     while (!ladder.idle() && inflight.size() < max_children) spawn(ladder.next());
 
-    // Wait for result bytes, the global deadline, or an interrupt (bounded
-    // poll so the flag is noticed promptly).
+    // Wait for result bytes or an interrupt (bounded poll so the flag is
+    // noticed promptly).
     std::vector<struct pollfd> fds;
     fds.reserve(inflight.size());
     for (const ChildProc& c : inflight) fds.push_back({c.res_fd, POLLIN, 0});
-    int timeout_ms = 100;
-    if (opt.has_deadline) {
-      const auto ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(opt.deadline - Clock::now())
-              .count();
-      if (ms < timeout_ms) timeout_ms = ms <= 0 ? 0 : static_cast<int>(ms);
-    }
-    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
+    const int rc = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), /*timeout_ms=*/100);
     if (rc < 0 && errno != EINTR) throw PdatError("procworker: poll() failed");
 
     std::vector<std::size_t> finished;

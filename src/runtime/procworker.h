@@ -19,8 +19,8 @@
 //   - waitpid() status decoding maps SIGSEGV / SIGABRT / SIGKILL (OOM) /
 //     SIGXCPU (RLIMIT_CPU) / nonzero exits into child deaths, which re-run
 //     the same attempt with the same budget;
-//   - when the global deadline passes or the interrupt is raised, every
-//     in-flight child is SIGKILLed and reaped.
+//   - when the interrupt is raised, every in-flight child is SIGKILLed and
+//     reaped.
 //
 // Scheduling model: the parent runs a single-threaded poll() event loop
 // with up to `threads` children in flight. No worker threads exist in
@@ -63,8 +63,8 @@ enum class AttemptEnd {
 
 /// The retry-then-drop ladder of Supervisor::run, shared by the thread pool
 /// and the fork/poll loop: the attempt queue, settling, aborts, the
-/// deadline-and-interrupt check and the per-job accounting. Not
-/// thread-safe; the thread pool calls it under its queue lock.
+/// interrupt check and the per-job accounting. Not thread-safe; the thread
+/// pool calls it under its queue lock.
 class Ladder {
  public:
   Ladder(const SupervisorOptions& opt, std::size_t n, SupervisorStats& stats,
@@ -73,8 +73,8 @@ class Ladder {
   bool idle() const { return queue_.empty(); }
   /// Dequeues the next attempt.
   Attempt next();
-  /// True once the global deadline has passed, the interrupt was raised or
-  /// cancel() was called; latches the supervisor's cancel flag.
+  /// True once the interrupt was raised or cancel() was called; latches the
+  /// supervisor's cancel flag.
   bool cancelled();
   void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
   /// Settles one attempt: an in-band end counts as an attempt and completes
@@ -82,7 +82,7 @@ class Ladder {
   /// same attempt with the same budget. Either ladder drops the job after
   /// max_attempts steps.
   void settle(const Attempt& a, AttemptEnd end, const std::string& error = {});
-  /// Marks the attempt's job aborted by the deadline or interrupt.
+  /// Marks the attempt's job aborted by the interrupt.
   void abort(const Attempt& a);
   void abort_queued();
   /// The per-job reports; records the attempts-per-job histogram.

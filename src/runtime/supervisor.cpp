@@ -30,8 +30,7 @@ Attempt Ladder::next() {
 
 bool Ladder::cancelled() {
   if (cancelled_.load(std::memory_order_relaxed)) return true;
-  if ((opt_.interrupt != nullptr && opt_.interrupt->load(std::memory_order_relaxed)) ||
-      (opt_.has_deadline && std::chrono::steady_clock::now() >= opt_.deadline)) {
+  if (opt_.interrupt != nullptr && opt_.interrupt->load(std::memory_order_relaxed)) {
     cancel();
     return true;
   }

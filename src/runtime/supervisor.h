@@ -34,7 +34,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -96,15 +95,11 @@ struct SupervisorOptions {
   int threads = 1;          // <= 1 runs jobs inline on the calling thread
   int max_attempts = 3;     // in-band attempts (and child deaths) per job before a drop
   JobBudget initial;
-  /// Optional global wall-clock cutoff: jobs not finished when it passes
-  /// are marked aborted (distinct from dropped; the caller must treat the
-  /// whole batch as timed out, not merely unproved). In process mode every
-  /// in-flight child is SIGKILLed and reaped.
-  bool has_deadline = false;
-  std::chrono::steady_clock::time_point deadline{};
-  /// Optional cooperative interrupt (SIGINT/SIGTERM in the CLI). When it
-  /// becomes true, pending jobs are aborted exactly as if the deadline had
-  /// passed; the caller distinguishes the two by inspecting the flag.
+  /// Optional cooperative interrupt (SIGINT/SIGTERM in the CLI). Jobs not
+  /// finished when it becomes true are marked aborted (distinct from
+  /// dropped; the caller must treat the whole batch as interrupted, not
+  /// merely unproved). In process mode every in-flight child is SIGKILLed
+  /// and reaped.
   const std::atomic<bool>* interrupt = nullptr;
   /// Worker isolation. Process mode falls back to Thread (with a warning)
   /// on platforms without fork/waitpid.
@@ -150,8 +145,9 @@ class Supervisor {
 
   const SupervisorStats& stats() const { return stats_; }
 
-  /// True once the global deadline has passed (visible to running jobs, so
-  /// long solver calls can poll it as an interrupt flag).
+  /// True once the interrupt was raised or a CertificationError cancelled
+  /// the batch (visible to running jobs, so long solver calls can poll it
+  /// as an interrupt flag).
   const std::atomic<bool>& cancelled() const { return cancelled_; }
 
  private:

@@ -507,13 +507,9 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions, const So
         cancel_until(0);
         return SolveResult::Unknown;
       }
-      // Wall-clock deadline and cooperative interrupt: sampled every 256
-      // conflicts to keep the clock read off the hot path.
+      // Cooperative interrupt: sampled every 256 conflicts to keep the
+      // atomic loads off the hot path.
       if ((conflicts_ & 0xff) == 0) {
-        if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
-          cancel_until(0);
-          return SolveResult::Unknown;
-        }
         if (limits.interrupt != nullptr && limits.interrupt->load(std::memory_order_relaxed)) {
           cancel_until(0);
           return SolveResult::Unknown;

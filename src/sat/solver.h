@@ -8,7 +8,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -44,9 +43,8 @@ class DratLog;  // sat/dratcheck.h
 
 /// Per-call limits for the supervised proof runtime. The conflict limit is
 /// deterministic (a pure function of the solver run); the interrupt flags
-/// and set_deadline() are not, and callers that need bit-reproducible
-/// verdicts must treat hits on those as "abort everything", never as a
-/// per-candidate verdict.
+/// are not, and callers that need bit-reproducible verdicts must treat a
+/// hit on one as "abort everything", never as a per-candidate verdict.
 struct SolveLimits {
   std::int64_t conflict_budget = -1;     // < 0 = unlimited
   const std::atomic<bool>* interrupt = nullptr;  // cooperative cancel
@@ -73,19 +71,9 @@ class Solver {
   /// Solves under assumptions. conflict_budget < 0 means unlimited.
   SolveResult solve(const std::vector<Lit>& assumptions = {}, std::int64_t conflict_budget = -1);
 
-  /// Solves under a full per-call limit set (returns Unknown on any limit,
-  /// interrupt or a passed set_deadline()).
+  /// Solves under a full per-call limit set (returns Unknown on the
+  /// conflict limit or an interrupt).
   SolveResult solve(const std::vector<Lit>& assumptions, const SolveLimits& limits);
-
-  /// Optional wall-clock deadline applying to every subsequent solve() call:
-  /// once passed, solve() returns Unknown (checked periodically on conflicts,
-  /// so very easy queries may still complete slightly past the deadline).
-  /// Used by the pipeline's per-stage deadlines and the validation miter.
-  void set_deadline(std::chrono::steady_clock::time_point tp) {
-    deadline_ = tp;
-    has_deadline_ = true;
-  }
-  void clear_deadline() { has_deadline_ = false; }
 
   /// Model access after Sat.
   bool model_value(Var v) const { return model_[static_cast<std::size_t>(v)] == LBool::True; }
@@ -171,8 +159,6 @@ class Solver {
   double var_decay_ = 0.95;
   bool ok_ = true;
   int qhead_ = 0;
-  bool has_deadline_ = false;
-  std::chrono::steady_clock::time_point deadline_{};
 
   std::uint64_t conflicts_ = 0;
   std::uint64_t decisions_ = 0;

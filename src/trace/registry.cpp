@@ -12,8 +12,8 @@ constexpr MetricDef kCounterDefs[] = {
     {MetricKind::Counter, "sat.solve_sat", "1", true, "solve calls returning Sat"},
     {MetricKind::Counter, "sat.solve_unsat", "1", true, "solve calls returning Unsat"},
     {MetricKind::Counter, "sat.solve_unknown", "1", true,
-     "solve calls returning Unknown (conflict budget; also deadline "
-     "or interrupt, which make this counter timing-dependent)"},
+     "solve calls returning Unknown (conflict budget; also the interrupt, "
+     "which makes this counter timing-dependent)"},
     {MetricKind::Counter, "sat.conflicts", "1", true, "CDCL conflicts across all solve calls"},
     {MetricKind::Counter, "sat.decisions", "1", true, "branching decisions"},
     {MetricKind::Counter, "sat.propagations", "1", true, "watched-literal propagations"},
@@ -62,7 +62,7 @@ constexpr MetricDef kCounterDefs[] = {
     {MetricKind::Counter, "runtime.job_crashes", "1", true,
      "attempts that threw and were contained by the supervisor"},
     {MetricKind::Counter, "runtime.job_aborts", "jobs", false,
-     "jobs cancelled by the global wall-clock deadline (timing-dependent)"},
+     "jobs cancelled by the interrupt (SIGINT/SIGTERM; timing-dependent)"},
     {MetricKind::Counter, "runtime.worker_busy_micros", "micros", false,
      "summed wall-clock time workers spent executing job attempts"},
     // The runtime.proc.* family tracks process-isolated workers. Child

@@ -1,6 +1,5 @@
 #include "validate/miter.h"
 
-#include <chrono>
 #include <optional>
 
 #include "formal/cnf_encoder.h"
@@ -43,13 +42,11 @@ struct StageOutcome {
 /// all frames go into a single aggregated SAT query.
 StageOutcome run_miter(const Netlist& A, const Netlist& B, const Environment* env_a,
                        const Environment* env_b, const std::vector<NetId>& tie_nets,
-                       const MiterOptions& opt, const char* tag,
-                       std::chrono::steady_clock::time_point deadline, bool has_deadline) {
+                       const MiterOptions& opt, const char* tag) {
   StageOutcome out;
   sat::Solver s;
   std::optional<sat::CertifySession> cert;
   if (opt.certify) cert.emplace(s);
-  if (has_deadline) s.set_deadline(deadline);
 
   FrameEncoder ea(A);
   FrameEncoder eb(B);
@@ -138,7 +135,7 @@ StageOutcome run_miter(const Netlist& A, const Netlist& B, const Environment* en
     }
     case sat::SolveResult::Unknown:
       out.verdict = Verdict::Inconclusive;
-      out.detail = std::string(tag) + " miter: SAT budget/deadline exhausted";
+      out.detail = std::string(tag) + " miter: SAT conflict budget exhausted";
       return out;
   }
   return out;
@@ -153,11 +150,6 @@ MiterResult check_bounded_equivalence(
   MiterResult res;
   res.frames = opt.depth < 1 ? 1 : opt.depth;
 
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(opt.deadline_seconds));
-  const bool has_deadline = opt.deadline_seconds > 0;
-
   // --- stage 1: environment-restricted, original vs rewired ----------------
   // apply_rewiring never renumbers, so both analysis copies share net ids and
   // restrict_fn cuts/constrains the same points in each; the cutpoints are
@@ -168,8 +160,8 @@ MiterResult check_bounded_equivalence(
   apply_rewiring(side_b, proven);
   const RestrictionResult rb = restrict_fn(side_b);
 
-  StageOutcome s1 = run_miter(side_a, side_b, &ra.env, &rb.env, ra.cut_nets, opt, "restricted",
-                              deadline, has_deadline);
+  StageOutcome s1 =
+      run_miter(side_a, side_b, &ra.env, &rb.env, ra.cut_nets, opt, "restricted");
   res.conflicts += s1.conflicts;
   if (s1.verdict == Verdict::Fail) {
     res.verdict = Verdict::Fail;
@@ -183,9 +175,7 @@ MiterResult check_bounded_equivalence(
   // is assumed: any net/gate corruption downstream of rewiring shows here.
   Netlist rewired = design;
   apply_rewiring(rewired, proven);
-  StageOutcome s2 =
-      run_miter(rewired, transformed, nullptr, nullptr, {}, opt, "resynthesis", deadline,
-                has_deadline);
+  StageOutcome s2 = run_miter(rewired, transformed, nullptr, nullptr, {}, opt, "resynthesis");
   res.conflicts += s2.conflicts;
   if (s2.verdict == Verdict::Fail) {
     res.verdict = Verdict::Fail;

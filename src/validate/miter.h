@@ -33,10 +33,9 @@ namespace pdat::validate {
 struct MiterOptions {
   /// Number of unrolled clock frames (t = 0..depth-1) per stage.
   int depth = 4;
-  /// SAT conflict budget per aggregated query; < 0 means unlimited.
+  /// SAT conflict budget per aggregated query (one per stage); < 0 means
+  /// unlimited. A stage that exhausts it is Inconclusive.
   std::int64_t conflict_budget = -1;
-  /// Wall-clock deadline for both stages together; 0 = unlimited.
-  double deadline_seconds = 0;
   /// Certified solving (DESIGN.md §5.10): DRAT-check the aggregated
   /// equivalence verdict of each stage with the independent checker. A
   /// failed check raises CertificationError — a Pass is never reported on

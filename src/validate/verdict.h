@@ -6,7 +6,7 @@ namespace pdat::validate {
 enum class Verdict {
   Pass,          // check ran and found no discrepancy
   Fail,          // check found a concrete unsoundness witness
-  Inconclusive,  // budget/deadline exhausted before a verdict
+  Inconclusive,  // conflict budget exhausted before a verdict
   Skipped,       // check was not requested / not applicable
 };
 

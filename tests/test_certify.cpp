@@ -157,7 +157,7 @@ TEST(CertifyBmc, CertifiedVerdictMatchesPlainVerdict) {
   EXPECT_TRUE(plain.violated);
   EXPECT_EQ(plain.violation_frame, 2);
 
-  const BmcResult certified = bmc_check(nl, env, const0(r.q[1]), 4, -1, 0, /*certify=*/true);
+  const BmcResult certified = bmc_check(nl, env, const0(r.q[1]), 4, -1, /*certify=*/true);
   EXPECT_EQ(certified.violated, plain.violated);
   EXPECT_EQ(certified.violation_frame, plain.violation_frame);
 }
@@ -171,7 +171,7 @@ TEST(CertifyBmc, UnviolatedPropertyCertifiesTheUnsatFrames) {
   b.output("q", r.q);
   Environment env;
   env.add_assume(b.not_(en[0]));
-  EXPECT_FALSE(bmc_check(nl, env, const0(r.q[0]), 8, -1, 0, /*certify=*/true).violated);
+  EXPECT_FALSE(bmc_check(nl, env, const0(r.q[0]), 8, -1, /*certify=*/true).violated);
 }
 
 // --- pipeline + validation miter ---------------------------------------------
@@ -204,7 +204,6 @@ TEST(CertifyPipeline, CorruptedSolverSurfacesAsStageError) {
   PdatOptions opt;
   opt.certify = true;
   opt.induction.test_corrupt_solver = true;
-  opt.strict = false;  // certification failures must throw even when lenient
   // Neuter the simulation filter so the proof stage faces the full (hard)
   // candidate set rather than the 26 propagation-trivial survivors.
   opt.sim.cycles = 0;

@@ -372,45 +372,35 @@ TEST(ProcWorker, CpuLimitKillsASpinningChild) {
   EXPECT_EQ(reports[0].child_deaths, 1) << "SIGXCPU must read as an out-of-band death";
 }
 
-TEST(ProcWorker, DeadlineAndInterruptKillAndReapEveryChild) {
+TEST(ProcWorker, InterruptKillsAndReapsEveryChild) {
   SKIP_WITHOUT_FORK();
-  for (const bool by_interrupt : {false, true}) {
-    std::atomic<bool> interrupt{false};
-    rt::SupervisorOptions o = proc_opts(2);
-    if (by_interrupt) {
-      o.interrupt = &interrupt;
-    } else {
-      o.has_deadline = true;
-      o.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
-    }
-    rt::Supervisor sup(o);
-    std::thread raiser;
-    if (by_interrupt) {
-      raiser = std::thread([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(300));
-        interrupt.store(true);
-      });
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    // Both children sleep through the cutoff without polling anything.
-    const auto reports = sup.run(2, [](std::size_t, int, const rt::JobBudget&, std::string&) {
-      std::this_thread::sleep_for(std::chrono::seconds(60));
-      return rt::JobStatus::Done;
-    });
-    const double took =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    if (raiser.joinable()) raiser.join();
-    EXPECT_LT(took, 10.0) << "the supervisor must not wait out the sleep";
-    for (const auto& r : reports) {
-      EXPECT_TRUE(r.aborted) << "by_interrupt=" << by_interrupt;
-      EXPECT_FALSE(r.completed);
-      EXPECT_EQ(r.child_deaths, 0) << "a kill at the cutoff is an abort, not a death";
-    }
-    EXPECT_TRUE(sup.cancelled().load());
-    errno = 0;
-    EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1) << "every child must have been reaped";
-    EXPECT_EQ(errno, ECHILD);
+  std::atomic<bool> interrupt{false};
+  rt::SupervisorOptions o = proc_opts(2);
+  o.interrupt = &interrupt;
+  rt::Supervisor sup(o);
+  std::thread raiser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    interrupt.store(true);
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  // Both children sleep through the interrupt without polling anything.
+  const auto reports = sup.run(2, [](std::size_t, int, const rt::JobBudget&, std::string&) {
+    std::this_thread::sleep_for(std::chrono::seconds(60));
+    return rt::JobStatus::Done;
+  });
+  const double took =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  raiser.join();
+  EXPECT_LT(took, 10.0) << "the supervisor must not wait out the sleep";
+  for (const auto& r : reports) {
+    EXPECT_TRUE(r.aborted);
+    EXPECT_FALSE(r.completed);
+    EXPECT_EQ(r.child_deaths, 0) << "a kill at the interrupt is an abort, not a death";
   }
+  EXPECT_TRUE(sup.cancelled().load());
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1) << "every child must have been reaped";
+  EXPECT_EQ(errno, ECHILD);
 }
 
 TEST(ProcWorker, CertificationErrorEscapesContainment) {
