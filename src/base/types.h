@@ -23,11 +23,11 @@ class PdatError : public std::runtime_error {
   explicit PdatError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Thrown when certified solving (--certify) cannot vouch for a solver
-/// verdict: a DRAT line fails the independent RUP check, a returned model
-/// falsifies an original clause, or an UNSAT core is not derivable. Never
-/// downgraded to a conservative drop — certification failure means the
-/// solver (or the checker) is wrong, and the pipeline must stop.
+/// Thrown when a proof cannot be vouched for: a --certify DRAT check fails
+/// (a line is not RUP, a model falsifies a clause, an UNSAT core is not
+/// derivable) or the induction engine's independent check refutes the set
+/// it would return. Never downgraded to a conservative drop — the solver,
+/// the checker or the engine is wrong, and the pipeline must stop.
 class CertificationError : public PdatError {
  public:
   explicit CertificationError(const std::string& what) : PdatError(what) {}

@@ -362,13 +362,10 @@ struct Engine {
         return status;
       };
       sat::Solver s = tmpl.s;  // private copy; index-based state, so this is a deep copy
-      std::optional<sat::CertifySession> cert;
-      if (opt.certify) cert.emplace(s);
       if (opt.test_corrupt_solver) s.test_corrupt_next_learnt();
       sat::SolveLimits lim;
       lim.conflict_budget = budget.conflicts;
-      lim.interrupt = &sup.cancelled();
-      lim.interrupt2 = opt.interrupt;
+      lim.interrupt = opt.interrupt;
 
       // Candidates this job has killed, by model or replay, in this attempt
       // or an earlier one. They are out of every hypothesis and query.
@@ -407,9 +404,6 @@ struct Engine {
           const auto us = std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - t0);
           trace::add(trace::Counter::InductionSolveMicrosGlobal,
                      static_cast<std::uint64_t>(us.count()));
-        }
-        if (cert.has_value()) {
-          cert->check(r, assumptions, base ? "induction.base" : "induction.step");
         }
         return r;
       };
@@ -551,6 +545,54 @@ struct Engine {
   }
 };
 
+/// Re-proves the set about to be returned on two fresh solvers, with no
+/// batching, replay, supervisor, journal or conflict budget: base from reset
+/// and one mutual k-induction step. Throws CertificationError on a
+/// violation; returns false when the interrupt stopped a solve.
+bool check_returned_set(const FrameEncoder& enc, const Environment& env,
+                        const std::vector<GateProperty>& set, const InductionOptions& opt) {
+  trace::Span span("induction.check", {"properties", static_cast<std::int64_t>(set.size())});
+  if (set.empty()) return true;
+  const int k = opt.k < 1 ? 1 : opt.k;
+  sat::SolveLimits lim;
+  lim.interrupt = opt.interrupt;
+  for (const bool base : {true, false}) {
+    sat::Solver s;
+    std::optional<sat::CertifySession> cert;
+    if (opt.certify) cert.emplace(s);
+    if (opt.test_corrupt_solver) s.test_corrupt_next_learnt();
+    const std::vector<Frame> frames = enc.unroll(s, base ? k : k + 1, base, env.assumes);
+    const std::span<const Frame> all(frames);
+    const std::span<const Frame> checked = base ? all : all.last(1);
+    if (!base) {
+      for (const GateProperty& p : set) {
+        for (const Lit h : make_hypothesis(s, p, all.first(static_cast<std::size_t>(k)))) {
+          s.add_clause(h);
+        }
+      }
+    }
+    std::vector<Lit> any;
+    for (const GateProperty& p : set) {
+      for (const Frame& f : checked) any.push_back(make_violation_aux(s, p, f));
+    }
+    s.add_clause(any);
+    const SolveResult r = s.solve({}, lim);
+    const char* what = base ? "induction.check.base" : "induction.check.step";
+    if (cert.has_value()) cert->check(r, {}, what);
+    if (r == SolveResult::Unknown) return false;
+    if (r == SolveResult::Sat) {
+      std::string which;
+      for (const GateProperty& p : set) {
+        for (const Frame& f : checked) {
+          if (which.empty() && violated_in_model(s, p, f)) which = p.describe();
+        }
+      }
+      throw CertificationError(std::string(what) + ": " + which + " is violated");
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment& env,
@@ -656,16 +698,7 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
     }
   }
 
-  // An interrupt leaves the survivor set unproved: return nothing rather
-  // than an unsound partial result. Completed rounds remain in the journal
-  // for a later resume.
-  if (st.interrupted) {
-    log_warn() << "induction: interrupted before the fixpoint closed; proving nothing"
-               << (journal ? " (journal retains completed rounds for resume)" : "");
-    if (stats != nullptr) *stats = st;
-    return {};
-  }
-  if (popcount(eng.alive) == 0 && !finished) {
+  if (!st.interrupted && popcount(eng.alive) == 0 && !finished) {
     // Everything died before a no-kill round could certify a fixpoint; the
     // empty set is trivially inductive.
     checkpoint(runtime::kProofRecFinal, st.rounds - 1);
@@ -674,6 +707,17 @@ std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment&
   std::vector<GateProperty> proven;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (eng.alive[i]) proven.push_back(candidates[i]);
+  }
+
+  // Every path that returns a set, a final journal record's included,
+  // re-proves it first. An interrupt before or during that check returns
+  // nothing; completed rounds remain in the journal for a later resume.
+  if (!interrupted() && !check_returned_set(eng.enc, env, proven, opt)) st.interrupted = true;
+  if (st.interrupted) {
+    log_warn() << "induction: interrupted before the proof completed; proving nothing"
+               << (journal ? " (journal retains completed rounds for resume)" : "");
+    if (stats != nullptr) *stats = st;
+    return {};
   }
   st.proven = proven.size();
   span.arg("proven", static_cast<std::int64_t>(proven.size()));

@@ -48,8 +48,12 @@
 // analyses merely reduce optimization quality). A job attempt hands its new
 // state back as bytes that the supervisor applies before settling the
 // attempt, in thread and process isolation alike, so both modes merge the
-// same states. A round with no kills and no drops certifies the surviving
-// set mutually k-inductive.
+// same states. A round with no kills and no drops closes the fixpoint.
+//
+// Every returned set, a final journal record's included, is re-proved by an
+// independent check on two fresh solvers (DESIGN.md §5.1 step 5), so a bug
+// in batching, the merge, retraction or resume can cost proofs or fail the
+// check (CertificationError), never return an unproved property.
 //
 // Checkpoint/resume: with `journal_path` set, the engine appends a
 // checksummed record after the base case and after every completed round;
@@ -88,24 +92,24 @@ struct InductionOptions {
   /// drive randomly when no environment driver owns them.
   std::vector<NetId> sim_free_nets;
   std::uint64_t seed = 0xCE7;
-  /// Optional cooperative interrupt (SIGINT/SIGTERM in the CLI). When it
-  /// becomes true, the fixpoint aborts conservatively: nothing is proved
-  /// (stats->interrupted is set), never a partially-checked survivor set —
-  /// but completed rounds stay in the journal, so a later resume_from run
-  /// continues instead of starting over.
+  /// Optional cooperative interrupt (SIGINT/SIGTERM in the CLI), the only
+  /// stop of the independent check. When it becomes true, the proof aborts
+  /// conservatively: nothing is proved (stats->interrupted is set), never a
+  /// partially-checked survivor set — but completed rounds stay in the
+  /// journal, so a later resume_from run continues instead of starting over.
   const std::atomic<bool>* interrupt = nullptr;
 
   // --- certified solving (DESIGN.md §5.10) ----------------------------------
-  /// Attach a DRAT certificate pipeline to every proof-job solver: each SAT
-  /// call's verdict is re-checked by the independent checker
-  /// (src/sat/dratcheck.h) before it is allowed to kill or keep a candidate.
-  /// A certificate that fails to check raises CertificationError out of
-  /// prove_invariants — never a silently wrong survivor set. Verdicts and
+  /// Attach a DRAT certificate pipeline to the independent check's two
+  /// solvers, the only verdicts that let a candidate be returned (a wrong
+  /// proof-job verdict can only cost proofs or fail the check). A
+  /// certificate that fails the independent checker (src/sat/dratcheck.h)
+  /// raises CertificationError out of prove_invariants. Verdicts and
   /// reports are byte-identical with certification on or off; only the
   /// cert.* telemetry and runtime differ.
   bool certify = false;
   /// Test-only: arm Solver::test_corrupt_next_learnt() on every proof-job
-  /// solver, so each job mis-learns one clause. Tests combine it with
+  /// and check solver, so each mis-learns one clause. Tests combine it with
   /// `certify` to prove the checker catches an unsound solver end to end;
   /// without `certify` it demonstrates what silent corruption looks like.
   bool test_corrupt_solver = false;
@@ -116,7 +120,7 @@ struct InductionOptions {
   int threads = 1;
   /// Candidates per proof job. Smaller batches isolate pathological queries
   /// better and parallelize wider; larger batches amortize the CNF template
-  /// copy and the per-job certification solve. Does NOT affect which
+  /// copy and the per-job hypothesis clauses. Does NOT affect which
   /// properties get proved... except through budget exhaustion, which is why
   /// it is part of the resume fingerprint.
   int batch_size = 2048;
@@ -152,7 +156,8 @@ struct InductionOptions {
   /// over the netlist's structure, the environment's assume nets, the
   /// candidate list, and every verdict-affecting option above. May equal
   /// journal_path, in which case new records are appended after the valid
-  /// prefix (a torn tail from the crash is truncated).
+  /// prefix (a torn tail from the crash is truncated). A final record's set
+  /// is still re-proved by the independent check.
   std::string resume_from;
 };
 
@@ -160,12 +165,12 @@ struct InductionStats {
   std::size_t initial = 0;
   std::size_t after_base = 0;
   std::size_t proven = 0;
-  std::size_t sat_calls = 0;
+  std::size_t sat_calls = 0;  // fixpoint SAT calls; the independent check's two are not counted
   std::size_t cex_kills = 0;
   std::size_t budget_kills = 0;
   int rounds = 0;
-  /// The interrupt was raised before the fixpoint closed; the proved set is
-  /// empty (aborting mid-fixpoint must not ship unproved survivors).
+  /// The interrupt was raised before the independent check passed; the
+  /// proved set is empty (an aborted proof must not ship unproved survivors).
   bool interrupted = false;
   // Supervised-runtime accounting.
   std::size_t job_retries = 0;   // re-dispatches with an escalated budget
@@ -179,7 +184,8 @@ struct InductionStats {
   int resumed_from_round = -2;
 };
 
-/// Returns the proved subset of `candidates` (input order preserved).
+/// Returns the proved subset of `candidates` (input order preserved), or
+/// throws CertificationError when the independent check refutes it.
 std::vector<GateProperty> prove_invariants(const Netlist& nl, const Environment& env,
                                            std::vector<GateProperty> candidates,
                                            const InductionOptions& opt = {},

@@ -51,10 +51,12 @@ struct PdatOptions {
   /// Free-form label stamped into metrics.json ("" = unlabeled).
   std::string run_label;
   /// Certified solving (paranoid mode, DESIGN.md §5.10): every SAT verdict
-  /// that can keep a candidate alive or pass validation — induction proof
-  /// jobs and the equivalence miter — is DRAT-checked by the independent
-  /// in-tree checker before it is acted on. The environment vacuity check
-  /// stays uncertified (both of its failure directions are fail-safe).
+  /// that can let a proved property through or pass validation — the two
+  /// solves of the induction engine's independent check and the
+  /// equivalence miter — is DRAT-checked by the independent in-tree checker
+  /// before it is acted on. Proof-job solves only schedule work and stay
+  /// uncertified, as does the environment vacuity check (both of its
+  /// failure directions are fail-safe).
   /// Forwards into `induction.certify` and `validate.miter.certify`. A
   /// certificate that fails to check raises StageError, never a
   /// degradation: no gate is ever removed on the strength of an

@@ -6,8 +6,8 @@
 // a final record once the fixpoint closes. Resuming replays the valid
 // prefix: a fingerprint mismatch or an empty/headerless journal is a
 // configuration error (never a silent fresh start), a torn tail costs at
-// most the round being written, and a final record short-circuits the whole
-// proof. Round records store the cumulative engine statistics so a resumed
+// most the round being written, and a final record skips the fixpoint (the
+// engine still re-proves its set). Round records store the cumulative engine statistics so a resumed
 // run reports the same funnel numbers as an uninterrupted one.
 #pragma once
 

@@ -30,12 +30,11 @@ constexpr int kChildExitWriteFailed = 81;  // result pipe write failed in the ch
 
 // Pipe record types. The request carries (job, attempt, budget, consumed
 // child_entry failpoint spec); every result carries the child's telemetry
-// delta, then the job state (Done/Retry) or an error message (Crash/Fatal).
+// delta, then the job state (Done/Retry) or an error message (Crash).
 constexpr std::uint32_t kReqJob = 1;
 constexpr std::uint32_t kResDone = 2;
 constexpr std::uint32_t kResRetry = 3;
 constexpr std::uint32_t kResCrash = 4;
-constexpr std::uint32_t kResFatal = 5;
 
 struct ChildProc {
   pid_t pid = -1;
@@ -242,10 +241,6 @@ std::string encode_request(const Attempt& a, const std::string& entry_spec) {
     std::string state;
     const JobStatus status = fn(a.job, a.attempt, a.budget, state);
     child_exit(res_fd, status == JobStatus::Done ? kResDone : kResRetry, start, state);
-  } catch (const CertificationError& e) {
-    // Not contained (see supervisor.h): surface in-band so the parent can
-    // cancel the batch and rethrow.
-    child_exit(res_fd, kResFatal, start, e.what());
   } catch (const std::exception& e) {
     child_exit(res_fd, kResCrash, start, e.what());
   } catch (...) {
@@ -264,7 +259,6 @@ void run_process_pool(Ladder& ladder, const SupervisorOptions& opt, const JobFn&
 
   std::vector<ChildProc> inflight;
   const std::size_t max_children = opt.threads < 1 ? 1 : static_cast<std::size_t>(opt.threads);
-  std::exception_ptr fatal;
 
   const auto spawn = [&](const Attempt& a) {
     // Consume a child_entry injection in the *parent* so a `:count` bound
@@ -347,18 +341,13 @@ void run_process_pool(Ladder& ladder, const SupervisorOptions& opt, const JobFn&
       type = 0;
       decode_error = e.what();
     }
-    if (type < kResDone || type > kResFatal) {
+    if (type < kResDone || type > kResCrash) {
       std::string error = describe_wait_status(status);
       if (!decode_error.empty()) error += " [" + decode_error + "]";
       ladder.settle(c.a, AttemptEnd::Death, error);
       return;
     }
     trace::add(trace::Counter::RuntimeProcResults, 1);
-    if (type == kResFatal) {
-      if (!fatal) fatal = std::make_exception_ptr(CertificationError(body));
-      ladder.cancel();
-      return;
-    }
     if (type == kResCrash) {
       ladder.settle(c.a, AttemptEnd::Crash, body);
       return;
@@ -372,20 +361,16 @@ void run_process_pool(Ladder& ladder, const SupervisorOptions& opt, const JobFn&
     ladder.settle(c.a, type == kResDone ? AttemptEnd::Done : AttemptEnd::Retry);
   };
 
-  const auto kill_all_inflight = [&](bool mark_aborted) {
-    for (ChildProc& c : inflight) {
-      ::kill(c.pid, SIGKILL);
-      ::close(c.res_fd);
-      reap(c.pid);
-      if (mark_aborted) ladder.abort(c.a);
-    }
-    inflight.clear();
-  };
-
   while (!ladder.idle() || !inflight.empty()) {
-    if (fatal != nullptr) break;
-    if (ladder.cancelled()) {
-      kill_all_inflight(/*mark_aborted=*/true);
+    if (ladder.interrupted()) {
+      // Kill, reap and abort every in-flight child, then the queue.
+      for (ChildProc& c : inflight) {
+        ::kill(c.pid, SIGKILL);
+        ::close(c.res_fd);
+        reap(c.pid);
+        ladder.abort(c.a);
+      }
+      inflight.clear();
       ladder.abort_queued();
       break;
     }
@@ -420,10 +405,6 @@ void run_process_pool(Ladder& ladder, const SupervisorOptions& opt, const JobFn&
       inflight.erase(inflight.begin() + static_cast<std::ptrdiff_t>(*it));
       finalize(c);
     }
-  }
-  if (fatal != nullptr) {
-    kill_all_inflight(/*mark_aborted=*/false);
-    std::rethrow_exception(fatal);
   }
 }
 

@@ -15,7 +15,9 @@
 //     trusted;
 //   - every result record (done, retry, crash) carries the attempt's state
 //     bytes or error and the telemetry the child added, so the parent
-//     applies exactly what a thread-mode attempt would have;
+//     applies exactly what a thread-mode attempt would have; any exception
+//     the job throws comes back as a crash record, so no exception escapes
+//     containment in either mode;
 //   - waitpid() status decoding maps SIGSEGV / SIGABRT / SIGKILL (OOM) /
 //     SIGXCPU (RLIMIT_CPU) / nonzero exits into child deaths, which re-run
 //     the same attempt with the same budget;
@@ -36,7 +38,6 @@
 // parent-owned files.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -67,16 +68,14 @@ enum class AttemptEnd {
 /// pool calls it under its queue lock.
 class Ladder {
  public:
-  Ladder(const SupervisorOptions& opt, std::size_t n, SupervisorStats& stats,
-         std::atomic<bool>& cancelled);
+  Ladder(const SupervisorOptions& opt, std::size_t n, SupervisorStats& stats);
 
   bool idle() const { return queue_.empty(); }
   /// Dequeues the next attempt.
   Attempt next();
-  /// True once the interrupt was raised or cancel() was called; latches the
-  /// supervisor's cancel flag.
-  bool cancelled();
-  void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
+  bool interrupted() const {
+    return opt_.interrupt != nullptr && opt_.interrupt->load(std::memory_order_relaxed);
+  }
   /// Settles one attempt: an in-band end counts as an attempt and completes
   /// the job or re-queues it with an escalated budget; a death re-queues the
   /// same attempt with the same budget. Either ladder drops the job after
@@ -93,7 +92,6 @@ class Ladder {
 
   const SupervisorOptions& opt_;
   SupervisorStats& stats_;
-  std::atomic<bool>& cancelled_;
   std::deque<Attempt> queue_;
   std::vector<JobReport> reports_;
 };
@@ -103,9 +101,7 @@ class Ladder {
 bool process_isolation_supported();
 
 /// The process-mode dispatch loop. Called by Supervisor::run — use that
-/// entry point, not this one. Runs `ladder` to completion; throws
-/// CertificationError when a child reports one (after killing the
-/// remaining children).
+/// entry point, not this one. Runs `ladder` to completion.
 void run_process_pool(Ladder& ladder, const SupervisorOptions& opt, const JobFn& fn,
                       const ApplyFn& apply);
 

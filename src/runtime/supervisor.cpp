@@ -1,5 +1,6 @@
 #include "runtime/supervisor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
@@ -7,7 +8,6 @@
 #include <thread>
 
 #include "base/log.h"
-#include "base/types.h"
 #include "runtime/procworker.h"
 #include "trace/trace.h"
 
@@ -15,9 +15,8 @@ namespace pdat::runtime {
 
 // --- the attempt ladder ------------------------------------------------------
 
-Ladder::Ladder(const SupervisorOptions& opt, std::size_t n, SupervisorStats& stats,
-               std::atomic<bool>& cancelled)
-    : opt_(opt), stats_(stats), cancelled_(cancelled), reports_(n) {
+Ladder::Ladder(const SupervisorOptions& opt, std::size_t n, SupervisorStats& stats)
+    : opt_(opt), stats_(stats), reports_(n) {
   for (std::size_t j = 0; j < n; ++j) queue_.push_back({j, 1, opt.initial});
 }
 
@@ -26,15 +25,6 @@ Attempt Ladder::next() {
   queue_.pop_front();
   trace::observe(trace::Histogram::RuntimeQueueDepth, queue_.size());
   return a;
-}
-
-bool Ladder::cancelled() {
-  if (cancelled_.load(std::memory_order_relaxed)) return true;
-  if (opt_.interrupt != nullptr && opt_.interrupt->load(std::memory_order_relaxed)) {
-    cancel();
-    return true;
-  }
-  return false;
 }
 
 void Ladder::drop(JobReport& r) {
@@ -109,7 +99,7 @@ std::vector<JobReport> Ladder::finish() {
 namespace {
 
 /// Runs one attempt on this thread: the job, then the apply of its state.
-/// CertificationError propagates; every other exception is a crash.
+/// Every exception is a contained crash.
 AttemptEnd run_attempt(const Attempt& a, const JobFn& fn, const ApplyFn& apply,
                        std::string& error) {
   trace::Span job_span("runtime.job", {"job", static_cast<std::int64_t>(a.job)},
@@ -119,8 +109,6 @@ AttemptEnd run_attempt(const Attempt& a, const JobFn& fn, const ApplyFn& apply,
     const JobStatus status = fn(a.job, a.attempt, a.budget, state);
     if (apply) apply(a.job, state);
     return status == JobStatus::Done ? AttemptEnd::Done : AttemptEnd::Retry;
-  } catch (const CertificationError&) {
-    throw;
   } catch (const std::exception& e) {
     error = e.what();
   } catch (...) {
@@ -129,12 +117,12 @@ AttemptEnd run_attempt(const Attempt& a, const JobFn& fn, const ApplyFn& apply,
   return AttemptEnd::Crash;
 }
 
-void run_thread_pool(Ladder& ladder, int threads, const JobFn& fn, const ApplyFn& apply) {
+/// Runs the ladder on `workers` threads; 1 runs it inline.
+void run_thread_pool(Ladder& ladder, std::size_t workers, const JobFn& fn, const ApplyFn& apply) {
   std::mutex mu;
   std::condition_variable cv;
   std::size_t inflight = 0;
   bool all_done = false;
-  std::exception_ptr fatal;  // CertificationError escapes containment
 
   const auto worker = [&] {
     std::unique_lock<std::mutex> lock(mu);
@@ -142,7 +130,7 @@ void run_thread_pool(Ladder& ladder, int threads, const JobFn& fn, const ApplyFn
       cv.wait(lock, [&] { return all_done || !ladder.idle(); });
       if (all_done) return;
       const Attempt a = ladder.next();
-      if (ladder.cancelled()) {
+      if (ladder.interrupted()) {
         ladder.abort(a);
       } else {
         ++inflight;
@@ -151,21 +139,7 @@ void run_thread_pool(Ladder& ladder, int threads, const JobFn& fn, const ApplyFn
         std::chrono::steady_clock::time_point t0;
         if (busy_timing) t0 = std::chrono::steady_clock::now();
         std::string error;
-        AttemptEnd end = AttemptEnd::Crash;
-        try {
-          end = run_attempt(a, fn, apply, error);
-        } catch (const CertificationError&) {
-          // Not contained: a failed certificate means the solver is
-          // unsound, so retrying or dropping this job would mask a bug
-          // that invalidates every other verdict too. Cancel the batch
-          // and rethrow from run().
-          lock.lock();
-          if (!fatal) fatal = std::current_exception();
-          ladder.cancel();
-          all_done = true;
-          cv.notify_all();
-          return;
-        }
+        const AttemptEnd end = run_attempt(a, fn, apply, error);
         if (busy_timing) {
           trace::add(trace::Counter::RuntimeWorkerBusyMicros,
                      static_cast<std::uint64_t>(
@@ -186,27 +160,25 @@ void run_thread_pool(Ladder& ladder, int threads, const JobFn& fn, const ApplyFn
     }
   };
 
-  if (threads <= 1) {
+  if (workers <= 1) {
     worker();
   } else {
     std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    pool.reserve(workers);
+    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
   }
-  if (fatal) std::rethrow_exception(fatal);
 }
 
 }  // namespace
 
 std::vector<JobReport> Supervisor::run(std::size_t n, const JobFn& fn, const ApplyFn& apply) {
-  cancelled_.store(false, std::memory_order_relaxed);
   if (n == 0) return {};
   trace::Span run_span("runtime.run", {"jobs", static_cast<std::int64_t>(n)},
                        {"threads", opt_.threads});
   trace::add(trace::Counter::RuntimeJobsDispatched, n);
 
-  Ladder ladder(opt_, n, stats_, cancelled_);
+  Ladder ladder(opt_, n, stats_);
   bool process = opt_.isolation == Isolation::Process;
   if (process && !process_isolation_supported()) {
     log_warn() << "runtime: process isolation is not supported on this platform; "
@@ -216,7 +188,8 @@ std::vector<JobReport> Supervisor::run(std::size_t n, const JobFn& fn, const App
   if (process) {
     run_process_pool(ladder, opt_, fn, apply);
   } else {
-    run_thread_pool(ladder, opt_.threads, fn, apply);
+    // No more workers than jobs: a phase of n jobs keeps at most n busy.
+    run_thread_pool(ladder, std::min<std::size_t>(n, std::max(opt_.threads, 1)), fn, apply);
   }
   return ladder.finish();
 }

@@ -9,17 +9,15 @@
 // are not proved). An attempt that throws is contained the same way: the
 // exception is recorded, the worker survives, and the job is retried or
 // dropped — one pathological SAT query degrades that job, never the run.
+// No exception escapes, in either isolation mode: the proof engine re-proves
+// the set it returns outside the runtime (DESIGN.md §5.7), so a wrong or
+// lost job verdict can cost proofs, never soundness.
 //
 // One result path: an attempt writes the job's new state into its `state`
 // bytes, and run() hands those bytes to the caller's ApplyFn before it
 // settles the attempt, in either isolation mode. An attempt that throws
 // applies nothing, so the retry starts from the state the last settled
 // attempt left.
-//
-// The one exception to containment is CertificationError: a certificate
-// that fails to check is evidence the solver (not the job) is unsound, so
-// retrying cannot help and degrading would hide it. The batch is cancelled
-// and run() rethrows the error to the caller.
 //
 // Determinism contract: the supervisor makes no result decisions — it only
 // schedules. As long as each job is a pure function of (job index, applied
@@ -145,15 +143,9 @@ class Supervisor {
 
   const SupervisorStats& stats() const { return stats_; }
 
-  /// True once the interrupt was raised or a CertificationError cancelled
-  /// the batch (visible to running jobs, so long solver calls can poll it
-  /// as an interrupt flag).
-  const std::atomic<bool>& cancelled() const { return cancelled_; }
-
  private:
   SupervisorOptions opt_;
   SupervisorStats stats_;
-  std::atomic<bool> cancelled_{false};
 };
 
 }  // namespace pdat::runtime

@@ -514,10 +514,6 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions, const So
           cancel_until(0);
           return SolveResult::Unknown;
         }
-        if (limits.interrupt2 != nullptr && limits.interrupt2->load(std::memory_order_relaxed)) {
-          cancel_until(0);
-          return SolveResult::Unknown;
-        }
       }
       if (conflicts_ - restart_base >= restart_limit) {
         ++restart_idx;

@@ -42,16 +42,12 @@ enum class SolveResult { Sat, Unsat, Unknown };
 class DratLog;  // sat/dratcheck.h
 
 /// Per-call limits for the supervised proof runtime. The conflict limit is
-/// deterministic (a pure function of the solver run); the interrupt flags
-/// are not, and callers that need bit-reproducible verdicts must treat a
-/// hit on one as "abort everything", never as a per-candidate verdict.
+/// deterministic (a pure function of the solver run); the interrupt flag
+/// is not, and callers that need bit-reproducible verdicts must treat a
+/// hit on it as "abort everything", never as a per-candidate verdict.
 struct SolveLimits {
   std::int64_t conflict_budget = -1;     // < 0 = unlimited
-  const std::atomic<bool>* interrupt = nullptr;  // cooperative cancel
-  /// Second cancel source, checked alongside `interrupt`. Lets a job wire
-  /// both the supervisor's batch-cancel flag and a process-level
-  /// SIGINT/SIGTERM flag without multiplexing them through one atomic.
-  const std::atomic<bool>* interrupt2 = nullptr;
+  const std::atomic<bool>* interrupt = nullptr;  // cooperative cancel (SIGINT/SIGTERM)
 };
 
 class Solver {

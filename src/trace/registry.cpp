@@ -156,6 +156,8 @@ constexpr MetricDef kSpanDefs[] = {
      "base-case phase (args: alive, killed)"},
     {MetricKind::Span, "induction.round", "span", false,
      "one step round (args: round, alive, killed)"},
+    {MetricKind::Span, "induction.check", "span", false,
+     "independent base + step re-proof of the set about to be returned (args: properties)"},
     {MetricKind::Span, "runtime.run", "span", false,
      "Supervisor::run batch (args: jobs, threads)"},
     {MetricKind::Span, "runtime.job", "span", false,

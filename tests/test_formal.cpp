@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 
 #include "formal/bmc.h"
 #include "formal/candidates.h"
@@ -506,7 +507,20 @@ TEST(Induction, InterruptAbortsProvingNothing) {
   EXPECT_EQ(st.proven, 0u);
 
   // Control: the same run without the interrupt proves all four bits.
-  EXPECT_EQ(prove_invariants(nl, env, cands).size(), 4u);
+  const std::string journal =
+      (std::filesystem::temp_directory_path() / "pdat_formal_interrupt.jrn").string();
+  InductionOptions journaled;
+  journaled.journal_path = journal;
+  EXPECT_EQ(prove_invariants(nl, env, cands, journaled).size(), 4u);
+
+  // Resumed from that finished journal, the interrupt still proves nothing.
+  InductionOptions resumed = opt;
+  resumed.resume_from = journal;
+  InductionStats rst;
+  EXPECT_TRUE(prove_invariants(nl, env, cands, resumed, &rst).empty());
+  EXPECT_TRUE(rst.interrupted);
+  EXPECT_EQ(rst.proven, 0u);
+  std::filesystem::remove(journal);
 }
 
 // --- simulation filter ----------------------------------------------------------

