@@ -3,7 +3,10 @@
 // exhausting it merely keeps gates (less optimization, never wrong results).
 // Sweeps the conflict budget on the Ibex RV32i reduction and reports the
 // optimization-quality/runtime trade-off, plus property-checking runtime
-// across the three design sizes.
+// across the three design sizes. Exits 1 when the sweep does not show the
+// claimed shape. Budgets of 10 conflicts and more drop nothing on Ibex, so
+// the sweep reaches down to 1.
+#include <cstdint>
 #include <iostream>
 
 #include "bench_util.h"
@@ -19,13 +22,26 @@ int main() {
 
   std::cout << "== Scalability: conflict-budget sweep (Ibex, RV32i subset) ==\n";
   std::cout << "budget      proven   budget_kills   gates_after   seconds\n";
-  for (std::int64_t budget : {200L, 2000L, 20000L, 200000L}) {
+  // The shape holds when, as the budget shrinks, proofs never increase and
+  // drops never decrease, and some budget drops candidates.
+  bool drops = false;
+  bool monotone = true;
+  std::size_t prev_proven = 0, prev_kills = SIZE_MAX;
+  for (std::int64_t budget : {1L, 2L, 5L, 10L, 200L, 200000L}) {
     PdatOptions opt;
     opt.induction.conflict_budget = budget;
     Timer t;
     const PdatResult res = pdat_ibex(core, subset, opt);
     std::printf("%-10lld %7zu %14zu %13zu %9.1f\n", static_cast<long long>(budget), res.proven,
                 res.induction.budget_kills, res.gates_after, t.seconds());
+    if (res.proven < prev_proven || res.induction.budget_kills > prev_kills) monotone = false;
+    drops = drops || res.induction.budget_kills > 0;
+    prev_proven = res.proven;
+    prev_kills = res.induction.budget_kills;
+  }
+  if (!drops || !monotone) {
+    std::cout << "FAIL: the sweep above does not show the shape\n";
+    return 1;
   }
   std::cout << "(shape: smaller budgets -> more inconclusive candidates dropped ->\n"
                " fewer gates removed, but always a correct netlist)\n\n";

@@ -50,7 +50,7 @@ int main() {
     opt.validate.enabled = true;
     opt.validate.miter.depth = v.depth;
     opt.validate.miter.conflict_budget = v.conflict_budget;
-    if (v.lockstep) opt.validate.lockstep = validate::rv32_lockstep_fn(true);
+    if (v.lockstep) opt.validate.lockstep = validate::rv32_lockstep_fn();
     std::cerr << "[bench] " << v.label << "...\n";
     Timer t;
     const PdatResult res = run_pdat(core.netlist, restrict_fn, opt);
@@ -71,7 +71,7 @@ int main() {
   // At a 2-cycle activation horizon most randomly chosen proofs sit too deep
   // in the pipeline to reach an output; more retries find the shallow ones.
   copt.max_attempts = 256;
-  copt.lockstep = validate::rv32_lockstep_fn(true);
+  copt.lockstep = validate::rv32_lockstep_fn();
   Timer t_camp;
   const validate::CampaignResult camp =
       validate::run_fault_campaign(core.netlist, base.transformed, base.proven_props,

@@ -15,7 +15,8 @@
 //         mibench-<group>.
 //
 // flags:
-//   --threads=N         proof-job worker threads (bit-identical results for any N)
+//   --threads=N         proof-job and fuzzing worker threads (bit-identical results
+//                       and fuzz artifacts for any N)
 //   --journal=PATH      checkpoint each proof round to a crash-tolerant journal
 //   --resume=PATH       resume from PATH's last complete round (may equal --journal
 //                       to continue the same file in place)
@@ -34,9 +35,7 @@
 //   --list-failpoints   print the fault-injection sites (PDAT_FAILPOINTS) and exit
 //   --fuzz=N            after reduction, run N programs in lockstep on the ISS and
 //                       both cores (docs/fuzzing.md); a divergence rejects the core
-//   --fuzz-seed=S       master fuzzing seed (default 1); artifacts are
-//                       byte-identical for a fixed seed at any --fuzz-threads
-//   --fuzz-threads=N    fuzzing worker threads (default 1)
+//   --fuzz-seed=S       master fuzzing seed (default 1)
 //   --fuzz-dir=PATH     write the corpus, coverage report and shrunk reproducers
 //   --fuzz-replay=FILE  replay one .prog reproducer after reduction
 //   --fuzz-baseline     with --fuzz=N: skip the reduction and fuzz the original core
@@ -112,10 +111,10 @@ struct Flow {
 template <class Generator, class Oracle, class Subset>
 void bind_fuzz(Flow& f, const Subset& subset,
                fuzz::FuzzStats (*entry)(const Subset&, const Netlist&, const Netlist*,
-                                        const fuzz::FuzzOptions&, const fuzz::GenOptions&)) {
+                                        const fuzz::FuzzOptions&)) {
   f.fuzz = [subset, entry](const Netlist& design, const Netlist* reduced,
                            const fuzz::FuzzOptions& fo) {
-    return entry(subset, design, reduced, fo, {});
+    return entry(subset, design, reduced, fo);
   };
   f.replay = [subset](const Netlist& design, const Netlist& reduced, const fuzz::AbsProgram& p) {
     const Generator gen(subset);
@@ -362,7 +361,10 @@ int main(int argc, char** argv) {
     };
   };
   const std::pair<std::string_view, std::function<bool(std::string_view)>> flags[] = {
-      {"--threads=", number(opt.induction.threads)},
+      {"--threads=",
+       [&](std::string_view v) {
+         return parse_number(v, opt.induction.threads) && parse_number(v, opt.fuzz.threads);
+       }},
       {"--isolation=",
        [&](std::string_view v) {
          opt.induction.isolation =
@@ -389,7 +391,6 @@ int main(int argc, char** argv) {
       {"--certify", set(opt.certify, true)},
       {"--fuzz=", number(opt.fuzz.iterations)},
       {"--fuzz-seed=", number(opt.fuzz.seed)},
-      {"--fuzz-threads=", number(opt.fuzz.threads)},
       {"--fuzz-dir=", text(opt.fuzz.out_dir)},
       {"--fuzz-replay=", text(fuzz_replay)},
       {"--fuzz-baseline", set(fuzz_baseline, true)},

@@ -21,7 +21,7 @@ SimFilterResult sim_filter(const Netlist& nl, const Environment& env,
   for (int r = 0; r < opt.restarts; ++r) {
     sim.reset();
     for (int cyc = 0; cyc < opt.cycles; ++cyc) {
-      drive_inputs(nl, env, sim, rng, opt.free_nets);
+      drive_inputs(nl, env, sim, rng);
       sim.eval();
       if (!assumes_hold(sim, env)) {
         ++res.assume_violation_cycles;
@@ -51,28 +51,29 @@ SimFilterResult sim_filter(const Netlist& nl, const Environment& env,
 }
 
 std::vector<GateProperty> equivalence_candidates(const Netlist& nl, const Environment& env,
-                                                 const EquivCandidateOptions& opt) {
+                                                 std::size_t design_nets,
+                                                 const SimFilterOptions& opt) {
+  constexpr std::size_t kMaxClassSize = 64;  // ignore huge signature classes
   trace::Span span("candidates.equivalence");
   const Levelization lv = levelize(nl);
   BitSim sim(nl);
-  Rng rng(opt.sim.seed ^ 0xE9);
+  Rng rng(opt.seed ^ 0xE9);
 
-  // Candidate nets: outputs of design cells (not ties, not constraint logic).
+  // Candidate nets: design-net outputs of non-tie cells.
   std::vector<NetId> nets;
   for (CellId id : nl.live_cells()) {
-    if (opt.cell_limit != kNoCell && id >= opt.cell_limit) continue;
     const Cell& c = nl.cell(id);
-    if (cell_is_const(c.kind)) continue;
+    if (cell_is_const(c.kind) || c.out >= design_nets) continue;
     nets.push_back(c.out);
   }
 
   // Signatures: multiply-xor fold of the sampled 64-slot words over all
   // environment-consistent cycles.
   std::vector<std::uint64_t> sig(nl.num_nets(), 0x9e3779b97f4a7c15ULL);
-  for (int r = 0; r < opt.sim.restarts; ++r) {
+  for (int r = 0; r < opt.restarts; ++r) {
     sim.reset();
-    for (int cyc = 0; cyc < opt.sim.cycles; ++cyc) {
-      drive_inputs(nl, env, sim, rng, opt.sim.free_nets);
+    for (int cyc = 0; cyc < opt.cycles; ++cyc) {
+      drive_inputs(nl, env, sim, rng);
       sim.eval();
       if (assumes_hold(sim, env)) {
         for (NetId n : nets) {
@@ -93,7 +94,7 @@ std::vector<GateProperty> equivalence_candidates(const Netlist& nl, const Enviro
   std::vector<std::vector<NetId>*> ordered;
   std::uint64_t used_classes = 0;
   for (auto& [key, members] : classes) {
-    if (members.size() < 2 || members.size() > opt.max_class_size) continue;
+    if (members.size() < 2 || members.size() > kMaxClassSize) continue;
     ++used_classes;
     // Representative: minimal (level, id). Equal signatures can still be
     // hash collisions or coincidences — SAT decides later.

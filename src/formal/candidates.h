@@ -39,7 +39,6 @@ struct SimFilterOptions {
   int cycles = 512;     // cycles per restart
   int restarts = 4;     // independent reset/run repetitions
   std::uint64_t seed = 0x5eed;
-  std::vector<NetId> free_nets;  // cutpoint nets to drive randomly if unowned
 };
 
 struct SimFilterResult {
@@ -53,22 +52,18 @@ struct SimFilterResult {
 SimFilterResult sim_filter(const Netlist& nl, const Environment& env,
                            std::vector<GateProperty> candidates, const SimFilterOptions& opt);
 
-struct EquivCandidateOptions {
-  SimFilterOptions sim;
-  /// Nets with cell id >= this limit (analysis-only constraint logic) are
-  /// not considered. kNoCell disables the filter.
-  CellId cell_limit = kNoCell;
-  std::size_t max_class_size = 64;  // ignore huge signature classes
-};
-
 /// Signal-correspondence candidate generation (van Eijk): nets that carry
 /// identical values throughout a constrained-random simulation are grouped
 /// by signature; each non-representative member yields an Equiv candidate
 /// against the class representative. Representatives are chosen at minimal
 /// logic level, which guarantees that replacing members by representatives
 /// can never create a combinational cycle (every new consumer edge points
-/// to a strictly lower original level).
+/// to a strictly lower original level). Only cell outputs with a net id
+/// below `design_nets` take part: on an analysis copy those are the nets of
+/// the design it was copied from, so constraint logic and the dangling old
+/// output of a cut net never become candidates.
 std::vector<GateProperty> equivalence_candidates(const Netlist& nl, const Environment& env,
-                                                 const EquivCandidateOptions& opt);
+                                                 std::size_t design_nets,
+                                                 const SimFilterOptions& opt);
 
 }  // namespace pdat

@@ -17,8 +17,7 @@ void SampledWordDriver::drive(BitSim& sim, Rng& rng) {
   sim.set_port_per_slot(tmp, slots);
 }
 
-void drive_inputs(const Netlist& nl, const Environment& env, BitSim& sim, Rng& rng,
-                  const std::vector<NetId>& extra_free_nets) {
+void drive_inputs(const Netlist& nl, const Environment& env, BitSim& sim, Rng& rng) {
   std::unordered_set<NetId> owned;
   for (const auto& d : env.drivers) {
     for (NetId n : d->owned_nets()) owned.insert(n);
@@ -27,9 +26,6 @@ void drive_inputs(const Netlist& nl, const Environment& env, BitSim& sim, Rng& r
     for (NetId n : p.bits) {
       if (!owned.count(n)) sim.set_input(n, rng.next());
     }
-  }
-  for (NetId n : extra_free_nets) {
-    if (!owned.count(n)) sim.set_input(n, rng.next());
   }
   for (const auto& d : env.drivers) d->drive(sim, rng);
 }

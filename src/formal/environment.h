@@ -108,8 +108,9 @@ class SampledWordDriver final : public StimulusDriver {
 };
 
 /// Drives every primary input not owned by an environment driver with
-/// uniform random bits, then runs the environment drivers.
-void drive_inputs(const Netlist& nl, const Environment& env, BitSim& sim, Rng& rng,
-                  const std::vector<NetId>& extra_free_nets = {});
+/// uniform random bits, then runs the environment drivers. A cut net is
+/// not a primary input: its restriction's driver must own it (run_pdat
+/// rejects a restriction that leaves one unowned).
+void drive_inputs(const Netlist& nl, const Environment& env, BitSim& sim, Rng& rng);
 
 }  // namespace pdat

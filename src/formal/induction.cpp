@@ -92,7 +92,6 @@ std::uint64_t proof_fingerprint(const Netlist& nl, const Environment& env,
   h = fnv_mix(h, static_cast<std::uint64_t>(opt.conflict_budget));
   h = fnv_mix(h, static_cast<std::uint64_t>(opt.k));
   h = fnv_mix(h, static_cast<std::uint64_t>(opt.cex_sim_cycles));
-  for (NetId n : opt.sim_free_nets) h = fnv_mix(h, n);
   h = fnv_mix(h, opt.seed);
   h = fnv_mix(h, static_cast<std::uint64_t>(opt.batch_size));
   h = fnv_mix(h, static_cast<std::uint64_t>(opt.max_job_attempts));
@@ -208,7 +207,7 @@ struct Engine {
       sim.set_flop_state(flop, s.model_value(fk.net_var[q]) ? ~0ULL : 0);
     }
     for (int cyc = 0; cyc < opt.cex_sim_cycles; ++cyc) {
-      drive_inputs(nl, local_env, sim, rng, opt.sim_free_nets);
+      drive_inputs(nl, local_env, sim, rng);
       sim.eval();
       if (assumes_hold(sim, local_env)) {
         for (std::uint32_t i = 0; i < cands.size(); ++i) {

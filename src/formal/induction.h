@@ -88,9 +88,6 @@ struct InductionOptions {
   /// under the environment stimulus; every candidate falsified on the way
   /// is killed without further SAT calls. 0 disables the accelerator.
   int cex_sim_cycles = 48;
-  /// Cutpoint nets (no driver, not primary inputs) that the replay must
-  /// drive randomly when no environment driver owns them.
-  std::vector<NetId> sim_free_nets;
   std::uint64_t seed = 0xCE7;
   /// Optional cooperative interrupt (SIGINT/SIGTERM in the CLI), the only
   /// stop of the independent check. When it becomes true, the proof aborts

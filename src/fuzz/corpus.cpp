@@ -94,8 +94,8 @@ AbsProgram parse_program(const std::string& text, const std::string& expect_isa)
     AbsOp op;
     unsigned cls = 0, skip = 0;
     ls >> op.spec >> cls >> std::hex >> op.opseed >> std::dec >> skip;
-    if (ls.fail() || cls > static_cast<unsigned>(OpClass::Illegal) || skip > 255 ||
-        (op.spec >= 0 && static_cast<std::size_t>(op.spec) >= specs))
+    if (ls.fail() || cls > static_cast<unsigned>(OpClass::Branch) || skip > 255 ||
+        op.spec < 0 || static_cast<std::size_t>(op.spec) >= specs)
       throw PdatError("fuzz replay: malformed op line '" + line + "'");
     op.cls = static_cast<OpClass>(cls);
     op.skip = static_cast<std::uint8_t>(skip);

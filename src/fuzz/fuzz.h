@@ -47,13 +47,12 @@ enum class OpClass : std::uint8_t {
   RawRead,   // reader half (same opseed as the writer => same register)
   MisMem,    // load/store biased to misaligned / multi-cycle LSU paths
   Branch,    // taken/not-taken branch-storm member
-  Illegal,   // raw non-decoding word (opseed holds the encoding); baseline-only
 };
 
 struct AbsOp {
-  int spec = -1;              // index into the ISA table; -1 = raw word (Illegal)
+  int spec = 0;               // index into the ISA table
   OpClass cls = OpClass::Plain;
-  std::uint64_t opseed = 0;   // operand stream seed, or the raw word for Illegal
+  std::uint64_t opseed = 0;   // operand stream seed
   std::uint8_t skip = 0;      // control transfers: target is `skip` ops forward
 
   friend bool operator==(const AbsOp& a, const AbsOp& b) {
@@ -105,26 +104,20 @@ class LaneCoverage {
 
 // --- generators --------------------------------------------------------------
 
-struct GenOptions {
-  std::size_t min_ops = 4;
-  std::size_t max_ops = 40;
-  // Relative weights of the biased hazard generators; Plain fills the rest.
-  unsigned w_plain = 4;
-  unsigned w_raw = 2;     // back-to-back RAW pairs
-  unsigned w_mem = 2;     // misaligned / multi-cycle LSU sequences
-  unsigned w_branch = 2;  // taken/not-taken branch storms
-  unsigned w_illegal = 0; // illegal-encoding traps; only sound baseline-only
-};
+/// Longest program a generator samples unless told otherwise.
+inline constexpr std::size_t kDefaultMaxOps = 40;
 
 /// Subset-aware abstract-program generator. Implementations are immutable
 /// after construction and safe to share across worker threads; they differ
 /// only in how they sample ops and encode them.
 class Generator {
  public:
-  explicit Generator(GenOptions opt) : opt_(opt) {}
+  /// `max_ops` bounds a generated program's length (a mutation may double
+  /// it).
+  explicit Generator(std::size_t max_ops) : max_ops_(max_ops) {}
   virtual ~Generator() = default;
 
-  /// A fresh program of min_ops..max_ops sampled ops.
+  /// A fresh program of 4..max_ops sampled ops.
   AbsProgram generate(std::uint64_t seed) const;
   /// One random edit of `p`: reseed an operand, delete, duplicate, append
   /// a sample, or change a skip.
@@ -146,7 +139,7 @@ class Generator {
   /// Appends one sampled op (or a hazard pair) to `p`.
   virtual void sample_into(AbsProgram& p, Rng& rng) const = 0;
 
-  GenOptions opt_;
+  std::size_t max_ops_;
 };
 
 // --- oracles -----------------------------------------------------------------
@@ -191,11 +184,6 @@ struct FuzzOptions {
   std::uint64_t seed = 1;
   std::size_t iterations = 0;  // programs to run; 0 = feature off
   int threads = 1;
-  /// Jobs per synchronous round. Fixed independent of `threads` — this is
-  /// what makes corpus scheduling thread-count invariant. Do not tune per
-  /// machine.
-  std::size_t batch = 32;
-  std::size_t shrink_budget = 400;   // oracle runs per divergence shrink
   std::size_t max_divergences = 4;   // stop shrinking new findings after this
   std::string out_dir;               // corpus + reproducer artifacts; "" = none
 };

@@ -1,6 +1,6 @@
 // The deterministic batch-synchronous fuzzing loop (see fuzz.h for the
 // determinism contract). Parallelism is bounded-staleness: a round of
-// `batch` jobs is generated from (master seed, global job index) against the
+// `kBatch` jobs is generated from (master seed, global job index) against the
 // round-start corpus snapshot, each worker runs its contiguous stripe of
 // job slots as one lane-packed oracle pass, and results merge in job-index
 // order — so scheduling, corpus growth, and shrinking are identical at any
@@ -82,12 +82,16 @@ FuzzStats run_fuzz(const Target& target, const FuzzOptions& opt) {
   if (opt.iterations == 0) return stats;  // feature off: no oracles, no artifacts
   if (target.gen == nullptr || !target.make_oracle) throw PdatError("fuzz: incomplete target");
 
+  // Jobs per synchronous round, fixed independent of `threads`: this is
+  // what makes corpus scheduling thread-count invariant. It fills half of a
+  // 64-lane pack; raising it changes the corpus schedule.
+  constexpr std::size_t kBatch = 32;
+  constexpr std::size_t kShrinkBudget = 400;  // oracle runs per divergence shrink
   const std::size_t threads = opt.threads < 1 ? 1 : static_cast<std::size_t>(opt.threads);
-  const std::size_t batch = std::max<std::size_t>(1, opt.batch);
 
   std::vector<std::unique_ptr<Oracle>> oracles;
   oracles.reserve(threads);
-  for (std::size_t t = 0; t < std::min(threads, batch); ++t) oracles.push_back(target.make_oracle());
+  for (std::size_t t = 0; t < std::min(threads, kBatch); ++t) oracles.push_back(target.make_oracle());
 
   CoverageMap global;
   global.init(oracles[0]->coverage_nets());
@@ -95,7 +99,7 @@ FuzzStats run_fuzz(const Target& target, const FuzzOptions& opt) {
 
   std::uint64_t next_job = 0;
   while (next_job < opt.iterations) {
-    const std::size_t round = std::min<std::uint64_t>(batch, opt.iterations - next_job);
+    const std::size_t round = std::min<std::uint64_t>(kBatch, opt.iterations - next_job);
     std::vector<AbsProgram> programs(round);
     std::vector<CoverageMap> covs(round);
     std::vector<RunOutcome> outcomes(round);
@@ -152,7 +156,7 @@ FuzzStats run_fuzz(const Target& target, const FuzzOptions& opt) {
           auto still_fails = [&](const AbsProgram& cand) {
             return oracles[0]->run(cand, nullptr).status == RunOutcome::Status::Diverge;
           };
-          const ShrinkResult sr = shrink_program(program, still_fails, opt.shrink_budget);
+          const ShrinkResult sr = shrink_program(program, still_fails, kShrinkBudget);
           stats.shrink_runs += sr.oracle_runs;
           FuzzFinding finding;
           finding.shrunk = sr.program;

@@ -53,22 +53,23 @@ std::string hex_list(const std::vector<std::uint32_t>& units, unsigned digits,
 }
 
 // Shared generation-loop helper: weighted hazard-class choice.
-enum class Haz { Plain, Raw, Mem, Branch, Illegal };
+enum class Haz { Plain, Raw, Mem, Branch };
 
-Haz pick_class(Rng& rng, const GenOptions& o, bool raw_ok, bool mem_ok, bool branch_ok) {
-  const unsigned wr = raw_ok ? o.w_raw : 0;
-  const unsigned wm = mem_ok ? o.w_mem : 0;
-  const unsigned wb = branch_ok ? o.w_branch : 0;
-  const unsigned total = o.w_plain + wr + wm + wb + o.w_illegal;
-  std::uint64_t r = rng.below(total == 0 ? 1 : total);
-  if (r < o.w_plain) return Haz::Plain;
-  r -= o.w_plain;
+Haz pick_class(Rng& rng, bool raw_ok, bool mem_ok, bool branch_ok) {
+  // Relative weights of the biased hazard generators (back-to-back RAW
+  // pairs, misaligned / multi-cycle LSU sequences, taken/not-taken branch
+  // storms); Plain fills the rest.
+  constexpr unsigned kPlain = 4, kRaw = 2, kMem = 2, kBranch = 2;
+  const unsigned wr = raw_ok ? kRaw : 0;
+  const unsigned wm = mem_ok ? kMem : 0;
+  const unsigned wb = branch_ok ? kBranch : 0;
+  std::uint64_t r = rng.below(kPlain + wr + wm + wb);
+  if (r < kPlain) return Haz::Plain;
+  r -= kPlain;
   if (r < wr) return Haz::Raw;
   r -= wr;
   if (r < wm) return Haz::Mem;
-  r -= wm;
-  if (r < wb) return Haz::Branch;
-  return Haz::Illegal;
+  return Haz::Branch;
 }
 
 int pool_pick(Rng& rng, const std::vector<int>& pool) {
@@ -80,11 +81,12 @@ int pool_pick(Rng& rng, const std::vector<int>& pool) {
 // --- shared ------------------------------------------------------------------
 
 AbsProgram Generator::generate(std::uint64_t seed) const {
+  constexpr std::size_t kMinOps = 4;
   Rng rng(seed);
-  const std::size_t len = opt_.min_ops + rng.below(opt_.max_ops - opt_.min_ops + 1);
+  const std::size_t len = kMinOps + rng.below(max_ops_ - kMinOps + 1);
   AbsProgram p;
   while (p.size() < len) sample_into(p, rng);
-  if (p.size() > opt_.max_ops) p.resize(opt_.max_ops);
+  if (p.size() > max_ops_) p.resize(max_ops_);
   return p;
 }
 
@@ -114,14 +116,14 @@ AbsProgram Generator::mutate(const AbsProgram& in, std::uint64_t seed) const {
       p[rng.below(p.size())].skip = static_cast<std::uint8_t>(1 + rng.below(6));
       break;
   }
-  if (p.size() > 2 * opt_.max_ops) p.resize(2 * opt_.max_ops);
+  if (p.size() > 2 * max_ops_) p.resize(2 * max_ops_);
   return p;
 }
 
 // --- RV32 --------------------------------------------------------------------
 
-Rv32Generator::Rv32Generator(isa::RvSubset subset, GenOptions opt)
-    : Generator(opt), subset_(std::move(subset)) {
+Rv32Generator::Rv32Generator(isa::RvSubset subset, std::size_t max_ops)
+    : Generator(max_ops), subset_(std::move(subset)) {
   for (const char* t : {"ebreak", "ecall", "c.ebreak"}) {
     if (subset_.contains(t)) {
       terminator_ = isa::rv32_instr_index(t);
@@ -181,14 +183,12 @@ Rv32Generator::Rv32Generator(isa::RvSubset subset, GenOptions opt)
 }
 
 unsigned Rv32Generator::op_bytes(const AbsOp& op) const {
-  if (op.spec < 0) return 4;
   return isa::rv32_instructions()[static_cast<std::size_t>(op.spec)].compressed ? 2 : 4;
 }
 
 std::uint32_t Rv32Generator::encode_op(const AbsOp& op, std::uint32_t at,
                                        std::uint32_t target_off) const {
   using isa::RvFormat;
-  if (op.spec < 0) return static_cast<std::uint32_t>(op.opseed);
   const auto& spec = isa::rv32_instructions()[static_cast<std::size_t>(op.spec)];
   const std::string_view n = spec.name;
   Rng rng(op.opseed);
@@ -355,7 +355,7 @@ std::uint32_t Rv32Generator::encode_op(const AbsOp& op, std::uint32_t at,
 }
 
 void Rv32Generator::sample_into(AbsProgram& p, Rng& rng) const {
-  switch (pick_class(rng, opt_, !raw_.empty(), !mem_.empty(), !branch_.empty())) {
+  switch (pick_class(rng, !raw_.empty(), !mem_.empty(), !branch_.empty())) {
     case Haz::Plain:
       p.push_back({pool_pick(rng, plain_), OpClass::Plain, rng.next(),
                    static_cast<std::uint8_t>(1 + rng.below(6))});
@@ -373,18 +373,6 @@ void Rv32Generator::sample_into(AbsProgram& p, Rng& rng) const {
       p.push_back({pool_pick(rng, branch_), OpClass::Branch, rng.next(),
                    static_cast<std::uint8_t>(1 + rng.below(3))});
       break;
-    case Haz::Illegal: {
-      std::uint32_t w = 0xffffffffu;  // architecturally guaranteed illegal
-      for (int tries = 0; tries < 100; ++tries) {
-        const auto cand = static_cast<std::uint32_t>(rng.next()) | 3u;  // 32-bit length
-        if (isa::rv32_decode_spec(cand) == nullptr) {
-          w = cand;
-          break;
-        }
-      }
-      p.push_back({-1, OpClass::Illegal, w, 1});
-      break;
-    }
   }
 }
 
@@ -481,8 +469,8 @@ bool thumb_writes_rd(std::string_view n) {
 
 }  // namespace
 
-ThumbGenerator::ThumbGenerator(isa::ThumbSubset subset, GenOptions opt)
-    : Generator(opt), subset_(std::move(subset)) {
+ThumbGenerator::ThumbGenerator(isa::ThumbSubset subset, std::size_t max_ops)
+    : Generator(max_ops), subset_(std::move(subset)) {
   for (const char* t : {"bkpt", "udf", "svc"}) {
     if (subset_.contains(t)) {
       terminator_ = isa::thumb_instr_index(t);
@@ -525,14 +513,12 @@ ThumbGenerator::ThumbGenerator(isa::ThumbSubset subset, GenOptions opt)
 }
 
 unsigned ThumbGenerator::op_halfwords(const AbsOp& op) const {
-  if (op.spec < 0) return 1;
   return isa::thumb_instructions()[static_cast<std::size_t>(op.spec)].wide ? 2 : 1;
 }
 
 std::uint32_t ThumbGenerator::encode_op(const AbsOp& op, std::uint32_t at_hw,
                                         std::uint32_t target_hw) const {
   using isa::ThumbFormat;
-  if (op.spec < 0) return static_cast<std::uint32_t>(op.opseed);
   const auto& spec = isa::thumb_instructions()[static_cast<std::size_t>(op.spec)];
   const std::string_view n = spec.name;
   Rng rng(op.opseed);
@@ -667,7 +653,7 @@ std::uint32_t ThumbGenerator::encode_op(const AbsOp& op, std::uint32_t at_hw,
 }
 
 void ThumbGenerator::sample_into(AbsProgram& p, Rng& rng) const {
-  switch (pick_class(rng, opt_, !raw_.empty(), !mem_.empty(), !branch_.empty())) {
+  switch (pick_class(rng, !raw_.empty(), !mem_.empty(), !branch_.empty())) {
     case Haz::Plain:
       p.push_back({pool_pick(rng, plain_), OpClass::Plain, rng.next(),
                    static_cast<std::uint8_t>(1 + rng.below(6))});
@@ -685,18 +671,6 @@ void ThumbGenerator::sample_into(AbsProgram& p, Rng& rng) const {
       p.push_back({pool_pick(rng, branch_), OpClass::Branch, rng.next(),
                    static_cast<std::uint8_t>(1 + rng.below(3))});
       break;
-    case Haz::Illegal: {
-      std::uint32_t h = 0xde00;  // udf #0 is not "illegal"; find a non-decoder
-      for (int tries = 0; tries < 100; ++tries) {
-        const auto cand = static_cast<std::uint16_t>(rng.next());
-        if (!isa::thumb_is_wide_prefix(cand) && isa::thumb_decode(cand) == nullptr) {
-          h = cand;
-          break;
-        }
-      }
-      p.push_back({-1, OpClass::Illegal, h, 1});
-      break;
-    }
   }
 }
 

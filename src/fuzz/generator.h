@@ -3,9 +3,7 @@
 // Both generators obey the *subset contract*: every fetched encoding —
 // prologue, body, and terminator — is a member of the configured subset, so
 // programs are valid stimulus for a PDAT-reduced core (whose correctness is
-// only claimed for subset-closed programs). The one exception is
-// OpClass::Illegal, emitted only when GenOptions.w_illegal > 0, which is
-// sound for baseline-only fuzzing of the trap path.
+// only claimed for subset-closed programs).
 //
 // Operand policies keep programs deterministic and self-contained:
 //  * a dedicated base register (x10 / r6) is pointed at a data window above
@@ -26,7 +24,7 @@ class Rv32Generator : public Generator {
  public:
   /// Throws PdatError when the subset lacks a halting terminator
   /// (ebreak/ecall/c.ebreak) or contains no generatable instruction.
-  Rv32Generator(isa::RvSubset subset, GenOptions opt = {});
+  Rv32Generator(isa::RvSubset subset, std::size_t max_ops = kDefaultMaxOps);
 
   std::vector<std::uint32_t> encode_units(const AbsProgram& p) const override;
   unsigned unit_hex_digits() const override { return 8; }
@@ -57,7 +55,7 @@ class Rv32Generator : public Generator {
 
 class ThumbGenerator : public Generator {
  public:
-  ThumbGenerator(isa::ThumbSubset subset, GenOptions opt = {});
+  ThumbGenerator(isa::ThumbSubset subset, std::size_t max_ops = kDefaultMaxOps);
 
   std::vector<std::uint32_t> encode_units(const AbsProgram& p) const override;
   unsigned unit_hex_digits() const override { return 4; }

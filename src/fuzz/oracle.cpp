@@ -170,8 +170,8 @@ std::vector<RunOutcome> ThumbDiffOracle::run(std::span<const AbsProgram> program
 // --- convenience entry points ------------------------------------------------
 
 FuzzStats fuzz_rv32(const isa::RvSubset& subset, const Netlist& baseline, const Netlist* reduced,
-                    const FuzzOptions& opt, const GenOptions& gopt) {
-  const Rv32Generator gen(subset, gopt);
+                    const FuzzOptions& opt) {
+  const Rv32Generator gen(subset);
   Target target;
   target.gen = &gen;
   target.name = "ibex";
@@ -180,8 +180,8 @@ FuzzStats fuzz_rv32(const isa::RvSubset& subset, const Netlist& baseline, const 
 }
 
 FuzzStats fuzz_thumb(const isa::ThumbSubset& subset, const Netlist& baseline,
-                     const Netlist* reduced, const FuzzOptions& opt, const GenOptions& gopt) {
-  const ThumbGenerator gen(subset, gopt);
+                     const Netlist* reduced, const FuzzOptions& opt) {
+  const ThumbGenerator gen(subset);
   Target target;
   target.gen = &gen;
   target.name = "cm0";

@@ -55,11 +55,11 @@ class ThumbDiffOracle : public Oracle {
 };
 
 /// Convenience entry points: build the generator + target and run the loop.
-/// `reduced` may be null (baseline-only fuzzing, e.g. with w_illegal > 0).
+/// `reduced` may be null (baseline-only fuzzing against the ISS alone).
 /// The netlists must outlive the call.
 FuzzStats fuzz_rv32(const isa::RvSubset& subset, const Netlist& baseline, const Netlist* reduced,
-                    const FuzzOptions& opt, const GenOptions& gopt = {});
+                    const FuzzOptions& opt);
 FuzzStats fuzz_thumb(const isa::ThumbSubset& subset, const Netlist& baseline,
-                     const Netlist* reduced, const FuzzOptions& opt, const GenOptions& gopt = {});
+                     const Netlist* reduced, const FuzzOptions& opt);
 
 }  // namespace pdat::fuzz

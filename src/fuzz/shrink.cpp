@@ -55,7 +55,7 @@ ShrinkResult shrink_program(const AbsProgram& p,
   // Phase 2: operand canonicalization. opseed = 0 is the simplest draw of
   // each operand policy; skip = 1 makes control transfers fall through.
   for (std::size_t i = 0; i < r.program.size() && r.oracle_runs < budget; ++i) {
-    if (r.program[i].spec >= 0 && r.program[i].opseed != 0) {
+    if (r.program[i].opseed != 0) {
       AbsProgram cand = r.program;
       cand[i].opseed = 0;
       if (check(cand)) r.program = std::move(cand);

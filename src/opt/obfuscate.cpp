@@ -96,8 +96,11 @@ NetId opaque_zero(Netlist& nl, NetId seed_net, Rng& rng) {
 
 }  // namespace
 
-void obfuscate(Netlist& nl, const ObfuscateOptions& opt) {
-  Rng rng(opt.seed);
+void obfuscate(Netlist& nl, std::uint64_t seed) {
+  // Per-cell chances, out of 256: split AND/OR/XOR into NAND/NOR/INV,
+  // insert a double inverter on a net, wrap a gate output in a mux camo.
+  constexpr unsigned kDecomposeChance = 40, kInvPairChance = 8, kCamoChance = 4;
+  Rng rng(seed);
   nl.clear_net_names();
 
   // Pass 1: gate decomposition.
@@ -105,7 +108,7 @@ void obfuscate(Netlist& nl, const ObfuscateOptions& opt) {
     const CellKind k = nl.cell(id).kind;
     if (k == CellKind::Dff || cell_is_const(k) || k == CellKind::Inv || k == CellKind::Buf)
       continue;
-    if (rng.chance(opt.decompose_chance)) decompose(nl, id, rng);
+    if (rng.chance(kDecomposeChance)) decompose(nl, id, rng);
   }
 
   // Pass 2: inverter-pair insertion. Snapshot cells first so the new
@@ -116,7 +119,7 @@ void obfuscate(Netlist& nl, const ObfuscateOptions& opt) {
     for (CellId id : snapshot) {
       const Cell& c = nl.cell(id);
       if (c.kind == CellKind::Dff || cell_is_const(c.kind)) continue;
-      if (!rng.chance(opt.invpair_chance)) continue;
+      if (!rng.chance(kInvPairChance)) continue;
       const NetId n = c.out;
       const NetId i2 = nl.add_cell(CellKind::Inv, nl.add_cell(CellKind::Inv, n));
       pairs.emplace_back(n, i2);
@@ -143,7 +146,7 @@ void obfuscate(Netlist& nl, const ObfuscateOptions& opt) {
     for (CellId id : snapshot) {
       const Cell& c = nl.cell(id);
       if (c.dead || c.kind == CellKind::Dff || cell_is_const(c.kind)) continue;
-      if (!rng.chance(opt.camo_chance)) continue;
+      if (!rng.chance(kCamoChance)) continue;
       const NetId out = c.out;
       const int out_level = lv.net_level[out];
       NetId decoy = kNoNet;

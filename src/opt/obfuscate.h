@@ -15,13 +15,6 @@
 
 namespace pdat::opt {
 
-struct ObfuscateOptions {
-  std::uint64_t seed = 0xa5a5;
-  unsigned decompose_chance = 40;   // /256: split AND/OR/XOR into NAND/NOR/INV
-  unsigned invpair_chance = 8;     // /256: insert a double inverter on a net
-  unsigned camo_chance = 4;        // /256: wrap a gate output in a mux camo
-};
-
-void obfuscate(Netlist& nl, const ObfuscateOptions& opt = {});
+void obfuscate(Netlist& nl, std::uint64_t seed = 0xa5a5);
 
 }  // namespace pdat::opt

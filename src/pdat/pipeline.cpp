@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <unordered_set>
 
 #include "base/log.h"
 #include "formal/bmc.h"
@@ -49,6 +50,21 @@ std::string nth_capture_path(const char* base, int n) {
   std::string p(base);
   if (n > 1) p += "." + std::to_string(n);
   return p;
+}
+
+/// Simulation drives primary inputs and the nets an environment driver
+/// owns, nothing else, so a cut net no driver owns would float in every
+/// stage that simulates: a malformed restriction.
+void require_owned_cut_nets(const RestrictionResult& r) {
+  std::unordered_set<NetId> owned;
+  for (const auto& d : r.env.drivers) {
+    for (NetId n : d->owned_nets()) owned.insert(n);
+  }
+  for (NetId n : r.cut_nets) {
+    if (!owned.count(n)) {
+      throw PdatError("restriction: cut net " + std::to_string(n) + " has no stimulus driver");
+    }
+  }
 }
 
 /// Disables collection on scope exit so a thrown configuration error cannot
@@ -134,11 +150,11 @@ PdatResult run_pdat(const Netlist& design,
   // degraded, so a bad environment cannot silently yield an identity run.
   begin_stage(PdatStage::Restrict);
   Netlist analysis = design;
-  const CellId design_cells = static_cast<CellId>(design.num_cells_raw());
   RestrictionResult restr;
   try {
     restr = restrict_fn(analysis);
     require_well_formed(analysis, restr.cut_nets);
+    require_owned_cut_nets(restr);
   } catch (const StageError&) {
     throw;
   } catch (const PdatError& e) {
@@ -153,20 +169,15 @@ PdatResult run_pdat(const Netlist& design,
   end_stage(PdatStage::EnvCheck);
 
   // --- annotate with the property library ----------------------------------
+  // Candidates name design nets only: rewiring edits the design, not the
+  // analysis copy.
   begin_stage(PdatStage::Annotate);
   std::vector<GateProperty> candidates;
   try {
-    PropertyLibraryOptions plopt = opt.properties;
-    plopt.cell_limit = design_cells;
-    for (NetId n : restr.cut_nets) plopt.excluded_nets.push_back(n);
-    candidates = annotate_netlist(analysis, plopt);
+    candidates = annotate_netlist(analysis, design.num_nets(), opt.properties);
     candidates.insert(candidates.end(), restr.strengthen.begin(), restr.strengthen.end());
-    if (plopt.equivalence_props) {
-      EquivCandidateOptions eopt;
-      eopt.sim = opt.sim;
-      for (NetId n : restr.cut_nets) eopt.sim.free_nets.push_back(n);
-      eopt.cell_limit = design_cells;
-      const auto eq = equivalence_candidates(analysis, restr.env, eopt);
+    if (opt.properties.equivalence_props) {
+      const auto eq = equivalence_candidates(analysis, restr.env, design.num_nets(), opt.sim);
       candidates.insert(candidates.end(), eq.begin(), eq.end());
     }
   } catch (const PdatError& e) {
@@ -180,9 +191,7 @@ PdatResult run_pdat(const Netlist& design,
   begin_stage(PdatStage::SimFilter);
   std::vector<GateProperty> survivors;
   try {
-    SimFilterOptions simopt = opt.sim;
-    for (NetId n : restr.cut_nets) simopt.free_nets.push_back(n);
-    SimFilterResult filtered = sim_filter(analysis, restr.env, std::move(candidates), simopt);
+    SimFilterResult filtered = sim_filter(analysis, restr.env, std::move(candidates), opt.sim);
     res.assume_violation_cycles = filtered.assume_violation_cycles;
     if (filtered.assume_violation_cycles > 0) {
       log_warn() << "PDAT: stimulus violated assumes in " << filtered.assume_violation_cycles
@@ -207,7 +216,6 @@ PdatResult run_pdat(const Netlist& design,
   if (iopt.interrupt == nullptr) iopt.interrupt = opt.interrupt;
   if (!survivors.empty()) {
     try {
-      for (NetId n : restr.cut_nets) iopt.sim_free_nets.push_back(n);
       proven = prove_invariants(analysis, restr.env, std::move(survivors), iopt, &res.induction);
     } catch (const CertificationError& e) {
       // A certificate that failed to check means the solver lied somewhere:

@@ -44,8 +44,9 @@ struct PdatOptions {
   /// run. Empty paths fall back to the PDAT_TRACE / PDAT_METRICS environment
   /// variables (the Nth run_pdat call in the process appends ".N" for N > 1,
   /// so multi-variant benchmark binaries keep every run). Tracing is
-  /// compiled in but off by default; the disabled cost is one relaxed atomic
-  /// load per instrumentation site.
+  /// compiled in but off by default; the disabled cost per instrumentation
+  /// site is one out-of-line call that reads a relaxed atomic flag, with no
+  /// clock read and no allocation.
   std::string trace_path;
   std::string metrics_path;
   /// Free-form label stamped into metrics.json ("" = unlabeled).

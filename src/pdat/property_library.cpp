@@ -1,7 +1,5 @@
 #include "pdat/property_library.h"
 
-#include <unordered_set>
-
 namespace pdat {
 namespace {
 
@@ -50,14 +48,12 @@ GateProperty make_impl(const Cell& c, CellId id, int antecedent) {
 
 }  // namespace
 
-std::vector<GateProperty> annotate_netlist(const Netlist& nl, const PropertyLibraryOptions& opt) {
-  std::unordered_set<NetId> excluded(opt.excluded_nets.begin(), opt.excluded_nets.end());
+std::vector<GateProperty> annotate_netlist(const Netlist& nl, std::size_t design_nets,
+                                           const PropertyLibraryOptions& opt) {
   std::vector<GateProperty> props;
   for (CellId id : nl.live_cells()) {
-    if (opt.cell_limit != kNoCell && id >= opt.cell_limit) continue;
     const Cell& c = nl.cell(id);
-    if (cell_is_const(c.kind)) continue;
-    if (excluded.count(c.out)) continue;
+    if (cell_is_const(c.kind) || c.out >= design_nets) continue;
     if (opt.const_props) {
       props.push_back(make_const(PropKind::Const0, c.out, id));
       props.push_back(make_const(PropKind::Const1, c.out, id));

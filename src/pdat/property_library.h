@@ -25,15 +25,14 @@ struct PropertyLibraryOptions {
   /// equivalence) properties generated from simulation signatures. Off by
   /// default so the reproduction benches measure the paper's library.
   bool equivalence_props = false;
-  /// Cells with id >= this limit are skipped (used to exclude constraint
-  /// logic appended to an analysis netlist). kNoCell means no limit.
-  CellId cell_limit = kNoCell;
-  /// Nets whose properties must not be generated (cutpoints).
-  std::vector<NetId> excluded_nets;
 };
 
-/// Annotates the netlist: one property set per live cell (paper §IV.2).
-std::vector<GateProperty> annotate_netlist(const Netlist& nl,
+/// Annotates the netlist: one property set per live cell (paper §IV.2)
+/// whose output net id is below `design_nets`. On an analysis copy those
+/// are the nets of the design it was copied from, so constraint logic and
+/// the dangling old output of a cut net get no candidates: a proved
+/// property must name a net the design has.
+std::vector<GateProperty> annotate_netlist(const Netlist& nl, std::size_t design_nets,
                                            const PropertyLibraryOptions& opt = {});
 
 }  // namespace pdat

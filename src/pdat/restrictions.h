@@ -20,7 +20,9 @@ namespace pdat {
 
 struct RestrictionResult {
   Environment env;
-  std::vector<NetId> cut_nets;  // nets freed by cutpoints
+  /// Nets freed by cutpoints. Each must be owned by one of `env.drivers`:
+  /// run_pdat rejects a restriction that leaves one unowned.
+  std::vector<NetId> cut_nets;
   /// Extra candidate invariants handed to the property checker (proved, not
   /// assumed). Used where plain 1-induction is weaker than the commercial
   /// checker's reachability analysis — e.g. "the fetch register always holds

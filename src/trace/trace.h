@@ -12,10 +12,10 @@
 //   * histograms — power-of-two-bucketed value distributions (learned-clause
 //                  sizes, queue depths, ...).
 //
-// Compiled in, default off. The disabled cost is one relaxed atomic load per
-// call site (spans additionally skip their clock reads), and the disabled
-// path performs no allocation — test_trace checks this with a counting
-// operator new. Instrumented hot loops (the SAT solver's conflict loop) do
+// Compiled in, default off. The disabled cost per call site is one
+// out-of-line call that reads a relaxed atomic flag, with no clock read and
+// no allocation — test_trace checks the latter with a counting operator
+// new. Instrumented hot loops (the SAT solver's conflict loop) do
 // not call into this layer per event; they accumulate locally and flush one
 // delta per solve() call; the reduction benchmark reports the enabled-mode
 // cost of a whole run as trace.overhead_pct (see docs/telemetry.md

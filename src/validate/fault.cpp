@@ -21,12 +21,15 @@ const char* fault_class_name(FaultClass cls) {
 
 namespace {
 
-/// Rebuilds the pipeline tail (rewiring + resynthesis) from a property set.
-Netlist rebuild_transformed(const Netlist& design, const std::vector<GateProperty>& proven,
-                            int resynth_iterations) {
+/// Seeds the campaign's injection choices and activation stimulus.
+constexpr std::uint64_t kCampaignSeed = 0xFA017;
+
+/// Rebuilds the pipeline tail (rewiring + resynthesis at the pipeline's
+/// default effort) from a property set.
+Netlist rebuild_transformed(const Netlist& design, const std::vector<GateProperty>& proven) {
   Netlist t = design;
   apply_rewiring(t, proven);
-  opt::optimize(t, resynth_iterations);
+  opt::optimize(t);
   return t;
 }
 
@@ -67,10 +70,12 @@ std::vector<NetId> primary_input_bits(const Netlist& nl) {
 
 /// Activation horizon: a divergence within the miter's unrolling depth is a
 /// concrete counterexample the bounded miter is guaranteed to find (its
-/// inputs are free, its initial state matches BitSim reset).
+/// inputs are free, its initial state matches BitSim reset). The cosim is
+/// capped at 128 cycles however deep the miter unrolls.
 int activation_horizon(const CampaignOptions& opt) {
+  constexpr int kMaxActivationCycles = 128;
   const int depth = opt.miter.depth < 1 ? 1 : opt.miter.depth;
-  return std::max(1, std::min(opt.activation_cycles, depth));
+  return std::max(1, std::min(kMaxActivationCycles, depth));
 }
 
 /// Stage-1 activation oracle for property faults: simulates the restricted
@@ -96,8 +101,8 @@ bool restricted_differ_random(const Netlist& a, const RestrictionResult& ra,
   sa.reset();
   sb.reset();
   for (int t = 0; t < cycles; ++t) {
-    drive_inputs(a, ra.env, sa, rng_a, ra.cut_nets);
-    drive_inputs(b, rb.env, sb, rng_b, rb.cut_nets);
+    drive_inputs(a, ra.env, sa, rng_a);
+    drive_inputs(b, rb.env, sb, rng_b);
     sa.eval();
     sb.eval();
     for (const Port& p : a.outputs()) {
@@ -181,11 +186,11 @@ bool inject_property_fault(const Netlist& design, const Netlist& clean_transform
     // activation pays for the full pipeline-tail rebuild.
     if (!restricted_differ_random(side_a, ra, design, corrupted, restrict_fn,
                                   activation_horizon(opt),
-                                  opt.seed + static_cast<std::uint64_t>(attempt) * 977))
+                                  kCampaignSeed + static_cast<std::uint64_t>(attempt) * 977))
       continue;  // masked; retry another proof
     out->cls = FaultClass::Property;
     out->description = what;
-    out->transformed = rebuild_transformed(design, corrupted, opt.resynthesis_iterations);
+    out->transformed = rebuild_transformed(design, corrupted);
     out->proven = std::move(corrupted);  // the unsound prover reports this set
     return true;
   }
@@ -223,13 +228,13 @@ bool inject_rewire_fault(const Netlist& design, const Netlist& clean_transformed
     Netlist t = design;
     apply_rewiring(t, misapplied);
     if (!outputs_differ_random(clean_transformed, t, activation_horizon(opt),
-                               opt.seed + static_cast<std::uint64_t>(attempt) * 1223))
+                               kCampaignSeed + static_cast<std::uint64_t>(attempt) * 1223))
       continue;
     out->cls = FaultClass::Rewire;
     out->description = "constant proof for net" + std::to_string(proven[idx].target) +
                        " applied to wrong net" + std::to_string(victim);
     out->proven = proven;  // the proofs themselves were correct
-    out->transformed = rebuild_transformed(design, misapplied, opt.resynthesis_iterations);
+    out->transformed = rebuild_transformed(design, misapplied);
     return true;
   }
   return false;
@@ -278,7 +283,7 @@ bool inject_gate_fault(const Netlist& design, const Netlist& clean_transformed,
       c.in[static_cast<std::size_t>(pin)] = foreign;
     }
     if (!outputs_differ_random(clean_transformed, t, activation_horizon(opt),
-                               opt.seed + static_cast<std::uint64_t>(attempt) * 1733))
+                               kCampaignSeed + static_cast<std::uint64_t>(attempt) * 1733))
       continue;
     out->cls = FaultClass::Gate;
     out->description = what;
@@ -294,7 +299,7 @@ CampaignResult run_fault_campaign(const Netlist& design, const Netlist& clean_tr
                                   const std::function<RestrictionResult(Netlist&)>& restrict_fn,
                                   const CampaignOptions& opt) {
   CampaignResult res;
-  Rng rng(opt.seed);
+  Rng rng(kCampaignSeed);
   using Injector = bool (*)(const Netlist&, const Netlist&, const std::vector<GateProperty>&,
                             const std::function<RestrictionResult(Netlist&)>&, Rng&,
                             const CampaignOptions&, InjectedFault*);

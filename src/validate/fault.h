@@ -56,13 +56,7 @@ struct CampaignOptions {
   MiterOptions miter;
   LockstepFn lockstep;             // optional dynamic validator
   int faults_per_class = 2;
-  std::uint64_t seed = 0xFA017;
-  // Upper bound on the activation-oracle cosim length; the effective horizon
-  // is min(activation_cycles, miter.depth) so activated faults stay within
-  // the miter's bounded reach.
-  int activation_cycles = 128;
   int max_attempts = 32;           // injection retries per fault
-  int resynthesis_iterations = 32; // used when rebuilding a corrupted pipeline output
 };
 
 struct FaultOutcome {

@@ -1,13 +1,11 @@
 #include "validate/lockstep.h"
 
-#include "cores/cm0/cm0_tb.h"
 #include "cores/ibex/ibex_tb.h"
 #include "isa/rv32_assembler.h"
-#include "isa/thumb_assembler.h"
 
 namespace pdat::validate {
 
-std::vector<std::vector<std::uint32_t>> rv32_smoke_programs(bool e_safe) {
+std::vector<std::vector<std::uint32_t>> rv32_smoke_programs() {
   std::vector<std::vector<std::uint32_t>> progs;
   // 1. ALU mix: dependent adds/xors/shifts through a loop.
   progs.push_back(isa::assemble_rv32(R"(
@@ -52,39 +50,6 @@ std::vector<std::vector<std::uint32_t>> rv32_smoke_programs(bool e_safe) {
     done:
       ebreak
   )").words);
-  if (!e_safe) {
-    // Full-register-file sweep, only valid on unreduced rv32i cores.
-    progs.push_back(isa::assemble_rv32(R"(
-        li x17, 21
-        li x28, 7
-        add x31, x17, x28
-        sub x30, x31, x17
-        ebreak
-    )").words);
-  }
-  return progs;
-}
-
-std::vector<std::vector<std::uint16_t>> thumb_smoke_programs() {
-  std::vector<std::vector<std::uint16_t>> progs;
-  progs.push_back(isa::assemble_thumb(R"(
-      movs r0, #10
-      movs r1, #3
-      adds r2, r0, r1
-      subs r3, r0, r1
-      muls r3, r0
-      bkpt #0
-  )").halves);
-  progs.push_back(isa::assemble_thumb(R"(
-      li r0, 256
-      movs r1, #42
-      str r1, [r0, #0]
-      ldr r2, [r0, #0]
-      adds r2, r2, r1
-      strb r2, [r0, #4]
-      ldrb r3, [r0, #4]
-      bkpt #0
-  )").halves);
   return progs;
 }
 
@@ -105,33 +70,9 @@ LockstepResult lockstep_rv32(const Netlist& nl,
   return res;
 }
 
-LockstepResult lockstep_thumb(const Netlist& nl,
-                              const std::vector<std::vector<std::uint16_t>>& programs,
-                              std::uint64_t max_cycles) {
-  LockstepResult res;
-  res.verdict = Verdict::Pass;
-  for (const auto& prog : programs) {
-    const std::string mismatch = cores::cm0_cosim_against_iss(nl, prog, max_cycles);
-    ++res.programs_run;
-    if (!mismatch.empty()) {
-      res.verdict = Verdict::Fail;
-      res.detail = "lockstep program " + std::to_string(res.programs_run) + ": " + mismatch;
-      return res;
-    }
-  }
-  return res;
-}
-
-LockstepFn rv32_lockstep_fn(bool e_safe, std::uint64_t max_cycles) {
-  return [e_safe, max_cycles](const Netlist& nl) -> std::string {
-    const LockstepResult r = lockstep_rv32(nl, rv32_smoke_programs(e_safe), max_cycles);
-    return r.verdict == Verdict::Fail ? r.detail : std::string();
-  };
-}
-
-LockstepFn thumb_lockstep_fn(std::uint64_t max_cycles) {
+LockstepFn rv32_lockstep_fn(std::uint64_t max_cycles) {
   return [max_cycles](const Netlist& nl) -> std::string {
-    const LockstepResult r = lockstep_thumb(nl, thumb_smoke_programs(), max_cycles);
+    const LockstepResult r = lockstep_rv32(nl, rv32_smoke_programs(), max_cycles);
     return r.verdict == Verdict::Fail ? r.detail : std::string();
   };
 }

@@ -32,25 +32,16 @@ struct LockstepResult {
 };
 
 /// Canned RV32 smoke programs (assembled words, based at 0, ending in
-/// ebreak). With `e_safe` they touch only x0..x15 and RV32I base ops that
-/// every paper subset retains, so they remain valid on reduced cores.
-std::vector<std::vector<std::uint32_t>> rv32_smoke_programs(bool e_safe = true);
-
-/// Canned ARMv6-M (Thumb) smoke programs for the CM0-like core.
-std::vector<std::vector<std::uint16_t>> thumb_smoke_programs();
+/// ebreak). They touch only x0..x15 and RV32I base ops that every paper
+/// subset retains, so they remain valid on reduced cores.
+std::vector<std::vector<std::uint32_t>> rv32_smoke_programs();
 
 /// Runs every program through cores::cosim_against_iss on `nl`.
 LockstepResult lockstep_rv32(const Netlist& nl,
                              const std::vector<std::vector<std::uint32_t>>& programs,
                              std::uint64_t max_cycles = 200000);
 
-/// Runs every program through cores::cm0_cosim_against_iss on `nl`.
-LockstepResult lockstep_thumb(const Netlist& nl,
-                              const std::vector<std::vector<std::uint16_t>>& programs,
-                              std::uint64_t max_cycles = 400000);
-
-/// Pipeline hooks: bind the canned program batteries to the cosim harnesses.
-LockstepFn rv32_lockstep_fn(bool e_safe = true, std::uint64_t max_cycles = 200000);
-LockstepFn thumb_lockstep_fn(std::uint64_t max_cycles = 400000);
+/// Pipeline hook: binds the canned program battery to the cosim harness.
+LockstepFn rv32_lockstep_fn(std::uint64_t max_cycles = 200000);
 
 }  // namespace pdat::validate

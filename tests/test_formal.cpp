@@ -249,7 +249,7 @@ std::vector<GateProperty> gate_candidates(const Netlist& nl) {
   }
   PropertyLibraryOptions lib;
   lib.const_props = false;
-  const std::vector<GateProperty> implications = annotate_netlist(nl, lib);
+  const std::vector<GateProperty> implications = annotate_netlist(nl, nl.num_nets(), lib);
   EXPECT_FALSE(implications.empty());
   cands.insert(cands.end(), implications.begin(), implications.end());
   return cands;
@@ -601,10 +601,10 @@ TEST(Candidates, EquivalenceCandidatesAreCanonicalForASeed) {
   for (const std::uint64_t seed : {7ULL, 21ULL, 63ULL}) {
     Netlist nl = test::random_netlist(seed, 6, 90, 10, 4);
     Environment env;
-    EquivCandidateOptions opt;
-    opt.sim.seed = seed;
-    const auto first = equivalence_candidates(nl, env, opt);
-    const auto second = equivalence_candidates(nl, env, opt);
+    SimFilterOptions opt;
+    opt.seed = seed;
+    const auto first = equivalence_candidates(nl, env, nl.num_nets(), opt);
+    const auto second = equivalence_candidates(nl, env, nl.num_nets(), opt);
     ASSERT_EQ(first.size(), second.size()) << "seed " << seed;
     NetId prev_rep = 0;
     for (std::size_t i = 0; i < first.size(); ++i) {
@@ -618,9 +618,9 @@ TEST(Candidates, EquivalenceCandidatesAreCanonicalForASeed) {
 TEST(Candidates, ProofOfEquivalenceListIdenticalAcrossThreadCounts) {
   Netlist nl = test::random_netlist(11, 6, 90, 10, 4);
   Environment env;
-  EquivCandidateOptions copt;
-  copt.sim.seed = 11;
-  const auto cands = equivalence_candidates(nl, env, copt);
+  SimFilterOptions copt;
+  copt.seed = 11;
+  const auto cands = equivalence_candidates(nl, env, nl.num_nets(), copt);
   ASSERT_FALSE(cands.empty());
   std::vector<std::string> reference;
   for (const int threads : {1, 2, 5}) {

@@ -156,6 +156,10 @@ TEST(FuzzCorpus, SerializeParseRoundTrip) {
   EXPECT_THROW(parse_program("op 1 2", "rv32"), PdatError);
   EXPECT_THROW(parse_program("isa thumb\nop 9999 0 1 0\n", "thumb"), PdatError)
       << "a spec past the instruction table is malformed";
+  EXPECT_THROW(parse_program("isa rv32\nop -1 0 1 0\n", "rv32"), PdatError)
+      << "a negative spec would index the instruction table at -1";
+  EXPECT_THROW(parse_program("isa rv32\nop 0 5 1 0\n", "rv32"), PdatError)
+      << "op classes end at Branch (4)";
 }
 
 // --- shrinker ----------------------------------------------------------------
@@ -288,9 +292,7 @@ std::vector<AbsProgram> generate_programs(const Generator& gen, std::size_t n) {
 // agreed on the first, and records coverage from it.
 TEST(FuzzOracle, Rv32PacksEqualSingleRuns) {
   util::ScopedFailpoint fp("ibex_tb.fetch_fault", "enospc");
-  GenOptions gopt;
-  gopt.max_ops = 12;
-  const Rv32Generator gen(isa::rv32_subset_named("rv32imc"), gopt);
+  const Rv32Generator gen(isa::rv32_subset_named("rv32imc"), 12);
   const std::vector<AbsProgram> programs = generate_programs(gen, 64);
   for (const Netlist* reduced : {static_cast<const Netlist*>(nullptr), &ibex_netlist()}) {
     Rv32DiffOracle oracle(gen, ibex_netlist(), reduced);
@@ -302,9 +304,7 @@ TEST(FuzzOracle, Rv32PacksEqualSingleRuns) {
 
 TEST(FuzzOracle, ThumbPacksEqualSingleRuns) {
   util::ScopedFailpoint fp("cm0_tb.fetch_fault", "enospc");
-  GenOptions gopt;
-  gopt.max_ops = 12;
-  const ThumbGenerator gen(isa::thumb_subset_interesting(), gopt);
+  const ThumbGenerator gen(isa::thumb_subset_interesting(), 12);
   const std::vector<AbsProgram> programs = generate_programs(gen, 64);
   for (const Netlist* reduced : {static_cast<const Netlist*>(nullptr), &cm0_netlist()}) {
     ThumbDiffOracle oracle(gen, cm0_netlist(), reduced);

@@ -157,9 +157,7 @@ TEST_P(ObfuscatePreservesFunction, RandomNetlists) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   Netlist nl = test::random_netlist(seed, 8, 150, 10, 8);
   Netlist ref = nl;
-  opt::ObfuscateOptions o;
-  o.seed = seed * 13 + 5;
-  opt::obfuscate(nl, o);
+  opt::obfuscate(nl, seed * 13 + 5);
   EXPECT_TRUE(check_netlist(nl).empty());
   EXPECT_TRUE(test::cosim_equal(ref, nl, seed + 2, 128));
   EXPECT_GT(nl.gate_count(), ref.gate_count()) << "obfuscation must add overhead";

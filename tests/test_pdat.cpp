@@ -25,7 +25,7 @@ TEST(PropertyLibrary, GeneratesConstAndImplicationProps) {
   const NetId x = b.and_(in[0], in[1]);
   const NetId y = b.xor_(in[0], in[1]);
   b.output("o", {x, y});
-  const auto props = annotate_netlist(nl);
+  const auto props = annotate_netlist(nl, nl.num_nets());
   // and gate: 2 const + 2 impl; xor gate: 2 const.
   EXPECT_EQ(props.size(), 6u);
   int impls = 0;
@@ -33,18 +33,21 @@ TEST(PropertyLibrary, GeneratesConstAndImplicationProps) {
   EXPECT_EQ(impls, 2);
 }
 
-TEST(PropertyLibrary, ExclusionsRespected) {
+TEST(PropertyLibrary, DesignNetCountBoundsCandidates) {
   Netlist nl;
   synth::Builder b(nl);
   auto in = b.input("in", 2);
   const NetId x = b.and_(in[0], in[1]);
   b.output("o", {x});
-  PropertyLibraryOptions opt;
-  opt.excluded_nets = {x};
-  EXPECT_TRUE(annotate_netlist(nl, opt).empty());
-  PropertyLibraryOptions lim;
-  lim.cell_limit = 0;
-  EXPECT_TRUE(annotate_netlist(nl, lim).empty());
+  // An analysis copy: cutting x moves the AND onto a fresh dangling net, and
+  // constraint logic drives fresh nets too. Neither is a design net.
+  Netlist analysis = nl;
+  cut_net(analysis, x);
+  synth::Builder ab(analysis);
+  ab.not_(in[0]);
+  EXPECT_TRUE(annotate_netlist(analysis, nl.num_nets()).empty());
+  EXPECT_EQ(annotate_netlist(analysis, analysis.num_nets()).size(), 6u)
+      << "and: 2 const + 2 impl; inv: 2 const";
 }
 
 // --- rewiring -------------------------------------------------------------------
@@ -79,7 +82,7 @@ TEST(Rewire, ImplicationRewireForwardsInput) {
   auto c = b.input("c", 1);
   const NetId y = b.and_(a[0], c[0]);
   b.output("y", {y});
-  const auto props = annotate_netlist(nl);
+  const auto props = annotate_netlist(nl, nl.num_nets());
   // Find the a->c implication (rewire to input 0 for AND).
   const GateProperty* impl = nullptr;
   for (const auto& p : props) {
@@ -99,7 +102,7 @@ TEST(Rewire, ConstBeatsImplicationOnSameNet) {
   auto a = b.input("a", 2);
   const NetId y = b.and_(a[0], a[1]);
   b.output("y", {y});
-  const auto props = annotate_netlist(nl);
+  const auto props = annotate_netlist(nl, nl.num_nets());
   const auto st = apply_rewiring(nl, props);  // const0+const1+2 impls on y
   EXPECT_EQ(st.const_rewires, 1u);
   EXPECT_EQ(st.impl_rewires, 0u);
@@ -329,9 +332,9 @@ TEST(EquivProps, CandidatesFindDuplicatedLogic) {
   const NetId z = b.xor_(in[2], in[3]);
   b.output("o", {b.or_(x, z), b.and_(y, z)});
   Environment env;
-  EquivCandidateOptions opt;
-  opt.sim.cycles = 64;
-  const auto cands = equivalence_candidates(nl, env, opt);
+  SimFilterOptions opt;
+  opt.cycles = 64;
+  const auto cands = equivalence_candidates(nl, env, nl.num_nets(), opt);
   bool found = false;
   for (const auto& p : cands) {
     if ((p.a == x && p.b == y) || (p.a == y && p.b == x)) found = true;

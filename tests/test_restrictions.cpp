@@ -3,6 +3,8 @@
 #include "formal/bmc.h"
 #include "isa/rv32_isa.h"
 #include "isa/thumb_subsets.h"
+#include "netlist/check.h"
+#include "pdat/pipeline.h"
 #include "pdat/restrictions.h"
 #include "sim/bitsim.h"
 #include "synth/builder.h"
@@ -94,10 +96,66 @@ TEST(Restrictions, CutToZeroPinsNets) {
   // Simulation: the driver ties the cut net low.
   BitSim sim(nl);
   Rng rng(3);
-  drive_inputs(nl, r.env, sim, rng, r.cut_nets);
+  drive_inputs(nl, r.env, sim, rng);
   sim.eval();
   EXPECT_EQ(sim.value(x), 0u);
   for (NetId asm_net : r.env.assumes) EXPECT_EQ(sim.value(asm_net), ~0ULL);
+}
+
+/// y = a & en, o = y ^ a: a design with one AND gate worth cutting.
+struct AndXorDesign {
+  Netlist nl;
+  NetId en = kNoNet;
+  NetId y = kNoNet;
+  AndXorDesign() {
+    synth::Builder b(nl);
+    const NetId a = b.input("a", 1)[0];
+    en = b.input("en", 1)[0];
+    y = b.and_(a, en);
+    nl.add_output("o", {b.xor_(y, a)});
+  }
+};
+
+TEST(Restrictions, CutNetOldDriverGetsNoCandidates) {
+  // With en == 0, the AND that cut_net moved onto a fresh dangling net
+  // provably outputs 0. That net exists only in the analysis copy, so a
+  // proof naming it must never reach rewiring of the design.
+  const AndXorDesign d;
+  const auto restrict_fn = [&](Netlist& analysis) {
+    RestrictionResult r;
+    synth::Builder b(analysis);
+    r.env.add_assume(b.not_(d.en));
+    r.env.drivers.push_back(std::make_shared<ConstantDriver>(std::vector<NetId>{d.en}, false));
+    restrict_cut_to_zero(analysis, r, {d.y});
+    return r;
+  };
+  const PdatResult res = run_pdat(d.nl, restrict_fn);
+  EXPECT_GT(res.candidates, 0u);
+  for (const GateProperty& p : res.proven_props) {
+    for (const NetId n : {p.target, p.a, p.b}) {
+      if (n != kNoNet) {
+        EXPECT_LT(n, d.nl.num_nets()) << p.describe();
+      }
+    }
+  }
+  EXPECT_TRUE(check_netlist(res.transformed).empty());
+}
+
+TEST(Restrictions, UnownedCutNetIsRejectedAtRestrict) {
+  // Simulation drives only primary inputs and driver-owned nets, so a cut
+  // net no stimulus driver owns would float.
+  const AndXorDesign d;
+  const auto restrict_fn = [&](Netlist& analysis) {
+    RestrictionResult r;
+    r.cut_nets.push_back(cut_net(analysis, d.y));
+    return r;
+  };
+  try {
+    run_pdat(d.nl, restrict_fn);
+    FAIL() << "an unowned cut net must be rejected";
+  } catch (const StageError& e) {
+    EXPECT_EQ(e.stage(), PdatStage::Restrict) << e.what();
+  }
 }
 
 TEST(Restrictions, StimulusSatisfiesAssumesForAllRv32Subsets) {

@@ -222,7 +222,7 @@ TEST(ValidateIbex, CleanRv32iReductionPassesMiterAndLockstep) {
   EXPECT_EQ(m.verdict, Verdict::Pass) << m.detail;
 
   const validate::LockstepResult l =
-      validate::lockstep_rv32(res.transformed, validate::rv32_smoke_programs(true));
+      validate::lockstep_rv32(res.transformed, validate::rv32_smoke_programs());
   EXPECT_EQ(l.verdict, Verdict::Pass) << l.detail;
   EXPECT_GE(l.programs_run, 3);
 }
