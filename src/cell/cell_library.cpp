@@ -52,30 +52,6 @@ CellKind cell_kind_from_name(std::string_view name) {
   throw PdatError("unknown cell name: " + std::string(name));
 }
 
-std::uint64_t cell_eval64(CellKind kind, std::uint64_t a, std::uint64_t b, std::uint64_t c) {
-  switch (kind) {
-    case CellKind::Const0: return 0;
-    case CellKind::Const1: return ~0ULL;
-    case CellKind::Buf: return a;
-    case CellKind::Inv: return ~a;
-    case CellKind::And2: return a & b;
-    case CellKind::Or2: return a | b;
-    case CellKind::Nand2: return ~(a & b);
-    case CellKind::Nor2: return ~(a | b);
-    case CellKind::Xor2: return a ^ b;
-    case CellKind::Xnor2: return ~(a ^ b);
-    case CellKind::And3: return a & b & c;
-    case CellKind::Or3: return a | b | c;
-    case CellKind::Nand3: return ~(a & b & c);
-    case CellKind::Nor3: return ~(a | b | c);
-    case CellKind::Mux2: return (a & ~c) | (b & c);
-    case CellKind::Aoi21: return ~((a & b) | c);
-    case CellKind::Oai21: return ~((a | b) & c);
-    case CellKind::Dff: return a;  // next-state function
-    default: throw PdatError("cell_eval64: bad kind");
-  }
-}
-
 Tri cell_eval_tri(CellKind kind, Tri a, Tri b, Tri c) {
   switch (kind) {
     case CellKind::Const0: return Tri::F;

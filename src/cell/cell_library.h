@@ -63,8 +63,32 @@ inline bool cell_is_const(CellKind kind) {
 }
 
 /// Two-valued evaluation over 64 parallel simulation slots.
-/// Inputs beyond the cell arity are ignored.
-std::uint64_t cell_eval64(CellKind kind, std::uint64_t a, std::uint64_t b, std::uint64_t c);
+/// Inputs beyond the cell arity are ignored. Inline so that a caller with a
+/// constant kind (BitSim's per-kind loops) compiles to the bare expression.
+inline std::uint64_t cell_eval64(CellKind kind, std::uint64_t a, std::uint64_t b,
+                                 std::uint64_t c) {
+  switch (kind) {
+    case CellKind::Const0: return 0;
+    case CellKind::Const1: return ~0ULL;
+    case CellKind::Buf: return a;
+    case CellKind::Inv: return ~a;
+    case CellKind::And2: return a & b;
+    case CellKind::Or2: return a | b;
+    case CellKind::Nand2: return ~(a & b);
+    case CellKind::Nor2: return ~(a | b);
+    case CellKind::Xor2: return a ^ b;
+    case CellKind::Xnor2: return ~(a ^ b);
+    case CellKind::And3: return a & b & c;
+    case CellKind::Or3: return a | b | c;
+    case CellKind::Nand3: return ~(a & b & c);
+    case CellKind::Nor3: return ~(a | b | c);
+    case CellKind::Mux2: return (a & ~c) | (b & c);
+    case CellKind::Aoi21: return ~((a & b) | c);
+    case CellKind::Oai21: return ~((a | b) & c);
+    case CellKind::Dff: return a;  // next-state function
+    default: throw PdatError("cell_eval64: bad kind");
+  }
+}
 
 /// Three-valued evaluation (single slot).
 Tri cell_eval_tri(CellKind kind, Tri a, Tri b, Tri c);

@@ -32,6 +32,7 @@ Cm0Testbench::Cm0Testbench(const Netlist& nl) : nl_(nl), sim_(nl) {
   out_reg_wdata_ = out("reg_wdata");
   out_halted_ = out("halted");
   out_flags_ = out("flags");
+  mem_cone_ = memory_cone(sim_, {in_imem_, in_dmem_});
   reset();
 }
 
@@ -39,8 +40,8 @@ void Cm0Testbench::load_halfwords(std::uint32_t addr, const std::vector<std::uin
                                   unsigned lane) {
   for (std::size_t i = 0; i < halves.size(); ++i) {
     const std::uint32_t a = addr + static_cast<std::uint32_t>(2 * i);
-    mem_.write(lane, a, static_cast<std::uint8_t>(halves[i]));
-    mem_.write(lane, a + 1, static_cast<std::uint8_t>(halves[i] >> 8));
+    mem_.write(a, static_cast<std::uint8_t>(halves[i]), lane);
+    mem_.write(a + 1, static_cast<std::uint8_t>(halves[i] >> 8), lane);
   }
 }
 
@@ -56,7 +57,7 @@ void Cm0Testbench::reset(unsigned lanes) {
 }
 
 std::uint32_t Cm0Testbench::fetch_half(unsigned lane, std::uint32_t addr) const {
-  std::uint32_t hw = mem_.read_word(lane, addr) & 0xffff;
+  std::uint32_t hw = mem_.read_word(addr, lane) & 0xffff;
   // Chaos hook emulating a decoder fault: corrupt the Rm index of fetched
   // data-processing-register halfwords. The fuzzer's mutation self-check
   // arms this and must find + shrink the resulting ISS/core divergence.
@@ -74,11 +75,11 @@ std::uint64_t Cm0Testbench::cycle() {
   std::array<std::uint64_t, kMaxLanes> ihalf{}, dword{};
   for_each_lane(ran, [&](unsigned l) {
     ihalf[l] = fetch_half(l, static_cast<std::uint32_t>(imem_addr[l]));
-    dword[l] = mem_.read_word(l, static_cast<std::uint32_t>(dmem_addr[l]) & ~3u);
+    dword[l] = mem_.read_word(static_cast<std::uint32_t>(dmem_addr[l]) & ~3u, l);
   });
   sim_.set_port_per_slot(*in_imem_, ihalf.data());
   sim_.set_port_per_slot(*in_dmem_, dword.data());
-  sim_.eval();
+  sim_.eval(mem_cone_);
   // pop {.., pc} makes the next fetch address depend on the loaded data —
   // re-serve the instruction word of every lane whose address moved and
   // settle again. Lanes that did not move see the same inputs, so the extra
@@ -95,7 +96,7 @@ std::uint64_t Cm0Testbench::cycle() {
   });
   if (moved != 0) {
     sim_.set_port_per_slot(*in_imem_, ihalf.data());
-    sim_.eval();
+    sim_.eval(mem_cone_);
   }
   const std::uint64_t halted_now = lanes_nonzero(sim_, *out_halted_) & ran;
   const std::uint64_t reg_we = lanes_nonzero(sim_, *out_reg_we_) & ran;
@@ -118,14 +119,14 @@ std::uint64_t Cm0Testbench::cycle() {
       unsigned first = 4, count = 0;
       for (unsigned k = 0; k < 4; ++k) {
         if ((be[l] >> k) & 1) {
-          mem_.write(l, base + k, static_cast<std::uint8_t>(wdata[l] >> (8 * k)));
+          mem_.write(base + k, static_cast<std::uint8_t>(wdata[l] >> (8 * k)), l);
           if (first == 4) first = k;
           ++count;
         }
       }
       std::uint32_t value = 0;
       for (unsigned k = 0; k < count; ++k)
-        value |= static_cast<std::uint32_t>(mem_.read(l, base + first + k)) << (8 * k);
+        value |= static_cast<std::uint32_t>(mem_.read(base + first + k, l)) << (8 * k);
       lanes_[l].mem_writes.push_back({base + first, value, count});
     });
   }

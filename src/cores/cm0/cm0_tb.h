@@ -3,10 +3,11 @@
 // validation against ThumbIss.
 //
 // The testbench is lane-packed: it runs a pack of up to 64 programs at
-// once, one per BitSim slot ("lane"). Every lane has its own memory
-// (LaneMemory), write streams, final flags and halt flag, and a lane's
-// results are exactly those of running its program alone. A single-program
-// run is a pack of one; the per-lane accessors default to lane 0.
+// once, one per BitSim slot ("lane"). Every lane has its own memory (a
+// lane of a util::PagedMemory), write streams, final flags and halt flag,
+// and a lane's results are exactly those of running its program alone. A
+// single-program run is a pack of one; the per-lane accessors default to
+// lane 0.
 #pragma once
 
 #include <array>
@@ -23,7 +24,7 @@ namespace pdat::cores {
 
 class Cm0Testbench {
  public:
-  static constexpr unsigned kMaxLanes = LaneMemory::kLanes;
+  static constexpr unsigned kMaxLanes = 64;  // one program per BitSim slot
 
   explicit Cm0Testbench(const Netlist& nl);
 
@@ -66,7 +67,8 @@ class Cm0Testbench {
 
   const Netlist& nl_;
   BitSim sim_;
-  LaneMemory mem_;
+  BitSim::Cone mem_cone_;  // re-evaluated once the memory words are served
+  util::PagedMemory mem_{kMaxLanes};
   std::array<Lane, kMaxLanes> lanes_;
   std::uint64_t running_ = 0;
 

@@ -32,6 +32,7 @@ IbexTestbench::IbexTestbench(const Netlist& nl) : nl_(nl), sim_(nl) {
   out_rd_addr_ = need_out("rd_addr");
   out_rd_wdata_ = need_out("rd_wdata");
   out_halted_ = need_out("halted");
+  mem_cone_ = memory_cone(sim_, {in_imem_, in_dmem_});
   reset();
 }
 
@@ -40,7 +41,7 @@ void IbexTestbench::load_words(std::uint32_t addr, const std::vector<std::uint32
   for (std::size_t i = 0; i < words.size(); ++i) {
     const std::uint32_t a = addr + static_cast<std::uint32_t>(4 * i);
     for (std::uint32_t k = 0; k < 4; ++k)
-      mem_.write(lane, a + k, static_cast<std::uint8_t>(words[i] >> (8 * k)));
+      mem_.write(a + k, static_cast<std::uint8_t>(words[i] >> (8 * k)), lane);
   }
 }
 
@@ -68,18 +69,18 @@ std::uint64_t IbexTestbench::cycle() {
   // the core extracts the selected bytes itself.
   std::array<std::uint64_t, kMaxLanes> iword{}, dword{};
   for_each_lane(ran, [&](unsigned l) {
-    std::uint32_t iw = mem_.read_word(l, static_cast<std::uint32_t>(imem_addr[l]));
+    std::uint32_t iw = mem_.read_word(static_cast<std::uint32_t>(imem_addr[l]), l);
     // Chaos hook emulating a decoder fault: corrupt the rs2 index of fetched
     // R-type OP words. The fuzzer's mutation self-check arms this and must
     // find + shrink the resulting ISS/core divergence.
     if ((iw & 0x7f) == 0x33 && util::failpoint("ibex_tb.fetch_fault") != 0) iw ^= 1u << 20;
     iword[l] = iw;
-    dword[l] = mem_.read_word(l, static_cast<std::uint32_t>(dmem_addr[l]) & ~3u);
+    dword[l] = mem_.read_word(static_cast<std::uint32_t>(dmem_addr[l]) & ~3u, l);
   });
   sim_.set_port_per_slot(*in_imem_, iword.data());
   sim_.set_port_per_slot(*in_dmem_, dword.data());
   // Phase 2: evaluate with memory data present, then observe side effects.
-  sim_.eval();
+  sim_.eval(mem_cone_);
   const std::uint64_t halted_now = lanes_nonzero(sim_, *out_halted_) & ran;
   const std::uint64_t retiring = lanes_nonzero(sim_, *out_retire_) & ran;
   const std::uint64_t writing = lanes_nonzero(sim_, *out_dmem_we_) & ran;
@@ -110,7 +111,7 @@ std::uint64_t IbexTestbench::cycle() {
       unsigned first = 4;
       for (unsigned k = 0; k < 4; ++k) {
         if ((be[l] >> k) & 1) {
-          mem_.write(l, word_base + k, static_cast<std::uint8_t>(wdata[l] >> (8 * k)));
+          mem_.write(word_base + k, static_cast<std::uint8_t>(wdata[l] >> (8 * k)), l);
           if (first == 4) first = k;
           ++wr_count;
         }
@@ -146,7 +147,7 @@ std::uint64_t IbexTestbench::cycle() {
       te.mem_size = count;
       std::uint32_t value = 0;
       for (unsigned k = 0; k < count; ++k)
-        value |= static_cast<std::uint32_t>(mem_.read(l, addr + k)) << (8 * k);
+        value |= static_cast<std::uint32_t>(mem_.read(addr + k, l)) << (8 * k);
       te.mem_value = value;
       any = true;
     }

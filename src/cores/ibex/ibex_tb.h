@@ -5,10 +5,15 @@
 // end-to-end equivalence checks of reduced cores.
 //
 // The testbench is lane-packed: it runs a pack of up to 64 programs at
-// once, one per BitSim slot ("lane"). Every lane has its own memory
-// (LaneMemory), trace, pending-store state and halt flag, and a lane's
-// results are exactly those of running its program alone. A single-program
-// run is a pack of one; the per-lane accessors default to lane 0.
+// once, one per BitSim slot ("lane"). Every lane has its own memory (a
+// lane of a util::PagedMemory), trace, pending-store state and halt flag,
+// and a lane's results are exactly those of running its program alone. A
+// single-program run is a pack of one; the per-lane accessors default to
+// lane 0.
+//
+// A cycle evaluates the core twice: once in full to learn the fetch and
+// data addresses, and once more, only over the cone of the memory-data
+// inputs, after serving every lane its words.
 #pragma once
 
 #include <array>
@@ -25,7 +30,7 @@ namespace pdat::cores {
 
 class IbexTestbench {
  public:
-  static constexpr unsigned kMaxLanes = LaneMemory::kLanes;
+  static constexpr unsigned kMaxLanes = 64;  // one program per BitSim slot
 
   /// The netlist must expose the Ibex port list (see ibex_core.cpp).
   explicit IbexTestbench(const Netlist& nl);
@@ -52,7 +57,7 @@ class IbexTestbench {
     return lanes_[lane].trace;
   }
   std::uint32_t mem_word(std::uint32_t addr, unsigned lane = 0) const {
-    return mem_.read_word(lane, addr);
+    return mem_.read_word(addr, lane);
   }
   std::uint64_t retired(unsigned lane = 0) const { return lanes_[lane].retired; }
   /// Cycles the lane ran, its halting cycle included.
@@ -71,7 +76,8 @@ class IbexTestbench {
 
   const Netlist& nl_;
   BitSim sim_;
-  LaneMemory mem_;
+  BitSim::Cone mem_cone_;  // re-evaluated once the memory words are served
+  util::PagedMemory mem_{kMaxLanes};
   std::array<Lane, kMaxLanes> lanes_;
   std::uint64_t running_ = 0;
 

@@ -1,11 +1,11 @@
 #include "cores/ridecore/ride_tb.h"
 
 #include "base/types.h"
+#include "cores/lane_pack.h"
 
 namespace pdat::cores {
 
-RideTestbench::RideTestbench(const Netlist& nl, std::size_t mem_bytes)
-    : nl_(nl), sim_(nl), mem_(mem_bytes, 0) {
+RideTestbench::RideTestbench(const Netlist& nl) : nl_(nl), sim_(nl) {
   auto in = [&](const char* n) {
     const Port* p = nl_.find_input(n);
     if (p == nullptr) throw PdatError(std::string("ride tb: missing input ") + n);
@@ -36,14 +36,14 @@ RideTestbench::RideTestbench(const Netlist& nl, std::size_t mem_bytes)
   r1_rd_ = out("retire1_rd");
   r1_data_ = out("retire1_data");
   r1_pc_ = out("retire1_pc");
+  mem_cone_ = memory_cone(sim_, {in_i0_, in_i1_, in_dmem_});
 }
 
 void RideTestbench::load_words(std::uint32_t addr, const std::vector<std::uint32_t>& words) {
   for (std::size_t i = 0; i < words.size(); ++i) {
     const std::uint32_t a = addr + static_cast<std::uint32_t>(4 * i);
-    for (int k = 0; k < 4; ++k)
-      mem_[(a + static_cast<std::uint32_t>(k)) % mem_.size()] =
-          static_cast<std::uint8_t>(words[i] >> (8 * k));
+    for (std::uint32_t k = 0; k < 4; ++k)
+      mem_.write(a + k, static_cast<std::uint8_t>(words[i] >> (8 * k)));
   }
 }
 
@@ -54,23 +54,15 @@ void RideTestbench::reset() {
   cycles_ = 0;
 }
 
-std::uint32_t RideTestbench::read_word(std::uint32_t addr) const {
-  std::uint32_t v = 0;
-  for (int k = 0; k < 4; ++k)
-    v |= static_cast<std::uint32_t>(mem_[(addr + static_cast<std::uint32_t>(k)) % mem_.size()])
-         << (8 * k);
-  return v;
-}
-
 bool RideTestbench::cycle() {
   ++cycles_;
   sim_.eval();
   const auto ia = static_cast<std::uint32_t>(sim_.read_port(*out_imem_addr_, 0));
   const auto da = static_cast<std::uint32_t>(sim_.read_port(*out_dmem_addr_, 0));
-  sim_.set_port_uniform(*in_i0_, read_word(ia));
-  sim_.set_port_uniform(*in_i1_, read_word(ia + 4));
-  sim_.set_port_uniform(*in_dmem_, read_word(da & ~3u));
-  sim_.eval();
+  sim_.set_port_uniform(*in_i0_, mem_.read_word(ia));
+  sim_.set_port_uniform(*in_i1_, mem_.read_word(ia + 4));
+  sim_.set_port_uniform(*in_dmem_, mem_.read_word(da & ~3u));
+  sim_.eval(mem_cone_);
   const bool halted_now = sim_.read_port(*out_halted_, 0) != 0;
 
   // Memory write (at most one per cycle). The core reports which slot owns
@@ -85,7 +77,7 @@ bool RideTestbench::cycle() {
     unsigned first = 4, count = 0;
     for (unsigned k = 0; k < 4; ++k) {
       if ((be >> k) & 1) {
-        mem_[(base + k) % mem_.size()] = static_cast<std::uint8_t>(wdata >> (8 * k));
+        mem_.write(base + k, static_cast<std::uint8_t>(wdata >> (8 * k)));
         if (first == 4) first = k;
         ++count;
       }
@@ -97,7 +89,7 @@ bool RideTestbench::cycle() {
     te.mem_size = count;
     std::uint32_t value = 0;
     for (unsigned k = 0; k < count; ++k)
-      value |= static_cast<std::uint32_t>(mem_[(base + first + k) % mem_.size()]) << (8 * k);
+      value |= static_cast<std::uint32_t>(mem_.read(base + first + k)) << (8 * k);
     te.mem_value = value;
     trace_.push_back(te);
   };

@@ -9,12 +9,13 @@
 #include "iss/rv32_iss.h"
 #include "netlist/netlist.h"
 #include "sim/bitsim.h"
+#include "util/paged_memory.h"
 
 namespace pdat::cores {
 
 class RideTestbench {
  public:
-  explicit RideTestbench(const Netlist& nl, std::size_t mem_bytes = 1 << 20);
+  explicit RideTestbench(const Netlist& nl);
 
   void load_words(std::uint32_t addr, const std::vector<std::uint32_t>& words);
   void reset();
@@ -28,7 +29,8 @@ class RideTestbench {
  private:
   const Netlist& nl_;
   BitSim sim_;
-  std::vector<std::uint8_t> mem_;
+  BitSim::Cone mem_cone_;  // re-evaluated once the memory words are served
+  util::PagedMemory mem_;
   std::vector<iss::Rv32Iss::TraceEntry> trace_;
   std::uint64_t retired_ = 0;
   std::uint64_t cycles_ = 0;
@@ -38,8 +40,6 @@ class RideTestbench {
       *out_halted_, *out_mem_slot1_;
   const Port *r0_valid_, *r0_we_, *r0_rd_, *r0_data_, *r0_pc_;
   const Port *r1_valid_, *r1_we_, *r1_rd_, *r1_data_, *r1_pc_;
-
-  std::uint32_t read_word(std::uint32_t addr) const;
 };
 
 /// Empty string on matching traces (register writebacks + memory writes in

@@ -1,6 +1,7 @@
 #include "formal/candidates.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "netlist/levelize.h"
@@ -16,31 +17,28 @@ SimFilterResult sim_filter(const Netlist& nl, const Environment& env,
                    {"restarts", opt.restarts}, {"cycles", opt.cycles});
   BitSim sim(nl);
   Rng rng(opt.seed);
+  const std::vector<NetId> free = free_inputs(nl, env);
 
-  std::vector<bool> alive(candidates.size(), true);
+  // Indices of the candidates no cycle has violated yet, ascending.
+  std::vector<std::size_t> alive(candidates.size());
+  std::iota(alive.begin(), alive.end(), 0);
   for (int r = 0; r < opt.restarts; ++r) {
     sim.reset();
     for (int cyc = 0; cyc < opt.cycles; ++cyc) {
-      drive_inputs(nl, env, sim, rng);
+      drive_inputs(free, env, sim, rng);
       sim.eval();
       if (!assumes_hold(sim, env)) {
         ++res.assume_violation_cycles;
       } else {
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-          if (alive[i] && violated_in_sim(sim, candidates[i])) alive[i] = false;
-        }
+        std::erase_if(alive, [&](std::size_t i) { return violated_in_sim(sim, candidates[i]); });
       }
       // Advance state (uses the values already evaluated this cycle).
       sim.latch();
     }
   }
 
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (alive[i])
-      res.survivors.push_back(candidates[i]);
-    else
-      ++res.dropped;
-  }
+  for (const std::size_t i : alive) res.survivors.push_back(candidates[i]);
+  res.dropped = candidates.size() - alive.size();
   trace::add(trace::Counter::SimFilterCycles,
              static_cast<std::uint64_t>(opt.restarts) * static_cast<std::uint64_t>(opt.cycles));
   trace::add(trace::Counter::SimFilterAssumeViolationCycles,
@@ -55,9 +53,10 @@ std::vector<GateProperty> equivalence_candidates(const Netlist& nl, const Enviro
                                                  const SimFilterOptions& opt) {
   constexpr std::size_t kMaxClassSize = 64;  // ignore huge signature classes
   trace::Span span("candidates.equivalence");
-  const Levelization lv = levelize(nl);
   BitSim sim(nl);
+  const Levelization& lv = sim.levels();
   Rng rng(opt.seed ^ 0xE9);
+  const std::vector<NetId> free = free_inputs(nl, env);
 
   // Candidate nets: design-net outputs of non-tie cells.
   std::vector<NetId> nets;
@@ -73,7 +72,7 @@ std::vector<GateProperty> equivalence_candidates(const Netlist& nl, const Enviro
   for (int r = 0; r < opt.restarts; ++r) {
     sim.reset();
     for (int cyc = 0; cyc < opt.cycles; ++cyc) {
-      drive_inputs(nl, env, sim, rng);
+      drive_inputs(free, env, sim, rng);
       sim.eval();
       if (assumes_hold(sim, env)) {
         for (NetId n : nets) {

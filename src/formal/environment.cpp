@@ -17,16 +17,22 @@ void SampledWordDriver::drive(BitSim& sim, Rng& rng) {
   sim.set_port_per_slot(tmp, slots);
 }
 
-void drive_inputs(const Netlist& nl, const Environment& env, BitSim& sim, Rng& rng) {
+std::vector<NetId> free_inputs(const Netlist& nl, const Environment& env) {
   std::unordered_set<NetId> owned;
   for (const auto& d : env.drivers) {
     for (NetId n : d->owned_nets()) owned.insert(n);
   }
+  std::vector<NetId> free;
   for (const auto& p : nl.inputs()) {
     for (NetId n : p.bits) {
-      if (!owned.count(n)) sim.set_input(n, rng.next());
+      if (!owned.count(n)) free.push_back(n);
     }
   }
+  return free;
+}
+
+void drive_inputs(const std::vector<NetId>& free, const Environment& env, BitSim& sim, Rng& rng) {
+  for (NetId n : free) sim.set_input(n, rng.next());
   for (const auto& d : env.drivers) d->drive(sim, rng);
 }
 

@@ -107,10 +107,14 @@ class SampledWordDriver final : public StimulusDriver {
   std::function<std::uint64_t(Rng&)> sample_;
 };
 
-/// Drives every primary input not owned by an environment driver with
-/// uniform random bits, then runs the environment drivers. A cut net is
-/// not a primary input: its restriction's driver must own it (run_pdat
-/// rejects a restriction that leaves one unowned).
-void drive_inputs(const Netlist& nl, const Environment& env, BitSim& sim, Rng& rng);
+/// The primary-input bits no environment driver owns, in port order: the
+/// nets drive_inputs randomizes. A cut net is not a primary input: its
+/// restriction's driver must own it (run_pdat rejects a restriction that
+/// leaves one unowned). Compute it once per simulation loop.
+std::vector<NetId> free_inputs(const Netlist& nl, const Environment& env);
+
+/// Drives every net of `free` (from free_inputs) with uniform random bits,
+/// in order, then runs the environment drivers.
+void drive_inputs(const std::vector<NetId>& free, const Environment& env, BitSim& sim, Rng& rng);
 
 }  // namespace pdat

@@ -174,10 +174,18 @@ struct Engine {
   InductionStats& st;
   FrameEncoder enc;
   std::vector<bool> alive;
+  const std::vector<NetId> free;  // replay's randomized inputs
 
   Engine(const Netlist& nl_, const Environment& env_, const std::vector<GateProperty>& c,
          const InductionOptions& o, InductionStats& s)
-      : nl(nl_), env(env_), cands(c), opt(o), st(s), enc(nl_), alive(c.size(), true) {}
+      : nl(nl_),
+        env(env_),
+        cands(c),
+        opt(o),
+        st(s),
+        enc(nl_),
+        alive(c.size(), true),
+        free(free_inputs(nl_, env_)) {}
 
   runtime::SupervisorOptions supervisor_options() const {
     runtime::SupervisorOptions sopt;
@@ -207,7 +215,7 @@ struct Engine {
       sim.set_flop_state(flop, s.model_value(fk.net_var[q]) ? ~0ULL : 0);
     }
     for (int cyc = 0; cyc < opt.cex_sim_cycles; ++cyc) {
-      drive_inputs(nl, local_env, sim, rng);
+      drive_inputs(free, local_env, sim, rng);
       sim.eval();
       if (assumes_hold(sim, local_env)) {
         for (std::uint32_t i = 0; i < cands.size(); ++i) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <sstream>
 
 #include "base/types.h"
@@ -41,17 +42,31 @@ void LaneCoverage::clear(std::size_t nets) {
 }
 
 void LaneCoverage::record(const BitSim& sim, std::uint64_t lanes) {
-  for (std::size_t n = 0; n < seen0_.size(); ++n) {
-    const std::uint64_t v = sim.value(static_cast<NetId>(n));
-    seen1_[n] |= v & lanes;
-    seen0_[n] |= ~v & lanes;
+  // Raw pointers and a NetId counter let the compiler vectorize the loop.
+  std::uint64_t* const seen0 = seen0_.data();
+  std::uint64_t* const seen1 = seen1_.data();
+  const auto nets = static_cast<NetId>(seen0_.size());
+  for (NetId n = 0; n < nets; ++n) {
+    const std::uint64_t v = sim.value(n);
+    seen1[n] |= v & lanes;
+    seen0[n] |= ~v & lanes;
   }
 }
 
-void LaneCoverage::scatter(unsigned lane, CoverageMap& cov) const {
-  for (std::size_t n = 0; n < seen0_.size(); ++n) {
-    cov.seen0_[n / 64] |= ((seen0_[n] >> lane) & 1) << (n % 64);
-    cov.seen1_[n / 64] |= ((seen1_[n] >> lane) & 1) << (n % 64);
+void LaneCoverage::scatter(std::span<CoverageMap* const> lanes) const {
+  // Block w of a polarity holds nets 64w.. as rows of lane bits; after the
+  // transpose, row k is lane k's word w of the per-program bitmap.
+  std::uint64_t block[64];
+  for (std::size_t w = 0; 64 * w < seen0_.size(); ++w) {
+    const std::size_t n = std::min<std::size_t>(64, seen0_.size() - 64 * w);
+    for (const bool value : {false, true}) {
+      const std::vector<std::uint64_t>& seen = value ? seen1_ : seen0_;
+      std::copy_n(seen.begin() + static_cast<std::ptrdiff_t>(64 * w), n, block);
+      std::fill(block + n, block + 64, 0);
+      transpose64(block);
+      for (std::size_t k = 0; k < lanes.size(); ++k)
+        (value ? lanes[k]->seen1_ : lanes[k]->seen0_)[w] |= block[k];
+    }
   }
 }
 

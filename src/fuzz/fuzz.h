@@ -77,6 +77,10 @@ class CoverageMap {
 
   /// Covered (net, polarity) pairs; the maximum is 2 * nets().
   std::size_t covered() const;
+  /// True when `net` was observed at `value`.
+  bool seen(std::size_t net, bool value) const {
+    return (((value ? seen1_ : seen0_)[net / 64] >> (net % 64)) & 1) != 0;
+  }
 
   friend bool operator==(const CoverageMap&, const CoverageMap&) = default;
 
@@ -95,8 +99,9 @@ class LaneCoverage {
   /// Records every net's value in the `lanes` that ran; call after each
   /// cycle's latch().
   void record(const BitSim& sim, std::uint64_t lanes);
-  /// ORs lane `lane`'s pairs into `cov` (initialized to the same nets).
-  void scatter(unsigned lane, CoverageMap& cov) const;
+  /// ORs lane k's pairs into *lanes[k] (initialized to the same nets),
+  /// one 64x64 bit transpose per 64 nets and polarity for all lanes.
+  void scatter(std::span<CoverageMap* const> lanes) const;
 
  private:
   std::vector<std::uint64_t> seen0_, seen1_;  // per net

@@ -35,12 +35,16 @@ std::vector<std::size_t> run_pack(Tb& tb, const char* label, const std::vector<s
     if (!covs.empty()) lane_cov.record(tb.sim(), ran);
     ++packed;
   }
+  if (!covs.empty()) {
+    std::vector<CoverageMap*> lanes;
+    for (const std::size_t job : jobs) lanes.push_back(&covs[job]);
+    lane_cov.scatter(lanes);
+  }
   std::uint64_t lane_cycles = 0;
   for (unsigned k = 0; k < jobs.size(); ++k) {
     RunOutcome& o = out[jobs[k]];
     o.cycles += tb.cycles(k);
     lane_cycles += tb.cycles(k);
-    if (!covs.empty()) lane_cov.scatter(k, covs[jobs[k]]);
     if (!tb.halted(k)) {
       o.status = RunOutcome::Status::Inconclusive;
       o.detail = std::string(label) + ": did not halt";

@@ -11,8 +11,6 @@ namespace pdat::iss {
 using isa::RvFields;
 using isa::RvInstrSpec;
 
-Rv32Iss::Rv32Iss(std::size_t mem_bytes) : mem_(mem_bytes, 0) {}
-
 void Rv32Iss::load_words(std::uint32_t addr, const std::vector<std::uint32_t>& words) {
   for (std::size_t i = 0; i < words.size(); ++i) {
     store_word(addr + static_cast<std::uint32_t>(4 * i), words[i]);
@@ -30,20 +28,11 @@ void Rv32Iss::reset(std::uint32_t pc) {
   instret_ = 0;
 }
 
-std::uint32_t Rv32Iss::load_word(std::uint32_t addr) const {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(mem_[(addr + static_cast<std::uint32_t>(i)) % mem_.size()])
-         << (8 * i);
-  }
-  return v;
-}
+std::uint32_t Rv32Iss::load_word(std::uint32_t addr) const { return mem_.read_word(addr); }
 
 void Rv32Iss::store_word(std::uint32_t addr, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    mem_[(addr + static_cast<std::uint32_t>(i)) % mem_.size()] =
-        static_cast<std::uint8_t>(value >> (8 * i));
-  }
+  for (std::uint32_t i = 0; i < 4; ++i)
+    mem_.write(addr + i, static_cast<std::uint8_t>(value >> (8 * i)));
 }
 
 std::uint32_t Rv32Iss::csr_read(unsigned addr) {

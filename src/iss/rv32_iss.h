@@ -9,13 +9,14 @@
 #include <vector>
 
 #include "isa/rv32_encoding.h"
+#include "util/paged_memory.h"
 
 namespace pdat::iss {
 
+/// Memory is a util::PagedMemory: 1 MiB wrap-around, unwritten bytes read
+/// 0, and constructing an ISS allocates no page.
 class Rv32Iss {
  public:
-  explicit Rv32Iss(std::size_t mem_bytes = 1 << 20);
-
   /// Loads 32-bit words at a byte address.
   void load_words(std::uint32_t addr, const std::vector<std::uint32_t>& words);
 
@@ -38,9 +39,9 @@ class Rv32Iss {
   bool illegal() const { return illegal_; }
 
   std::uint32_t load_word(std::uint32_t addr) const;
-  std::uint8_t load_byte(std::uint32_t addr) const { return mem_[addr % mem_.size()]; }
+  std::uint8_t load_byte(std::uint32_t addr) const { return mem_.read(addr); }
   void store_word(std::uint32_t addr, std::uint32_t value);
-  void store_byte(std::uint32_t addr, std::uint8_t value) { mem_[addr % mem_.size()] = value; }
+  void store_byte(std::uint32_t addr, std::uint8_t value) { mem_.write(addr, value); }
 
   /// Dynamic per-mnemonic retire counts (includes c.* when fetched
   /// compressed).
@@ -61,7 +62,7 @@ class Rv32Iss {
   const std::vector<TraceEntry>& trace() const { return trace_; }
 
  private:
-  std::vector<std::uint8_t> mem_;
+  util::PagedMemory mem_;
   std::uint32_t regs_[32] = {};
   std::uint32_t pc_ = 0;
   bool halted_ = false;

@@ -29,13 +29,11 @@ AddResult add_with_carry(std::uint32_t a, std::uint32_t b, bool cin) {
 
 }  // namespace
 
-ThumbIss::ThumbIss(std::size_t mem_bytes) : mem_(mem_bytes, 0) {}
-
 void ThumbIss::load_halfwords(std::uint32_t addr, const std::vector<std::uint16_t>& halves) {
   for (std::size_t i = 0; i < halves.size(); ++i) {
     const std::uint32_t a = addr + static_cast<std::uint32_t>(2 * i);
-    mem_[a % mem_.size()] = static_cast<std::uint8_t>(halves[i]);
-    mem_[(a + 1) % mem_.size()] = static_cast<std::uint8_t>(halves[i] >> 8);
+    mem_.write(a, static_cast<std::uint8_t>(halves[i]));
+    mem_.write(a + 1, static_cast<std::uint8_t>(halves[i] >> 8));
   }
 }
 
@@ -50,22 +48,14 @@ void ThumbIss::reset(std::uint32_t pc, std::uint32_t sp) {
   mem_writes_.clear();
 }
 
-std::uint32_t ThumbIss::load_word(std::uint32_t a) const {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(mem_[(a + static_cast<std::uint32_t>(i)) % mem_.size()])
-         << (8 * i);
-  return v;
-}
+std::uint32_t ThumbIss::load_word(std::uint32_t a) const { return mem_.read_word(a); }
 
 void ThumbIss::store_word(std::uint32_t a, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    mem_[(a + static_cast<std::uint32_t>(i)) % mem_.size()] = static_cast<std::uint8_t>(v >> (8 * i));
+  for (std::uint32_t i = 0; i < 4; ++i) mem_.write(a + i, static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
 std::uint16_t ThumbIss::fetch16(std::uint32_t a) const {
-  return static_cast<std::uint16_t>(mem_[a % mem_.size()] |
-                                    (mem_[(a + 1) % mem_.size()] << 8));
+  return static_cast<std::uint16_t>(mem_.read(a) | (mem_.read(a + 1) << 8));
 }
 
 bool ThumbIss::step() {

@@ -8,12 +8,14 @@
 #include <string>
 #include <vector>
 
+#include "util/paged_memory.h"
+
 namespace pdat::iss {
 
+/// Memory is a util::PagedMemory: 1 MiB wrap-around, unwritten bytes read
+/// 0, and constructing an ISS allocates no page.
 class ThumbIss {
  public:
-  explicit ThumbIss(std::size_t mem_bytes = 1 << 20);
-
   void load_halfwords(std::uint32_t addr, const std::vector<std::uint16_t>& halves);
   void reset(std::uint32_t pc = 0, std::uint32_t sp = 0x10000);
 
@@ -31,8 +33,8 @@ class ThumbIss {
   bool flag_c() const { return c_; }
   bool flag_v() const { return v_; }
 
-  std::uint8_t load_byte(std::uint32_t a) const { return mem_[a % mem_.size()]; }
-  void store_byte(std::uint32_t a, std::uint8_t v) { mem_[a % mem_.size()] = v; }
+  std::uint8_t load_byte(std::uint32_t a) const { return mem_.read(a); }
+  void store_byte(std::uint32_t a, std::uint8_t v) { mem_.write(a, v); }
   std::uint32_t load_word(std::uint32_t a) const;
   void store_word(std::uint32_t a, std::uint32_t v);
 
@@ -56,7 +58,7 @@ class ThumbIss {
   const std::vector<MemWrite>& mem_writes() const { return mem_writes_; }
 
  private:
-  std::vector<std::uint8_t> mem_;
+  util::PagedMemory mem_;
   std::uint32_t regs_[16] = {};
   bool n_ = false, z_ = false, c_ = false, v_ = false;
   bool halted_ = false;

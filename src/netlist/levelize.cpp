@@ -24,6 +24,7 @@ Levelization levelize(const Netlist& nl) {
     const int n = cell_num_inputs(c.kind);
     for (int i = 0; i < n; ++i) {
       const NetId in = c.in[static_cast<std::size_t>(i)];
+      if (in == kNoNet) continue;  // an unconnected pin is a source
       const CellId drv = nl.driver(in);
       if (drv != kNoCell && !nl.cell(drv).dead && nl.cell(drv).kind != CellKind::Dff) {
         ++unresolved;
@@ -42,7 +43,10 @@ Levelization levelize(const Netlist& nl) {
     const Cell& c = nl.cell(id);
     int lvl = 0;
     const int n = cell_num_inputs(c.kind);
-    for (int i = 0; i < n; ++i) lvl = std::max(lvl, out.net_level[c.in[static_cast<std::size_t>(i)]]);
+    for (int i = 0; i < n; ++i) {
+      const NetId in = c.in[static_cast<std::size_t>(i)];
+      if (in != kNoNet) lvl = std::max(lvl, out.net_level[in]);
+    }
     out.net_level[c.out] = lvl + 1;
     out.max_level = std::max(out.max_level, lvl + 1);
     for (CellId user : fanout[c.out]) {

@@ -1,8 +1,9 @@
 // Topological ordering of the combinational portion of a netlist.
 //
-// DFF outputs, primary inputs, and tie cells are sources. The returned order
-// lists every live combinational cell such that each cell appears after all
-// cells driving its inputs. Combinational cycles are reported as errors.
+// DFF outputs, primary inputs, unconnected pins (kNoNet), and tie cells are
+// sources. The returned order lists every live combinational cell such that
+// each cell appears after all cells driving its inputs. Combinational cycles
+// are reported as errors.
 #pragma once
 
 #include <vector>

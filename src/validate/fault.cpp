@@ -98,11 +98,13 @@ bool restricted_differ_random(const Netlist& a, const RestrictionResult& ra,
   // stimulus — exactly what the miter's cross-side cutpoint ties enforce.
   Rng rng_a(seed);
   Rng rng_b(seed);
+  const std::vector<NetId> free_a = free_inputs(a, ra.env);
+  const std::vector<NetId> free_b = free_inputs(b, rb.env);
   sa.reset();
   sb.reset();
   for (int t = 0; t < cycles; ++t) {
-    drive_inputs(a, ra.env, sa, rng_a);
-    drive_inputs(b, rb.env, sb, rng_b);
+    drive_inputs(free_a, ra.env, sa, rng_a);
+    drive_inputs(free_b, rb.env, sb, rng_b);
     sa.eval();
     sb.eval();
     for (const Port& p : a.outputs()) {

@@ -11,6 +11,7 @@
 #include <span>
 #include <sstream>
 
+#include "base/rng.h"
 #include "cores/cm0/cm0_core.h"
 #include "cores/ibex/ibex_core.h"
 #include "fuzz/oracle.h"
@@ -240,6 +241,52 @@ TEST(FuzzOracle, CoverageAccumulates) {
   const std::size_t after_one = cov.covered();
   EXPECT_GT(after_one, 0u);
   EXPECT_LE(after_one, 2 * cov.nets());
+}
+
+// The batched scatter transposes 64-net blocks; a per-bit reference reads
+// the same lane masks one (net, lane) at a time. 150 nets make two full
+// blocks and a partial one, and 37 lanes leave part of each block unused.
+TEST(FuzzCoverage, BatchedScatterEqualsPerBitReference) {
+  constexpr std::size_t kNets = 150, kLanes = 37;
+  Netlist nl;
+  nl.add_output("y", nl.add_input("a", kNets));
+  BitSim sim(nl);
+  LaneCoverage lane_cov;
+  lane_cov.clear(kNets);
+  std::vector<std::uint64_t> ref0(kNets, 0), ref1(kNets, 0);
+  Rng rng(5);
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    // Sparse words so that some (net, lane) pairs stay uncovered.
+    for (NetId n = 0; n < kNets; ++n) sim.set_input(n, rng.next() & rng.next() & rng.next());
+    const std::uint64_t lanes = rng.next() & ((1ULL << kLanes) - 1);
+    lane_cov.record(sim, lanes);
+    for (NetId n = 0; n < kNets; ++n) {
+      ref0[n] |= ~sim.value(n) & lanes;
+      ref1[n] |= sim.value(n) & lanes;
+    }
+  }
+  // Lane k's map is maps[kLanes - 1 - k], as a pack maps lanes to jobs.
+  std::vector<CoverageMap> maps(kLanes);
+  std::vector<CoverageMap*> by_lane;
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    maps[k].init(kNets);
+    by_lane.push_back(&maps[kLanes - 1 - k]);
+  }
+  lane_cov.scatter(by_lane);
+  std::size_t covered = 0;
+  for (std::size_t k = 0; k < kLanes; ++k) {
+    std::size_t lane_pairs = 0;
+    for (NetId n = 0; n < kNets; ++n) {
+      EXPECT_EQ(by_lane[k]->seen(n, false), ((ref0[n] >> k) & 1) != 0) << k << "/" << n;
+      EXPECT_EQ(by_lane[k]->seen(n, true), ((ref1[n] >> k) & 1) != 0) << k << "/" << n;
+      lane_pairs += ((ref0[n] >> k) & 1) + ((ref1[n] >> k) & 1);
+    }
+    // No bit past the last net.
+    EXPECT_EQ(by_lane[k]->covered(), lane_pairs) << "lane " << k;
+    covered += lane_pairs;
+  }
+  EXPECT_GT(covered, 0u);
+  EXPECT_LT(covered, 2 * kNets * kLanes);
 }
 
 namespace {

@@ -115,7 +115,7 @@ TEST(Environment, ConstantDriverTiesNets) {
       std::make_shared<ConstantDriver>(std::vector<NetId>{a[1]}, false));
   BitSim sim(nl);
   Rng rng(1);
-  drive_inputs(nl, env, sim, rng);
+  drive_inputs(free_inputs(nl, env), env, sim, rng);
   sim.eval();
   EXPECT_EQ(sim.value(a[0]), ~0ULL);
   EXPECT_EQ(sim.value(a[1]), 0ULL);

@@ -63,8 +63,9 @@ TEST(Restrictions, ThumbPortStimulusSatisfiesAssume) {
   ASSERT_EQ(r.env.assumes.size(), 1u);
   BitSim sim(nl);
   Rng rng(11);
+  const std::vector<NetId> free = free_inputs(nl, r.env);
   for (int cyc = 0; cyc < 200; ++cyc) {
-    drive_inputs(nl, r.env, sim, rng);
+    drive_inputs(free, r.env, sim, rng);
     sim.eval();
     ASSERT_EQ(sim.value(r.env.assumes[0]), ~0ULL) << "cycle " << cyc;
     sim.latch();
@@ -96,7 +97,7 @@ TEST(Restrictions, CutToZeroPinsNets) {
   // Simulation: the driver ties the cut net low.
   BitSim sim(nl);
   Rng rng(3);
-  drive_inputs(nl, r.env, sim, rng);
+  drive_inputs(free_inputs(nl, r.env), r.env, sim, rng);
   sim.eval();
   EXPECT_EQ(sim.value(x), 0u);
   for (NetId asm_net : r.env.assumes) EXPECT_EQ(sim.value(asm_net), ~0ULL);
@@ -165,8 +166,9 @@ TEST(Restrictions, StimulusSatisfiesAssumesForAllRv32Subsets) {
     RestrictionResult r = restrict_isa_port(copy, "instr", isa::rv32_subset_named(name));
     BitSim sim(copy);
     Rng rng(17);
+    const std::vector<NetId> free = free_inputs(copy, r.env);
     for (int cyc = 0; cyc < 200; ++cyc) {
-      drive_inputs(copy, r.env, sim, rng);
+      drive_inputs(free, r.env, sim, rng);
       sim.eval();
       for (NetId a : r.env.assumes) {
         ASSERT_EQ(sim.value(a), ~0ULL) << name << " cycle " << cyc;

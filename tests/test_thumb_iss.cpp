@@ -193,5 +193,19 @@ TEST(ThumbIssMem, PushPopRoundTripSp) {
   EXPECT_EQ(s.reg(13), 0x10000u);
 }
 
+TEST(ThumbIssMem, MemoryIsSparseWrapsAndIsPrivate) {
+  ThumbIss a, b;
+  EXPECT_EQ(a.load_word(0x1234), 0u) << "an unwritten byte reads 0";
+  a.store_word(0x100, 0xdeadbeef);
+  EXPECT_EQ(a.load_word(0x100 + (1u << 20)), 0xdeadbeefu) << "memory wraps at 1 MiB";
+  EXPECT_EQ(a.load_word(0x100 + (1u << 19)), 0u) << "and not before";
+  a.store_word(0xffffe, 0x11223344);  // bytes 0xffffe, 0xfffff, 0, 1
+  EXPECT_EQ(a.load_byte(0), 0x22u);
+  EXPECT_EQ(b.load_word(0x100), 0u) << "two ISSs share no page";
+  ThumbIss copy = a;
+  copy.store_word(0x100, 1);
+  EXPECT_EQ(a.load_word(0x100), 0xdeadbeefu) << "a copy shares no page";
+}
+
 }  // namespace
 }  // namespace pdat::iss
