@@ -42,11 +42,14 @@
 //                       against the ISS alone (catches core-model/ISS drift cheaply)
 //
 // Malformed input (an unknown core, subset or flag, a malformed number, an
-// unreadable or wrong-ISA --fuzz-replay file) exits with status 2 before
-// any reduction work. SIGINT/SIGTERM interrupt the run cooperatively: the
-// proof journal keeps every completed round, a resume command is printed,
-// and the process exits with status 75 (resumable) instead of 1. A second
-// signal exits immediately with the conventional 128+signo status.
+// unreadable or wrong-ISA --fuzz-replay file, a fuzzing flag on a subset the
+// fuzzer cannot use) exits with status 2 before any reduction work. Every
+// other error (a failed stage, an output file that cannot be written) and a
+// reduced core that a validator rejected exit with status 1. SIGINT/SIGTERM
+// interrupt the run cooperatively: the proof journal keeps every completed
+// round, a resume command is printed, and the process exits with status 75
+// (resumable) instead of 1. A second signal exits immediately with the
+// conventional 128+signo status.
 #include <algorithm>
 #include <atomic>
 #include <charconv>
@@ -62,6 +65,7 @@
 #include <string_view>
 #include <vector>
 
+#include "base/file.h"
 #include "cores/cm0/cm0_core.h"
 #include "cores/cm0/cm0_tb.h"
 #include "cores/ibex/ibex_core.h"
@@ -108,10 +112,14 @@ struct Flow {
 
 /// Binds `f`'s fuzz hooks to `subset`: `entry` is the ISA's fuzz entry
 /// point, `Generator` and `Oracle` its generator and differential oracle.
+/// When `fuzzing`, builds the generator once first: a subset it cannot use
+/// (no halting terminator) throws PdatError here, as malformed input.
 template <class Generator, class Oracle, class Subset>
 void bind_fuzz(Flow& f, const Subset& subset,
                fuzz::FuzzStats (*entry)(const Subset&, const Netlist&, const Netlist*,
-                                        const fuzz::FuzzOptions&)) {
+                                        const fuzz::FuzzOptions&),
+               bool fuzzing) {
+  if (fuzzing) (void)Generator(subset);
   f.fuzz = [subset, entry](const Netlist& design, const Netlist* reduced,
                            const fuzz::FuzzOptions& fo) {
     return entry(subset, design, reduced, fo);
@@ -127,9 +135,9 @@ struct Core {
   std::string_view name;
   std::string_view default_subset;
   std::string_view prog_isa;  // `isa` header of this core's .prog files
-  /// Parses `subset` (PdatError when unknown), then builds and synthesizes
-  /// the core.
-  Flow (*make)(const std::string& subset);
+  /// Parses `subset` (PdatError when unknown, or when `fuzzing` and the
+  /// fuzzer cannot use it), then builds and synthesizes the core.
+  Flow (*make)(const std::string& subset, bool fuzzing);
 };
 
 isa::RvSubset ibex_subset(const std::string& name) {
@@ -142,8 +150,11 @@ isa::RvSubset ibex_subset(const std::string& name) {
   return isa::rv32_subset_named(name);
 }
 
-Flow ibex_flow(const std::string& name) {
+Flow ibex_flow(const std::string& name, bool fuzzing) {
   const isa::RvSubset subset = ibex_subset(name);
+  Flow f;
+  f.subset = subset.name;
+  bind_fuzz<fuzz::Rv32Generator, fuzz::Rv32DiffOracle>(f, subset, fuzz::fuzz_rv32, fuzzing);
   std::cout << "subset '" << subset.name << "': " << subset.size() << " instructions"
             << (subset.rve ? " (x0-x15 only)" : "") << "\n";
   cores::IbexCore core = cores::build_ibex();
@@ -152,8 +163,6 @@ Flow ibex_flow(const std::string& name) {
   std::cout << "baseline Ibex: " << core.netlist.gate_count() << " gates, "
             << core.netlist.area() << " um^2\n";
 
-  Flow f;
-  f.subset = subset.name;
   f.restrict_fn = [subset, instr_q = core.instr_reg_q, addr = core.dmem_addr](Netlist& a) {
     RestrictionResult r = restrict_isa_cutpoint(a, instr_q, subset);
     // The Fig. 5 "Aligned" variant is a cutpoint-based I/O-protocol
@@ -163,7 +172,6 @@ Flow ibex_flow(const std::string& name) {
     return r;
   };
   f.design = std::move(core.netlist);
-  bind_fuzz<fuzz::Rv32Generator, fuzz::Rv32DiffOracle>(f, subset, fuzz::fuzz_rv32);
   if (subset.contains("addi") && subset.contains("add") && subset.contains("bne") &&
       !subset.rve) {
     f.smoke = [](const Netlist& reduced) {
@@ -190,8 +198,11 @@ isa::ThumbSubset cm0_subset(const std::string& name) {
   throw PdatError("unknown cm0 subset: " + name + " (interesting, armv6m, mibench-<group>)");
 }
 
-Flow cm0_flow(const std::string& name) {
+Flow cm0_flow(const std::string& name, bool fuzzing) {
   const isa::ThumbSubset subset = cm0_subset(name);
+  Flow f;
+  f.subset = subset.name;
+  bind_fuzz<fuzz::ThumbGenerator, fuzz::ThumbDiffOracle>(f, subset, fuzz::fuzz_thumb, fuzzing);
   // The IP vendor's flow: build, synthesize, obfuscate.
   cores::Cm0Core core = cores::build_cm0();
   opt::optimize(core.netlist);
@@ -203,13 +214,10 @@ Flow cm0_flow(const std::string& name) {
             << isa::thumb_subset_all().size() << " ARMv6-M instructions"
             << (subset.has_wide() ? "" : " (all 16-bit)") << "\n";
 
-  Flow f;
-  f.subset = subset.name;
   f.design = std::move(core.netlist);
   // The integrator's flow: constrain the instruction port to the vetted
   // subset. No netlist understanding required.
   f.restrict_fn = [subset](Netlist& a) { return restrict_thumb_port(a, "imem_rdata", subset); };
-  bind_fuzz<fuzz::ThumbGenerator, fuzz::ThumbDiffOracle>(f, subset, fuzz::fuzz_thumb);
   // The vetted firmware must still run bit-exact, on every subset that
   // contains its instructions.
   const auto firmware = isa::assemble_thumb(R"(
@@ -431,28 +439,71 @@ int main(int argc, char** argv) {
       text << in.rdbuf();
       replay_prog = fuzz::parse_program(text.str(), std::string(core->prog_isa));
     }
-    flow = core->make(positional.size() > 1 ? positional[1] : std::string(core->default_subset));
+    const bool fuzzing = opt.fuzz.iterations > 0 || fuzz_baseline || !fuzz_replay.empty();
+    flow = core->make(positional.size() > 1 ? positional[1] : std::string(core->default_subset),
+                      fuzzing);
   } catch (const PdatError& e) {
     return usage(e.what());
   }
 
-  if (fuzz_baseline) {
-    // Baseline arm: differential-fuzz the unmodified core against the ISS
-    // golden model, no reduction at all.
-    const fuzz::FuzzStats stats = flow.fuzz(flow.design, nullptr, opt.fuzz);
-    print_fuzz("fuzz (baseline)", stats);
-    return stats.divergences > 0 ? 1 : 0;
-  }
-
-  opt.run_label = std::string(core->name) + ":" + flow.subset;
-  opt.interrupt = &g_interrupt;
-  opt.fuzz_fn = [&flow](const Netlist& design, const Netlist& reduced,
-                        const fuzz::FuzzOptions& fo) { return flow.fuzz(design, &reduced, fo); };
-  install_signal_handlers();
-
-  PdatResult res;
   try {
-    res = run_pdat(flow.design, flow.restrict_fn, opt);
+    if (fuzz_baseline) {
+      // Baseline arm: differential-fuzz the unmodified core against the ISS
+      // golden model, no reduction at all.
+      const fuzz::FuzzStats stats = flow.fuzz(flow.design, nullptr, opt.fuzz);
+      print_fuzz("fuzz (baseline)", stats);
+      return stats.divergences > 0 ? 1 : 0;
+    }
+
+    opt.run_label = std::string(core->name) + ":" + flow.subset;
+    opt.interrupt = &g_interrupt;
+    opt.fuzz_fn = [&flow](const Netlist& design, const Netlist& reduced,
+                          const fuzz::FuzzOptions& fo) { return flow.fuzz(design, &reduced, fo); };
+    install_signal_handlers();
+
+    const PdatResult res = run_pdat(flow.design, flow.restrict_fn, opt);
+    if (res.induction.resumed_from_round >= -1) {
+      std::cout << "resumed proof from journal (last complete round "
+                << res.induction.resumed_from_round << ")\n";
+    }
+    std::cout << "reduced core:  " << res.gates_after << " gates, " << res.area_after
+              << " um^2  (" << res.proven << " invariants proved, "
+              << 100.0 * (1.0 - static_cast<double>(res.gates_after) /
+                                    static_cast<double>(res.gates_before))
+              << "% fewer gates)\n";
+
+    if (res.fuzz.programs > 0) print_fuzz("fuzz", res.fuzz);
+    for (const std::string& why : res.degradations) std::cout << "core rejected: " << why << "\n";
+    if (res.degraded) return 1;
+
+    if (!fuzz_replay.empty()) {
+      const fuzz::RunOutcome outcome = flow.replay(flow.design, res.transformed, replay_prog);
+      if (outcome.status != fuzz::RunOutcome::Status::Agree) {
+        std::cout << "fuzz replay: " << outcome.detail << "\n";
+        return 1;
+      }
+      std::cout << "fuzz replay: AGREE (" << replay_prog.size() << " ops)\n";
+    }
+
+    if (flow.smoke) {
+      const std::string err = flow.smoke(res.transformed);
+      std::cout << "lockstep smoke test: " << (err.empty() ? "PASS" : err) << "\n";
+      if (!err.empty()) return 1;
+    }
+
+    if (!report_path.empty()) {
+      std::ostringstream rep;
+      write_report(rep, flow.subset, res);
+      write_file(report_path, rep.str());
+      std::cout << "wrote report " << report_path << "\n";
+    }
+    if (!out_path.empty()) {
+      std::ostringstream out;
+      write_verilog(out, res.transformed, std::string(core->name) + "_" + flow.subset);
+      write_file(out_path, out.str());
+      std::cout << "wrote " << out_path << "\n";
+    }
+    return 0;
   } catch (const PdatError& e) {
     if (g_interrupt.load(std::memory_order_relaxed)) {
       // Journal appends are fsynced record by record, so everything proved
@@ -474,45 +525,4 @@ int main(int argc, char** argv) {
     std::cerr << "PDAT failed: " << e.what() << "\n";
     return 1;
   }
-  if (res.induction.resumed_from_round >= -1) {
-    std::cout << "resumed proof from journal (last complete round "
-              << res.induction.resumed_from_round << ")\n";
-  }
-  std::cout << "reduced core:  " << res.gates_after << " gates, " << res.area_after
-            << " um^2  (" << res.proven << " invariants proved, "
-            << 100.0 * (1.0 - static_cast<double>(res.gates_after) /
-                                  static_cast<double>(res.gates_before))
-            << "% fewer gates)\n";
-
-  if (res.fuzz.programs > 0) {
-    print_fuzz("fuzz", res.fuzz);
-    if (res.fuzz.divergences > 0) return 1;
-  }
-
-  if (!fuzz_replay.empty()) {
-    const fuzz::RunOutcome outcome = flow.replay(flow.design, res.transformed, replay_prog);
-    if (outcome.status != fuzz::RunOutcome::Status::Agree) {
-      std::cout << "fuzz replay: " << outcome.detail << "\n";
-      return 1;
-    }
-    std::cout << "fuzz replay: AGREE (" << replay_prog.size() << " ops)\n";
-  }
-
-  if (flow.smoke) {
-    const std::string err = flow.smoke(res.transformed);
-    std::cout << "lockstep smoke test: " << (err.empty() ? "PASS" : err) << "\n";
-    if (!err.empty()) return 1;
-  }
-
-  if (!report_path.empty()) {
-    std::ofstream rep(report_path);
-    write_report(rep, flow.subset, res);
-    std::cout << "wrote report " << report_path << "\n";
-  }
-  if (!out_path.empty()) {
-    std::ofstream out(out_path);
-    write_verilog(out, res.transformed, std::string(core->name) + "_" + flow.subset);
-    std::cout << "wrote " << out_path << "\n";
-  }
-  return 0;
 }

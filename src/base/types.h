@@ -33,7 +33,8 @@ class CertificationError : public PdatError {
   explicit CertificationError(const std::string& what) : PdatError(what) {}
 };
 
-/// Three-valued logic used by the ternary simulator and initial states.
+/// Three-valued logic: flop initial values (X = unknown power-on state) and
+/// cell_eval_tri, which constant propagation folds with.
 enum class Tri : std::uint8_t { F = 0, T = 1, X = 2 };
 
 inline Tri tri_not(Tri a) {

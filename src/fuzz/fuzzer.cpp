@@ -7,11 +7,11 @@
 // thread count.
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <thread>
 
+#include "base/file.h"
 #include "base/rng.h"
 #include "base/types.h"
 #include "fuzz/fuzz.h"
@@ -21,12 +21,6 @@
 
 namespace pdat::fuzz {
 namespace {
-
-void write_file(const std::filesystem::path& path, const std::string& content) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) throw PdatError("fuzz: cannot write " + path.string());
-  os << content;
-}
 
 std::string render_units(const Generator& gen, const AbsProgram& p) {
   std::ostringstream os;
@@ -40,7 +34,8 @@ void write_artifacts(const Target& target, const FuzzOptions& opt, const FuzzSta
                      const std::vector<AbsProgram>& corpus) {
   namespace fs = std::filesystem;
   const fs::path root(opt.out_dir);
-  fs::create_directories(root / "corpus");
+  std::error_code ignored;  // a directory that cannot be made fails the first write_file
+  fs::create_directories(root / "corpus", ignored);
 
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     std::ostringstream name;

@@ -35,7 +35,6 @@ class Rv32Generator : public Generator {
   const isa::RvSubset& subset() const { return subset_; }
 
  private:
-  AbsOp sample_op(Rng& rng) const;
   void sample_into(AbsProgram& p, Rng& rng) const override;
   // Encodes one op at byte offset `at`; `target_off` is the byte offset of
   // the op's control-transfer target (terminator offset when past the end).
@@ -66,7 +65,6 @@ class ThumbGenerator : public Generator {
   const isa::ThumbSubset& subset() const { return subset_; }
 
  private:
-  AbsOp sample_op(Rng& rng) const;
   void sample_into(AbsProgram& p, Rng& rng) const override;
   std::uint32_t encode_op(const AbsOp& op, std::uint32_t at_hw, std::uint32_t target_hw) const;
   unsigned op_halfwords(const AbsOp& op) const;

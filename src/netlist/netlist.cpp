@@ -136,20 +136,6 @@ void Netlist::kill_cell(CellId id) {
   if (c.out != kNoNet && net_driver_[c.out] == id) net_driver_[c.out] = kNoCell;
 }
 
-void Netlist::replace_uses(NetId from, NetId to) {
-  for (auto& c : cells_) {
-    if (c.dead) continue;
-    for (auto& in : c.in) {
-      if (in == from) in = to;
-    }
-  }
-  for (auto& p : outputs_) {
-    for (auto& bit : p.bits) {
-      if (bit == from) bit = to;
-    }
-  }
-}
-
 std::size_t Netlist::gate_count() const {
   std::size_t n = 0;
   for (const auto& c : cells_) {

@@ -94,10 +94,6 @@ class Netlist {
   /// Marks a cell dead and clears its driver entry. Used by the optimizer.
   void kill_cell(CellId id);
 
-  /// Replaces every use of net `from` (cell inputs and primary outputs)
-  /// with net `to`. Drivers are unchanged.
-  void replace_uses(NetId from, NetId to);
-
   // --- statistics ----------------------------------------------------------
   /// Number of live cells excluding tie cells (the paper's "gate count").
   std::size_t gate_count() const;

@@ -1,11 +1,11 @@
 // Structured pipeline errors and stage identities.
 //
-// run_pdat reports failures through PdatError subclasses that carry the
-// failing stage: configuration errors (vacuous environment, malformed
-// restriction circuit), the cooperative interrupt, failed certificates and,
-// under ValidationOptions::fail_hard, validation vetoes. Every other stage
-// failure degrades to a sound partial result (PdatResult::degradations)
-// instead of throwing.
+// Every error a stage raises stops run_pdat with a StageError that names
+// the stage: configuration errors (vacuous environment, malformed
+// restriction circuit, bad resume journal), the cooperative interrupt,
+// failed certificates, journal write failures and any internal failure.
+// A validator that rejects the reduced core is not an error: the core is
+// reverted and the rejection listed in PdatResult::degradations.
 #pragma once
 
 #include <cstdio>
@@ -23,7 +23,7 @@ enum class PdatStage {
   Induction,      // temporal-induction proof
   Rewire,         // netlist rewiring
   Resynthesis,    // logic resynthesis
-  Validate,       // post-transform validation (miter / lockstep)
+  Validate,       // post-transform validation (miter / lockstep / fuzz)
 };
 inline constexpr std::size_t kNumPdatStages = 8;
 
@@ -43,7 +43,7 @@ inline const char* stage_name(PdatStage s) {
 
 /// A pipeline stage failed. `what()` carries the stage name and, when the
 /// caller supplies it, the pipeline time at which the stage failed — so a
-/// degradation is diagnosable from the log line alone.
+/// failed run is diagnosable from the error message alone.
 class StageError : public PdatError {
  public:
   StageError(PdatStage stage, const std::string& what, double elapsed_seconds = -1)
@@ -69,21 +69,6 @@ class StageError : public PdatError {
 
   PdatStage stage_;
   double elapsed_ = -1;
-};
-
-/// The environment restriction is unusable (vacuous / malformed).
-class EnvironmentError : public StageError {
- public:
-  explicit EnvironmentError(const std::string& what)
-      : StageError(PdatStage::EnvCheck, what) {}
-};
-
-/// Post-transform validation rejected the transformed netlist
-/// (only thrown when ValidationOptions::fail_hard is set).
-class ValidationError : public StageError {
- public:
-  explicit ValidationError(const std::string& what)
-      : StageError(PdatStage::Validate, what) {}
 };
 
 }  // namespace pdat

@@ -3,10 +3,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <optional>
+#include <sstream>
 #include <unordered_set>
 
+#include "base/file.h"
 #include "base/log.h"
 #include "formal/bmc.h"
 #include "netlist/check.h"
@@ -67,8 +68,8 @@ void require_owned_cut_nets(const RestrictionResult& r) {
   }
 }
 
-/// Disables collection on scope exit so a thrown configuration error cannot
-/// leave the process-global tracer enabled.
+/// Disables collection on scope exit so a thrown stage error cannot leave
+/// the process-global tracer enabled.
 struct TelemetryScope {
   bool active = false;
   ~TelemetryScope() {
@@ -118,9 +119,11 @@ PdatResult run_pdat(const Netlist& design,
   const Clock::time_point start = Clock::now();
   const auto elapsed = [&] { return std::chrono::duration<double>(Clock::now() - start).count(); };
 
+  PdatStage stage = PdatStage::Restrict;  // the running stage, named by any error it raises
   double stage_t0 = 0;
   std::optional<trace::Span> stage_span;
   const auto begin_stage = [&](PdatStage st) {
+    stage = st;
     stage_t0 = elapsed();
     stage_span.emplace(stage_span_name(st));
   };
@@ -128,209 +131,151 @@ PdatResult run_pdat(const Netlist& design,
     res.stage_seconds[idx(st)] = elapsed() - stage_t0;
     stage_span.reset();
   };
-  // Degrades gracefully (note + warn) to a sound partial result.
-  const auto degrade = [&](PdatStage st, const std::string& why) {
-    res.degraded = true;
-    res.degradations.push_back(std::string(stage_name(st)) + ": " + why);
-    log_warn() << "PDAT: stage '" << stage_name(st) << "' degraded: " << why;
-  };
-  // Cooperative interrupt, the only early stop: always thrown (never
-  // degraded) so the CLI can print a resume command and exit with a
-  // distinct resumable status. `raised` reports an interrupt a stage saw
-  // through its own flag.
-  const auto check_interrupt = [&](PdatStage st, bool raised = false) {
+  // Cooperative interrupt, the only early stop: the CLI prints a resume
+  // command and exits with a distinct resumable status. `raised` reports an
+  // interrupt a stage saw through its own flag.
+  const auto check_interrupt = [&](bool raised = false) {
     if (raised || (opt.interrupt != nullptr && opt.interrupt->load(std::memory_order_relaxed))) {
-      throw StageError(st, "interrupted; completed proof rounds remain in the journal for --resume",
-                       elapsed());
+      throw PdatError("interrupted; completed proof rounds remain in the journal for --resume");
     }
   };
 
-  // --- build the analysis netlist: design + restrictions -------------------
-  // A malformed restriction is a configuration error: always thrown, never
-  // degraded, so a bad environment cannot silently yield an identity run.
-  begin_stage(PdatStage::Restrict);
-  Netlist analysis = design;
-  RestrictionResult restr;
+  // Every stage error stops the run: a weaker result built around a failed
+  // stage would ship as if the run had finished.
   try {
-    restr = restrict_fn(analysis);
+    // --- build the analysis netlist: design + restrictions -----------------
+    begin_stage(PdatStage::Restrict);
+    Netlist analysis = design;
+    RestrictionResult restr = restrict_fn(analysis);
     require_well_formed(analysis, restr.cut_nets);
     require_owned_cut_nets(restr);
-  } catch (const StageError&) {
-    throw;
-  } catch (const PdatError& e) {
-    throw StageError(PdatStage::Restrict, e.what(), elapsed());
-  }
-  end_stage(PdatStage::Restrict);
+    end_stage(PdatStage::Restrict);
 
-  begin_stage(PdatStage::EnvCheck);
-  if (!env_satisfiable(analysis, restr.env, kEnvCheckDepth)) {
-    throw EnvironmentError("environment restriction is unsatisfiable (vacuous)");
-  }
-  end_stage(PdatStage::EnvCheck);
+    begin_stage(PdatStage::EnvCheck);
+    if (!env_satisfiable(analysis, restr.env, kEnvCheckDepth)) {
+      throw PdatError("environment restriction is unsatisfiable (vacuous)");
+    }
+    end_stage(PdatStage::EnvCheck);
 
-  // --- annotate with the property library ----------------------------------
-  // Candidates name design nets only: rewiring edits the design, not the
-  // analysis copy.
-  begin_stage(PdatStage::Annotate);
-  std::vector<GateProperty> candidates;
-  try {
-    candidates = annotate_netlist(analysis, design.num_nets(), opt.properties);
+    // --- annotate with the property library --------------------------------
+    // Candidates name design nets only: rewiring edits the design, not the
+    // analysis copy.
+    begin_stage(PdatStage::Annotate);
+    std::vector<GateProperty> candidates =
+        annotate_netlist(analysis, design.num_nets(), opt.properties);
     candidates.insert(candidates.end(), restr.strengthen.begin(), restr.strengthen.end());
     if (opt.properties.equivalence_props) {
       const auto eq = equivalence_candidates(analysis, restr.env, design.num_nets(), opt.sim);
       candidates.insert(candidates.end(), eq.begin(), eq.end());
     }
-  } catch (const PdatError& e) {
-    candidates.clear();
-    degrade(PdatStage::Annotate, e.what());
-  }
-  end_stage(PdatStage::Annotate);
-  res.candidates = candidates.size();
+    end_stage(PdatStage::Annotate);
+    res.candidates = candidates.size();
 
-  // --- property checking stage ----------------------------------------------
-  begin_stage(PdatStage::SimFilter);
-  std::vector<GateProperty> survivors;
-  try {
+    // --- property checking stage --------------------------------------------
+    begin_stage(PdatStage::SimFilter);
     SimFilterResult filtered = sim_filter(analysis, restr.env, std::move(candidates), opt.sim);
     res.assume_violation_cycles = filtered.assume_violation_cycles;
     if (filtered.assume_violation_cycles > 0) {
       log_warn() << "PDAT: stimulus violated assumes in " << filtered.assume_violation_cycles
                  << " cycles (filtering quality reduced)";
     }
-    survivors = std::move(filtered.survivors);
-  } catch (const PdatError& e) {
-    survivors.clear();
-    degrade(PdatStage::SimFilter, e.what());
-  }
-  end_stage(PdatStage::SimFilter);
-  res.after_sim_filter = survivors.size();
-  log_info() << "PDAT: " << res.candidates << " candidates, " << res.after_sim_filter
-             << " after simulation filtering";
+    std::vector<GateProperty> survivors = std::move(filtered.survivors);
+    end_stage(PdatStage::SimFilter);
+    res.after_sim_filter = survivors.size();
+    log_info() << "PDAT: " << res.candidates << " candidates, " << res.after_sim_filter
+               << " after simulation filtering";
 
-  check_interrupt(PdatStage::SimFilter);
+    check_interrupt();
 
-  begin_stage(PdatStage::Induction);
-  std::vector<GateProperty> proven;
-  InductionOptions iopt = opt.induction;
-  if (opt.certify) iopt.certify = true;
-  if (iopt.interrupt == nullptr) iopt.interrupt = opt.interrupt;
-  if (!survivors.empty()) {
-    try {
+    begin_stage(PdatStage::Induction);
+    std::vector<GateProperty> proven;
+    InductionOptions iopt = opt.induction;
+    if (opt.certify) iopt.certify = true;
+    if (iopt.interrupt == nullptr) iopt.interrupt = opt.interrupt;
+    if (!survivors.empty()) {
       proven = prove_invariants(analysis, restr.env, std::move(survivors), iopt, &res.induction);
-    } catch (const CertificationError& e) {
-      // A certificate that failed to check means the solver lied somewhere:
-      // degrading would keep pipeline output built on unsound verdicts, so
-      // this is always a hard stop, like a configuration error.
-      throw StageError(PdatStage::Induction, e.what(), elapsed());
-    } catch (const PdatError& e) {
-      // Two error families are always thrown, never degraded:
-      //  - "resume:": a missing/corrupt/mismatched resume journal is a
-      //    configuration error, like a malformed restriction — a bad
-      //    --resume must not silently rerun from scratch;
-      //  - "journal:": a checkpoint append that failed to persist (disk
-      //    full, I/O error) means a later --resume would replay stale
-      //    state, so the run must stop while its on-disk prefix is valid.
-      const std::string what = e.what();
-      if (what.rfind("journal:", 0) == 0 ||
-          (!iopt.resume_from.empty() && what.rfind("resume:", 0) == 0)) {
-        throw StageError(PdatStage::Induction, what, elapsed());
-      }
-      proven.clear();
-      degrade(PdatStage::Induction, e.what());
     }
-  }
-  end_stage(PdatStage::Induction);
-  check_interrupt(PdatStage::Induction, res.induction.interrupted);
-  if (res.induction.budget_kills > 0) {
-    log_warn() << "PDAT: conflict budget dropped " << res.induction.budget_kills
-               << " candidates (inconclusive, conservatively not proved)";
-  }
-  if (res.induction.job_drops > 0 || res.induction.job_crashes > 0) {
-    log_warn() << "PDAT: supervisor retried " << res.induction.job_retries
-               << " proof jobs, dropped " << res.induction.job_drops << ", contained "
-               << res.induction.job_crashes
-               << " crashes (dropped candidates conservatively not proved)";
-  }
-  if (res.induction.resumed_from_round >= -1) {
-    log_info() << "PDAT: proof resumed from journal (last complete round "
-               << (res.induction.resumed_from_round == -1
-                       ? std::string("base")
-                       : std::to_string(res.induction.resumed_from_round))
-               << ")";
-  }
-  res.proven = proven.size();
-  res.proven_props = proven;
-  log_info() << "PDAT: proved " << res.proven << " gate invariants";
+    end_stage(PdatStage::Induction);
+    check_interrupt(res.induction.interrupted);
+    if (res.induction.budget_kills > 0) {
+      log_warn() << "PDAT: conflict budget dropped " << res.induction.budget_kills
+                 << " candidates (inconclusive, conservatively not proved)";
+    }
+    if (res.induction.job_drops > 0 || res.induction.job_crashes > 0) {
+      log_warn() << "PDAT: supervisor retried " << res.induction.job_retries
+                 << " proof jobs, dropped " << res.induction.job_drops << ", contained "
+                 << res.induction.job_crashes
+                 << " crashes (dropped candidates conservatively not proved)";
+    }
+    if (res.induction.resumed_from_round >= -1) {
+      log_info() << "PDAT: proof resumed from journal (last complete round "
+                 << (res.induction.resumed_from_round == -1
+                         ? std::string("base")
+                         : std::to_string(res.induction.resumed_from_round))
+                 << ")";
+    }
+    res.proven = proven.size();
+    res.proven_props = proven;
+    log_info() << "PDAT: proved " << res.proven << " gate invariants";
 
-  // --- rewiring stage (on a fresh copy of the original design) --------------
-  begin_stage(PdatStage::Rewire);
-  res.transformed = design;
-  try {
-    res.rewires = apply_rewiring(res.transformed, proven);
-  } catch (const PdatError& e) {
+    // --- rewiring stage (on a fresh copy of the original design) ------------
+    begin_stage(PdatStage::Rewire);
     res.transformed = design;
-    res.rewires = {};
-    degrade(PdatStage::Rewire, e.what());
-  }
-  end_stage(PdatStage::Rewire);
+    res.rewires = apply_rewiring(res.transformed, proven);
+    end_stage(PdatStage::Rewire);
 
-  // --- logic resynthesis stage ----------------------------------------------
-  check_interrupt(PdatStage::Resynthesis);
-  begin_stage(PdatStage::Resynthesis);
-  try {
+    // --- logic resynthesis stage --------------------------------------------
+    begin_stage(PdatStage::Resynthesis);
+    check_interrupt();
     res.resynthesis = opt::optimize(res.transformed, opt.resynthesis_iterations);
     require_well_formed(res.transformed);
-  } catch (const PdatError& e) {
-    res.transformed = design;
-    res.resynthesis = {};
-    degrade(PdatStage::Resynthesis, std::string(e.what()) + " — reverted to unreduced design");
-  }
-  end_stage(PdatStage::Resynthesis);
+    end_stage(PdatStage::Resynthesis);
 
-  // --- validation safety net -------------------------------------------------
-  const bool fuzzing = opt.fuzz.iterations > 0;
-  if (opt.validate.enabled || fuzzing) {
-    check_interrupt(PdatStage::Validate);
-    begin_stage(PdatStage::Validate);
-    try {
+    // --- validation safety net -----------------------------------------------
+    // Every requested validator checks the same reduced core. A rejection
+    // reverts it once, so no core a validator rejected ever ships.
+    const bool fuzzing = opt.fuzz.iterations > 0;
+    if (opt.validate.enabled || fuzzing) {
+      begin_stage(PdatStage::Validate);
+      check_interrupt();
       if (opt.validate.enabled) {
         validate::ValidationOptions vopt = opt.validate;
         if (opt.certify) vopt.miter.certify = true;
         res.validation =
             validate::run_validation(design, res.transformed, restrict_fn, proven, vopt);
-        if (!res.validation.ok()) {
-          if (opt.validate.fail_hard) throw ValidationError(res.validation.summary());
-          res.transformed = design;  // never ship a core a validator rejected
-          res.rewires = {};
-          res.resynthesis = {};
-          degrade(PdatStage::Validate,
-                  res.validation.summary() + " — reverted to unreduced design");
+        if (res.validation.miter == validate::Verdict::Fail) {
+          res.degradations.push_back("miter: " + res.validation.miter_detail);
+        }
+        if (res.validation.lockstep == validate::Verdict::Fail) {
+          res.degradations.push_back("lockstep: " + res.validation.lockstep_detail);
         }
       }
       if (fuzzing) {
         if (!opt.fuzz_fn)
           throw PdatError("fuzz.iterations > 0 but no fuzz_fn installed (ISA hook missing)");
         res.fuzz = opt.fuzz_fn(design, res.transformed, opt.fuzz);
-        if (!res.fuzz.findings.empty()) {
-          const std::string msg =
-              "fuzz found " + std::to_string(res.fuzz.divergences) +
-              " diverging program(s); first: " + res.fuzz.findings.front().detail;
-          if (opt.validate.fail_hard) throw ValidationError(msg);
-          res.transformed = design;  // never ship a core the fuzzer broke
-          res.rewires = {};
-          res.resynthesis = {};
-          degrade(PdatStage::Validate, msg + " — reverted to unreduced design");
+        if (res.fuzz.divergences > 0) {
+          std::string why = "fuzz: " + std::to_string(res.fuzz.divergences) +
+                            " diverging program(s)";
+          if (!res.fuzz.findings.empty()) why += "; first: " + res.fuzz.findings.front().detail;
+          res.degradations.push_back(std::move(why));
         }
       }
-    } catch (const ValidationError&) {
-      throw;
-    } catch (const CertificationError& e) {
-      // An uncertified miter Unsat must never count as a Pass.
-      throw StageError(PdatStage::Validate, e.what(), elapsed());
-    } catch (const PdatError& e) {
-      degrade(PdatStage::Validate, e.what());
+      res.degraded = !res.degradations.empty();
+      if (res.degraded) {
+        res.transformed = design;
+        res.rewires = {};
+        res.resynthesis = {};
+      }
+      for (const std::string& why : res.degradations) {
+        log_warn() << "PDAT: " << why << " — reverted to unreduced design";
+      }
+      end_stage(PdatStage::Validate);
     }
-    end_stage(PdatStage::Validate);
+  } catch (const StageError&) {
+    throw;
+  } catch (const PdatError& e) {
+    throw StageError(stage, e.what(), elapsed());
   }
 
   res.gates_after = res.transformed.gate_count();
@@ -359,22 +304,16 @@ PdatResult run_pdat(const Netlist& design,
         info.stages.push_back({stage_name(static_cast<PdatStage>(s)), res.stage_seconds[s]});
       }
       info.total_wall_seconds = res.total_seconds;
-      std::ofstream out(metrics_path);
-      if (out) {
-        trace::write_metrics_json(out, info);
-        log_info() << "PDAT: wrote metrics to '" << metrics_path << "'";
-      } else {
-        log_warn() << "PDAT: cannot open metrics path '" << metrics_path << "'";
-      }
+      std::ostringstream out;
+      trace::write_metrics_json(out, info);
+      write_file(metrics_path, out.str());
+      log_info() << "PDAT: wrote metrics to '" << metrics_path << "'";
     }
     if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
-      if (out) {
-        trace::write_chrome_trace(out);
-        log_info() << "PDAT: wrote trace to '" << trace_path << "'";
-      } else {
-        log_warn() << "PDAT: cannot open trace path '" << trace_path << "'";
-      }
+      std::ostringstream out;
+      trace::write_chrome_trace(out);
+      write_file(trace_path, out.str());
+      log_info() << "PDAT: wrote trace to '" << trace_path << "'";
     }
   }
   return res;

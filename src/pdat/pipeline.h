@@ -1,11 +1,12 @@
 // The PDAT pipeline (paper Fig. 2): Property Checking -> Netlist Rewiring
 // -> Logic Resynthesis, driven by a Property Library annotation and an
 // environment restriction — plus the post-transform validation safety net
-// (bounded equivalence miter, lockstep co-simulation) and graceful
-// degradation: internal stage failures fall back to a sound partial result
-// (at worst the identity transform) instead of aborting. The cooperative
-// interrupt is the only early stop, and the SAT conflict budget the only
-// limit: a run's result never depends on the host's speed.
+// (bounded equivalence miter, lockstep co-simulation, differential fuzzing).
+// One failure policy: any stage error stops the run with a StageError, and
+// only a validator's rejection changes the result, by reverting the reduced
+// core to the unreduced design. The cooperative interrupt is the only early
+// stop, and the SAT conflict budget the only limit: a run's result never
+// depends on the host's speed.
 #pragma once
 
 #include <array>
@@ -59,16 +60,15 @@ struct PdatOptions {
   /// uncertified, as does the environment vacuity check (both of its
   /// failure directions are fail-safe).
   /// Forwards into `induction.certify` and `validate.miter.certify`. A
-  /// certificate that fails to check raises StageError, never a
-  /// degradation: no gate is ever removed on the strength of an
-  /// uncertified UNSAT. Reports are byte-identical with certification on
-  /// or off.
+  /// certificate that fails to check raises StageError: no gate is ever
+  /// removed on the strength of an uncertified UNSAT. Reports are
+  /// byte-identical with certification on or off.
   bool certify = false;
   /// Cooperative interrupt (SIGINT/SIGTERM in the CLI), the only way to
   /// stop a run early. Checked at stage boundaries and polled inside proof
-  /// solves; when it becomes true the pipeline throws StageError, never a
-  /// degradation, with checkpoint journals retaining completed proof rounds
-  /// for a later --resume. A CLI run's wall time is bounded the same way:
+  /// solves; when it becomes true the pipeline throws StageError, with
+  /// checkpoint journals retaining completed proof rounds for a later
+  /// --resume. A CLI run's wall time is bounded the same way:
   /// `timeout --foreground -s INT N pdat ... --journal=J`.
   const std::atomic<bool>* interrupt = nullptr;
   /// Post-transform validation (off by default; see src/validate/).
@@ -79,10 +79,11 @@ struct PdatOptions {
   /// programs in lockstep across the ISS and the bitsims of the original and
   /// reduced cores. `fuzz_fn` is the ISA-specific hook (the CLI installs
   /// fuzz::fuzz_rv32 / fuzz::fuzz_thumb bound to its subset; src/pdat itself
-  /// stays core-agnostic). A divergence is treated like a failed validation:
-  /// revert to the unreduced design and degrade, or throw ValidationError
-  /// when `validate.fail_hard` is set. Artifacts land under `fuzz.out_dir`
-  /// and are byte-identical for a fixed seed at any `fuzz.threads`.
+  /// stays core-agnostic). It fuzzes the same reduced core the miter and
+  /// lockstep check, and `divergences > 0` rejects that core like a failed
+  /// validation; an error the hook throws (e.g. a subset the generator
+  /// cannot use) stops the run. Artifacts land under `fuzz.out_dir` and are
+  /// byte-identical for a fixed seed at any `fuzz.threads`.
   fuzz::FuzzOptions fuzz;
   fuzz::FuzzFn fuzz_fn;
 };
@@ -103,8 +104,9 @@ struct PdatResult {
   validate::ValidationReport validation;
   // Differential fuzzing (populated only when fuzz.iterations > 0).
   fuzz::FuzzStats fuzz;
-  // Graceful degradation: true when any stage fell back to a safe partial
-  // result; each entry in `degradations` names the stage and the reason.
+  // A validator rejected the reduced core, so `transformed` is the
+  // unreduced design; each entry in `degradations` names one rejecting
+  // validator ("miter", "lockstep" or "fuzz") and its witness.
   bool degraded = false;
   std::vector<std::string> degradations;
   // Wall-clock accounting, indexed by PdatStage.
@@ -122,9 +124,10 @@ struct PdatResult {
 /// `restrict_fn` receives the analysis copy of `design` and installs the
 /// environment restrictions (cutpoints, constraint circuits, stimulus).
 ///
-/// Throws StageError(Restrict) on a malformed restriction and
-/// EnvironmentError on a vacuous one — a bad configuration must never
-/// silently produce an identity transform.
+/// Throws StageError naming the failing stage on any stage error — among
+/// them a malformed restriction (Restrict), a vacuous environment
+/// (EnvCheck) and the interrupt — and PdatError naming the path when a
+/// requested trace or metrics file cannot be written.
 PdatResult run_pdat(const Netlist& design,
                     const std::function<RestrictionResult(Netlist&)>& restrict_fn,
                     const PdatOptions& opt = {});

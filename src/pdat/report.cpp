@@ -83,7 +83,7 @@ void print_variant_table(std::ostream& os, std::vector<VariantRow> rows, const s
     if (r.job_drops > 0) os << " " << r.job_drops << " proof jobs dropped after retries;";
     if (r.job_crashes > 0) os << " " << r.job_crashes << " proof-job crashes contained;";
     if (r.resumed) os << " resumed from checkpoint journal;";
-    if (r.degraded) os << " pipeline degraded (see PdatResult::degradations);";
+    if (r.degraded) os << " validator rejected the core (see PdatResult::degradations);";
     os << "\n";
   }
   os << "\n";

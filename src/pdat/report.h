@@ -43,8 +43,8 @@ VariantRow make_row(const std::string& name, const PdatResult& r, double seconds
 
 /// Prints an aligned table; reductions are computed against the row named
 /// `baseline` (or the first row when empty). Rows with proof-quality
-/// caveats (budget kills, assume violations, degradations) get a trailing
-/// footnote line each.
+/// caveats (budget kills, assume violations, validator rejections) get a
+/// trailing footnote line each.
 void print_variant_table(std::ostream& os, std::vector<VariantRow> rows,
                          const std::string& title, const std::string& baseline = "");
 

@@ -1,7 +1,8 @@
 #include "pdat/rewire.h"
 
-#include <unordered_map>
 #include <unordered_set>
+
+#include "opt/opt_common.h"
 
 namespace pdat {
 
@@ -9,7 +10,9 @@ RewireStats apply_rewiring(Netlist& nl, const std::vector<GateProperty>& proven)
   RewireStats st;
   std::unordered_set<NetId> rewired_nets;
   std::unordered_set<CellId> rewired_cells;
-  std::unordered_map<NetId, NetId> const_target;  // const-rewired net -> tie
+  // Every use redirection, applied in one sweep after pass 2. Chasing sends
+  // the uses of an equivalence whose representative became a tie to the tie.
+  opt::ReplMap repl(nl.num_nets());
 
   // Pass 1: constants (they subsume any implication on the same cell).
   for (const auto& p : proven) {
@@ -27,8 +30,7 @@ RewireStats apply_rewiring(Netlist& nl, const std::vector<GateProperty>& proven)
     const CellId drv = nl.driver(p.target);
     if (drv != kNoCell) rewired_cells.insert(drv);
     nl.detach_driver(p.target);
-    nl.replace_uses(p.target, tie);
-    const_target.emplace(p.target, tie);
+    repl.set(p.target, tie);
     ++st.const_rewires;
   }
 
@@ -42,10 +44,7 @@ RewireStats apply_rewiring(Netlist& nl, const std::vector<GateProperty>& proven)
       ++st.skipped_conflicts;
       continue;
     }
-    NetId target = p.a;
-    auto it = const_target.find(target);
-    if (it != const_target.end()) target = it->second;  // rep became a tie
-    nl.replace_uses(p.b, target);
+    repl.set(p.b, p.a);
     if (p.cell != kNoCell) rewired_cells.insert(p.cell);
     ++st.equiv_rewires;
   }
@@ -68,6 +67,8 @@ RewireStats apply_rewiring(Netlist& nl, const std::vector<GateProperty>& proven)
     nl.redrive_net(out, p.rewire_inverted ? CellKind::Inv : CellKind::Buf, src);
     ++st.impl_rewires;
   }
+  repl.grow(nl.num_nets());  // tie, dangling and re-driven nets added above
+  opt::apply_replacements(nl, repl);
   return st;
 }
 

@@ -1,6 +1,6 @@
 // Post-transform validation orchestrator: glues the bounded equivalence
-// miter and the lockstep co-simulation into a single report the PDAT
-// pipeline can act on (revert / throw / annotate).
+// miter and the lockstep co-simulation into a single report. The PDAT
+// pipeline reverts the reduced core when either verdict is Fail.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +23,6 @@ struct ValidationOptions {
   MiterOptions miter;
   /// Optional dynamic validator (e.g. rv32_lockstep_fn()); empty = skipped.
   LockstepFn lockstep;
-  /// When a validator fails: true = throw ValidationError, false = the
-  /// pipeline degrades gracefully (reverts to the unreduced design and
-  /// records the witness in the result).
-  bool fail_hard = false;
 };
 
 struct ValidationReport {
@@ -39,8 +35,6 @@ struct ValidationReport {
   std::string lockstep_detail;
   double seconds = 0;
 
-  /// No validator produced a Fail (Pass/Inconclusive/Skipped are all ok).
-  bool ok() const { return miter != Verdict::Fail && lockstep != Verdict::Fail; }
   std::string summary() const;
 };
 

@@ -6,6 +6,7 @@
 #include "netlist/levelize.h"
 #include "netlist/netlist.h"
 #include "netlist/verilog.h"
+#include "opt/opt_common.h"
 #include "test_util.h"
 
 namespace pdat {
@@ -74,7 +75,9 @@ TEST(Netlist, ReplaceUsesRewritesInputsAndPorts) {
   const NetId x = nl.add_cell(CellKind::And2, in[0], in[1]);
   const NetId y = nl.add_cell(CellKind::Inv, x);
   nl.add_output("o", {x, y});
-  nl.replace_uses(x, in[0]);
+  opt::ReplMap repl(nl.num_nets());
+  repl.set(x, in[0]);
+  opt::apply_replacements(nl, repl);
   EXPECT_EQ(nl.cell(nl.driver(y)).in[0], in[0]);
   EXPECT_EQ(nl.outputs()[0].bits[0], in[0]);
 }

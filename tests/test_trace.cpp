@@ -471,5 +471,20 @@ TEST(TracePipeline, WritesTraceAndMetricsFilesWhenConfigured) {
   EXPECT_GT(metrics_doc.at("deterministic").at("counters").at("sat.solve_calls").number, 0);
 }
 
+TEST(TracePipeline, UnwritableMetricsPathThrows) {
+  scrub_env();
+  Netlist nl = test::random_netlist(7, 5, 60, 6, 3);
+  opt::optimize(nl);
+  PdatOptions opt;
+  opt.metrics_path = ::testing::TempDir() + "/no_such_dir/test_trace.metrics.json";
+  try {
+    run_pdat(nl, [](Netlist&) { return RestrictionResult{}; }, opt);
+    ADD_FAILURE() << "a metrics file that cannot be written was dropped silently";
+  } catch (const PdatError& e) {
+    EXPECT_NE(std::string(e.what()).find(opt.metrics_path), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(tr::collecting());
+}
+
 }  // namespace
 }  // namespace pdat

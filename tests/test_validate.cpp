@@ -153,23 +153,14 @@ TEST(ValidatePipeline, LockstepRejectionRevertsToUnreducedDesign) {
   EXPECT_EQ(res.flops_after, res.flops_before);
 }
 
-TEST(ValidatePipeline, FailHardThrowsValidationError) {
-  const auto& f = toy();
-  PdatOptions opt;
-  opt.validate.enabled = true;
-  opt.validate.fail_hard = true;
-  opt.validate.lockstep = [](const Netlist&) { return std::string("injected mismatch"); };
-  EXPECT_THROW(run_pdat(f.design, f.restrict_fn, opt), ValidationError);
-}
-
-// --- graceful degradation and fail-fast configuration errors ----------------------
+// --- fail-fast configuration errors -----------------------------------------------
 
 TEST(ValidatePipeline, MalformedRestrictionFailsFast) {
   const auto& f = toy();
   const NetId parity = f.design.find_output("parity")->bits[0];
   // A restriction that detaches a driver without registering the cutpoint
   // leaves the analysis netlist malformed — a configuration error that must
-  // throw immediately rather than degrade into a silent identity run.
+  // throw immediately rather than yield a silent identity run.
   EXPECT_THROW(run_pdat(f.design,
                         [parity](Netlist& a) {
                           a.detach_driver(parity);
