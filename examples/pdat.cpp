@@ -43,7 +43,9 @@
 //
 // Malformed input (an unknown core, subset or flag, a malformed number, an
 // unreadable or wrong-ISA --fuzz-replay file, a fuzzing flag on a subset the
-// fuzzer cannot use) exits with status 2 before any reduction work. Every
+// fuzzer cannot use) exits with status 2 before any reduction work. An
+// output path (out.v, --report, --metrics, --trace, --journal) whose
+// directory does not exist exits with status 1, also before any work. Every
 // other error (a failed stage, an output file that cannot be written) and a
 // reduced core that a validator rejected exit with status 1. SIGINT/SIGTERM
 // interrupt the run cooperatively: the proof journal keeps every completed
@@ -63,6 +65,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "base/file.h"
@@ -444,6 +447,19 @@ int main(int argc, char** argv) {
                       fuzzing);
   } catch (const PdatError& e) {
     return usage(e.what());
+  }
+  // An output in a missing directory would fail only after the whole run:
+  // refuse it now, with the error its write would raise.
+  const std::string* const outputs[] = {&out_path, &report_path, &opt.metrics_path,
+                                        &opt.trace_path, &opt.induction.journal_path};
+  for (const std::string* path : outputs) {
+    if (path->empty()) continue;
+    std::error_code ec;
+    const std::filesystem::path dir = std::filesystem::path(*path).parent_path();
+    if (!dir.empty() && !std::filesystem::is_directory(dir, ec)) {
+      std::cerr << "PDAT failed: cannot write '" << *path << "'\n";
+      return 1;
+    }
   }
 
   try {

@@ -1,6 +1,7 @@
 #include "sat/solver.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "base/types.h"
@@ -25,6 +26,13 @@ std::uint64_t luby(std::uint64_t unit, int i) {
   return unit << seq;
 }
 
+// A clause header word, held in an arena slot's raw Lit::x.
+Lit header_word(std::uint32_t v) {
+  Lit w;
+  w.x = static_cast<int>(v);
+  return w;
+}
+
 }  // namespace
 
 Solver::Solver() = default;
@@ -32,11 +40,11 @@ Solver::Solver() = default;
 Var Solver::new_var() {
   const Var v = num_vars();
   assigns_.push_back(LBool::Undef);
-  polarity_.push_back(false);
+  polarity_.push_back(0);
   activity_.push_back(0.0);
   reason_.push_back(kNoClause);
   level_.push_back(0);
-  seen_.push_back(false);
+  seen_.push_back(0);
   heap_pos_.push_back(-1);
   watches_.emplace_back();
   watches_.emplace_back();
@@ -44,32 +52,57 @@ Var Solver::new_var() {
   return v;
 }
 
-Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& lits, bool learnt) {
-  Clause c;
-  c.offset = static_cast<std::uint32_t>(arena_.size());
-  c.size = static_cast<std::uint32_t>(lits.size());
-  c.learnt = learnt;
-  c.activity = 0;
-  c.lbd = 0;
+float Solver::clause_activity(ClauseRef cr) const { return std::bit_cast<float>(arena_[cr + 2].x); }
+
+void Solver::bump_clause(ClauseRef cr) {
+  arena_[cr + 2].x = std::bit_cast<int>(clause_activity(cr) + 1.0f);
+}
+
+std::span<const Lit> Solver::reason_rest(ClauseRef cr, Var v) const {
+  if ((cr & kBinary) != 0) {
+    // A binary clause is never reordered; the implied literal is the one on v.
+    const Lit* lits = clause_lits(cr & ~kBinary);
+    return {lits[0].var() == v ? lits + 1 : lits, 1};
+  }
+  // A long clause keeps the literal it implied at position 0.
+  return {clause_lits(cr) + 1, clause_size(cr) - 1};
+}
+
+bool Solver::locked(ClauseRef cr) const {
+  const Lit* lits = clause_lits(cr);
+  if (clause_size(cr) == 2) {
+    const ClauseRef wr = cr | kBinary;
+    return reason_[static_cast<std::size_t>(lits[0].var())] == wr ||
+           reason_[static_cast<std::size_t>(lits[1].var())] == wr;
+  }
+  return reason_[static_cast<std::size_t>(lits[0].var())] == cr;
+}
+
+Solver::ClauseRef Solver::alloc_clause(std::span<const Lit> lits, bool learnt, std::uint32_t lbd) {
+  const std::size_t cr = arena_.size();
+  if (cr + kHeaderWords + lits.size() >= kBinary)
+    throw PdatError("sat: the clause arena outgrew 2^31 words");
+  arena_.push_back(header_word(static_cast<std::uint32_t>(lits.size())));
+  arena_.push_back(header_word((lbd << 1) | (learnt ? 1u : 0u)));
+  arena_.push_back(header_word(std::bit_cast<std::uint32_t>(0.0f)));
   arena_.insert(arena_.end(), lits.begin(), lits.end());
-  clauses_.push_back(c);
-  return static_cast<ClauseRef>(clauses_.size() - 1);
+  return static_cast<ClauseRef>(cr);
 }
 
 void Solver::attach_clause(ClauseRef cref) {
-  const Clause& c = clauses_[cref];
-  Lit* lits = &arena_[c.offset];
-  watches_[static_cast<std::size_t>((~lits[0]).x)].push_back({cref, lits[1]});
-  watches_[static_cast<std::size_t>((~lits[1]).x)].push_back({cref, lits[0]});
+  const Lit* lits = clause_lits(cref);
+  const ClauseRef wr = clause_size(cref) == 2 ? cref | kBinary : cref;
+  watches_[static_cast<std::size_t>((~lits[0]).x)].push_back({wr, lits[1]});
+  watches_[static_cast<std::size_t>((~lits[1]).x)].push_back({wr, lits[0]});
 }
 
 void Solver::detach_clause(ClauseRef cref) {
-  const Clause& c = clauses_[cref];
-  Lit* lits = &arena_[c.offset];
+  const Lit* lits = clause_lits(cref);
+  const ClauseRef wr = clause_size(cref) == 2 ? cref | kBinary : cref;
   for (int w = 0; w < 2; ++w) {
     auto& ws = watches_[static_cast<std::size_t>((~lits[w]).x)];
     for (std::size_t i = 0; i < ws.size(); ++i) {
-      if (ws[i].cref == cref) {
+      if (ws[i].cref == wr) {
         ws[i] = ws.back();
         ws.pop_back();
         break;
@@ -78,7 +111,7 @@ void Solver::detach_clause(ClauseRef cref) {
   }
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+bool Solver::add_clause(std::span<const Lit> lits) {
   if (!ok_) return false;
   // Log the clause as handed in, before canonicalization: the checker does
   // its own dedup/tautology handling, and dropping root-false literals here
@@ -86,11 +119,12 @@ bool Solver::add_clause(std::vector<Lit> lits) {
   // assignment grows through the same lines in the same order).
   if (drat_ != nullptr) drat_->append(DratLineKind::Original, lits.data(), lits.size());
   if (decision_level() != 0) cancel_until(0);
-  std::sort(lits.begin(), lits.end(), [](Lit a, Lit b) { return a.x < b.x; });
-  // Remove duplicates; detect tautology.
-  std::vector<Lit> out;
+  add_tmp_.assign(lits.begin(), lits.end());
+  std::sort(add_tmp_.begin(), add_tmp_.end(), [](Lit a, Lit b) { return a.x < b.x; });
+  // Remove duplicates and root-false literals in place; detect tautology.
+  std::size_t n = 0;
   Lit prev;
-  for (Lit p : lits) {
+  for (const Lit p : add_tmp_) {
     if (p == prev) continue;
     if (p == ~prev) return true;  // tautology
     const LBool v = lit_value(p);
@@ -99,23 +133,25 @@ bool Solver::add_clause(std::vector<Lit> lits) {
       prev = p;
       continue;  // falsified at root: drop
     }
-    out.push_back(p);
+    add_tmp_[n++] = p;
     prev = p;
   }
-  if (out.empty()) {
-    // Every literal was root-false (or the clause was empty): keep the
-    // original literals so a later proof snapshot can re-derive ok_ == false.
-    root_conflict_clause_ = lits;
+  if (n == 0) {
+    // Every literal was root-false (or the clause was empty). Nothing was
+    // written back, so add_tmp_ still holds the sorted input: keep it so a
+    // later proof snapshot can re-derive ok_ == false.
+    root_conflict_clause_ = add_tmp_;
     have_root_conflict_clause_ = true;
     ok_ = false;
     return false;
   }
-  if (out.size() == 1) {
-    uncheck_enqueue(out[0], kNoClause);
+  add_tmp_.resize(n);
+  if (n == 1) {
+    uncheck_enqueue(add_tmp_[0], kNoClause);
     ok_ = (propagate() == kNoClause);
     return ok_;
   }
-  const ClauseRef cref = alloc_clause(out, false);
+  const ClauseRef cref = alloc_clause(add_tmp_, false, 0);
   problem_clauses_.push_back(cref);
   attach_clause(cref);
   return true;
@@ -134,8 +170,7 @@ void Solver::start_proof(DratLog* log) {
   // that came in as (canonicalized) unit input clauses have no stored clause
   // to replay, so they are logged directly.
   for (const ClauseRef cref : problem_clauses_) {
-    const Clause& c = clauses_[cref];
-    log->append(DratLineKind::Original, &arena_[c.offset], c.size);
+    log->append(DratLineKind::Original, clause_lits(cref), clause_size(cref));
   }
   for (const Lit p : trail_) {
     if (reason_[static_cast<std::size_t>(p.var())] == kNoClause)
@@ -149,7 +184,7 @@ void Solver::start_proof(DratLog* log) {
 
 void Solver::uncheck_enqueue(Lit p, ClauseRef from) {
   const auto v = static_cast<std::size_t>(p.var());
-  assigns_[v] = p.sign() ? LBool::False : LBool::True;
+  assigns_[v] = static_cast<LBool>((p.x & 1) ^ 1);
   reason_[v] = from;
   level_[v] = decision_level();
   trail_.push_back(p);
@@ -159,48 +194,64 @@ Solver::ClauseRef Solver::propagate() {
   ClauseRef confl = kNoClause;
   while (qhead_ < static_cast<int>(trail_.size())) {
     const Lit p = trail_[static_cast<std::size_t>(qhead_++)];
+    const Lit false_lit = ~p;
     auto& ws = watches_[static_cast<std::size_t>(p.x)];
-    std::size_t i = 0, j = 0;
-    const std::size_t n = ws.size();
-    while (i < n) {
-      const Watcher w = ws[i++];
+    Watcher* i = ws.data();
+    Watcher* j = i;
+    Watcher* const end = i + ws.size();
+    while (i != end) {
+      const Watcher w = *i++;
       ++propagations_;
       if (lit_value(w.blocker) == LBool::True) {
-        ws[j++] = w;
+        *j++ = w;
         continue;
       }
-      Clause& c = clauses_[w.cref];
-      Lit* lits = &arena_[c.offset];
+      if ((w.cref & kBinary) != 0) {
+        // The blocker is the other literal: unit or conflicting.
+        *j++ = w;
+        if (lit_value(w.blocker) == LBool::False) {
+          bin_conflict_[0] = w.blocker;
+          bin_conflict_[1] = false_lit;
+          confl = w.cref;
+          qhead_ = static_cast<int>(trail_.size());
+          while (i != end) *j++ = *i++;
+          break;
+        }
+        uncheck_enqueue(w.blocker, w.cref);
+        continue;
+      }
+      Lit* lits = clause_lits(w.cref);
       // Make sure the false literal is lits[1].
-      const Lit false_lit = ~p;
       if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
       const Lit first = lits[0];
+      const Watcher kept{w.cref, first};
       if (first != w.blocker && lit_value(first) == LBool::True) {
-        ws[j++] = {w.cref, first};
+        *j++ = kept;
         continue;
       }
       // Look for a new watch.
+      const std::uint32_t size = clause_size(w.cref);
       bool found = false;
-      for (std::uint32_t k = 2; k < c.size; ++k) {
+      for (std::uint32_t k = 2; k < size; ++k) {
         if (lit_value(lits[k]) != LBool::False) {
           std::swap(lits[1], lits[k]);
-          watches_[static_cast<std::size_t>((~lits[1]).x)].push_back({w.cref, first});
+          watches_[static_cast<std::size_t>((~lits[1]).x)].push_back(kept);
           found = true;
           break;
         }
       }
       if (found) continue;
       // Clause is unit or conflicting.
-      ws[j++] = {w.cref, first};
+      *j++ = kept;
       if (lit_value(first) == LBool::False) {
         confl = w.cref;
         qhead_ = static_cast<int>(trail_.size());
-        while (i < n) ws[j++] = ws[i++];
+        while (i != end) *j++ = *i++;
         break;
       }
       uncheck_enqueue(first, w.cref);
     }
-    ws.resize(j);
+    ws.resize(static_cast<std::size_t>(j - ws.data()));
     if (confl != kNoClause) break;
   }
   return confl;
@@ -217,29 +268,34 @@ void Solver::var_bump(Var v) {
 
 void Solver::var_decay_all() { var_inc_ /= var_decay_; }
 
-void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btlevel,
-                     std::uint32_t& out_lbd) {
+void Solver::analyze(ClauseRef confl, int& out_btlevel, std::uint32_t& out_lbd) {
   int path_count = 0;
   Lit p;
   p.x = -2;
-  out_learnt.clear();
-  out_learnt.push_back(p);  // placeholder for UIP
+  learnt_.clear();
+  learnt_.push_back(p);  // placeholder for UIP
   int index = static_cast<int>(trail_.size()) - 1;
 
   do {
-    Clause& c = clauses_[confl];
-    if (c.learnt) c.activity += 1.0f;
-    Lit* lits = &arena_[c.offset];
-    for (std::uint32_t k = (p.x == -2 ? 0 : 1); k < c.size; ++k) {
-      const Lit q = lits[k];
+    const ClauseRef cr = confl & ~kBinary;
+    if (clause_learnt(cr)) bump_clause(cr);
+    std::span<const Lit> lits;
+    if (p.x != -2) {
+      lits = reason_rest(confl, p.var());
+    } else if ((confl & kBinary) != 0) {
+      lits = bin_conflict_;
+    } else {
+      lits = {clause_lits(cr), clause_size(cr)};
+    }
+    for (const Lit q : lits) {
       const auto v = static_cast<std::size_t>(q.var());
       if (!seen_[v] && level_[v] > 0) {
         var_bump(q.var());
-        seen_[v] = true;
+        seen_[v] = 1;
         if (level_[v] >= decision_level()) {
           ++path_count;
         } else {
-          out_learnt.push_back(q);
+          learnt_.push_back(q);
         }
       }
     }
@@ -247,93 +303,91 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
     while (!seen_[static_cast<std::size_t>(trail_[static_cast<std::size_t>(index)].var())]) --index;
     p = trail_[static_cast<std::size_t>(index--)];
     confl = reason_[static_cast<std::size_t>(p.var())];
-    seen_[static_cast<std::size_t>(p.var())] = false;
+    seen_[static_cast<std::size_t>(p.var())] = 0;
     --path_count;
   } while (path_count > 0);
-  out_learnt[0] = ~p;
+  learnt_[0] = ~p;
 
-  // Minimize: remove literals implied by the rest. Keep the pre-minimization
-  // set around so every seen_ mark is cleared afterwards (a stale mark would
-  // corrupt later conflict analyses).
-  const std::vector<Lit> pre_minimize = out_learnt;
+  // Minimize: remove literals implied by the rest. analyze_toclear_ collects
+  // every seen_ mark left behind: the clause as learnt, plus the literals
+  // lit_redundant proved implied (a stale mark would corrupt later analyses).
+  analyze_toclear_.assign(learnt_.begin(), learnt_.end());
   std::uint32_t abstract_levels = 0;
-  for (std::size_t i = 1; i < out_learnt.size(); ++i) {
-    abstract_levels |= 1u << (level_[static_cast<std::size_t>(out_learnt[i].var())] & 31);
+  for (std::size_t i = 1; i < learnt_.size(); ++i) {
+    abstract_levels |= 1u << (level_[static_cast<std::size_t>(learnt_[i].var())] & 31);
   }
   std::size_t keep = 1;
-  for (std::size_t i = 1; i < out_learnt.size(); ++i) {
-    const auto v = static_cast<std::size_t>(out_learnt[i].var());
-    if (reason_[v] == kNoClause || !lit_redundant(out_learnt[i], abstract_levels)) {
-      out_learnt[keep++] = out_learnt[i];
+  for (std::size_t i = 1; i < learnt_.size(); ++i) {
+    const auto v = static_cast<std::size_t>(learnt_[i].var());
+    if (reason_[v] == kNoClause || !lit_redundant(learnt_[i], abstract_levels)) {
+      learnt_[keep++] = learnt_[i];
     }
   }
-  out_learnt.resize(keep);
+  learnt_.resize(keep);
 
   // Compute backtrack level and LBD.
   out_btlevel = 0;
-  if (out_learnt.size() > 1) {
+  if (learnt_.size() > 1) {
     std::size_t max_i = 1;
-    for (std::size_t i = 2; i < out_learnt.size(); ++i) {
-      if (level_[static_cast<std::size_t>(out_learnt[i].var())] >
-          level_[static_cast<std::size_t>(out_learnt[max_i].var())])
+    for (std::size_t i = 2; i < learnt_.size(); ++i) {
+      if (level_[static_cast<std::size_t>(learnt_[i].var())] >
+          level_[static_cast<std::size_t>(learnt_[max_i].var())])
         max_i = i;
     }
-    std::swap(out_learnt[1], out_learnt[max_i]);
-    out_btlevel = level_[static_cast<std::size_t>(out_learnt[1].var())];
+    std::swap(learnt_[1], learnt_[max_i]);
+    out_btlevel = level_[static_cast<std::size_t>(learnt_[1].var())];
   }
-  std::vector<int> lvls;
-  for (Lit q : out_learnt) lvls.push_back(level_[static_cast<std::size_t>(q.var())]);
-  std::sort(lvls.begin(), lvls.end());
-  out_lbd = static_cast<std::uint32_t>(std::unique(lvls.begin(), lvls.end()) - lvls.begin());
+  // LBD: the number of distinct levels, counted by stamping each level.
+  if (level_stamp_.size() <= static_cast<std::size_t>(decision_level()))
+    level_stamp_.resize(static_cast<std::size_t>(decision_level()) + 1, 0);
+  ++lbd_stamp_;
+  out_lbd = 0;
+  for (const Lit q : learnt_) {
+    const int lvl = level_[static_cast<std::size_t>(q.var())];
+    std::uint64_t& stamp = level_stamp_[static_cast<std::size_t>(lvl)];
+    if (stamp != lbd_stamp_) {
+      stamp = lbd_stamp_;
+      ++out_lbd;
+    }
+  }
 
-  for (Lit q : pre_minimize) seen_[static_cast<std::size_t>(q.var())] = false;
+  for (const Lit q : analyze_toclear_) seen_[static_cast<std::size_t>(q.var())] = 0;
 }
 
 bool Solver::lit_redundant(Lit p, std::uint32_t abstract_levels) {
   // Iterative DFS checking that p is implied by the learnt clause's literals.
-  std::vector<Lit> stack{p};
-  std::vector<Var> cleared;
-  bool redundant = true;
-  while (!stack.empty() && redundant) {
-    const Lit q = stack.back();
-    stack.pop_back();
-    const ClauseRef cr = reason_[static_cast<std::size_t>(q.var())];
-    if (cr == kNoClause) {
-      redundant = false;
-      break;
-    }
-    const Clause& c = clauses_[cr];
-    const Lit* lits = &arena_[c.offset];
-    for (std::uint32_t k = 1; k < c.size; ++k) {
-      const Lit r = lits[k];
+  // Every literal pushed has a reason. On success the marks stay (MiniSat's
+  // rule): a literal proved implied here is implied for every later check
+  // too, so the minimized clause is the same as when each check starts
+  // afresh. On failure this call's marks are undone.
+  const std::size_t top = analyze_toclear_.size();
+  analyze_stack_.clear();
+  analyze_stack_.push_back(p);
+  while (!analyze_stack_.empty()) {
+    const Lit q = analyze_stack_.back();
+    analyze_stack_.pop_back();
+    for (const Lit r : reason_rest(reason_[static_cast<std::size_t>(q.var())], q.var())) {
       const auto v = static_cast<std::size_t>(r.var());
       if (seen_[v] || level_[v] == 0) continue;
       if (reason_[v] == kNoClause || ((1u << (level_[v] & 31)) & abstract_levels) == 0) {
-        redundant = false;
-        break;
+        for (std::size_t i = top; i < analyze_toclear_.size(); ++i)
+          seen_[static_cast<std::size_t>(analyze_toclear_[i].var())] = 0;
+        analyze_toclear_.resize(top);
+        return false;
       }
-      seen_[v] = true;
-      cleared.push_back(r.var());
-      stack.push_back(r);
+      seen_[v] = 1;
+      analyze_stack_.push_back(r);
+      analyze_toclear_.push_back(r);
     }
   }
-  if (!redundant) {
-    for (Var v : cleared) seen_[static_cast<std::size_t>(v)] = false;
-  }
-  // Note: when redundant, the seen_ marks stay set; they make later
-  // redundancy checks cheaper and are cleared with the learnt clause. To be
-  // safe we clear them here too.
-  if (redundant) {
-    for (Var v : cleared) seen_[static_cast<std::size_t>(v)] = false;
-  }
-  return redundant;
+  return true;
 }
 
 void Solver::analyze_final(Lit p) {
   conflict_core_.clear();
   conflict_core_.push_back(p);
   if (decision_level() == 0) return;
-  seen_[static_cast<std::size_t>(p.var())] = true;
+  seen_[static_cast<std::size_t>(p.var())] = 1;
   for (int i = static_cast<int>(trail_.size()) - 1; i >= trail_lim_[0]; --i) {
     const Lit q = trail_[static_cast<std::size_t>(i)];
     const auto v = static_cast<std::size_t>(q.var());
@@ -342,16 +396,14 @@ void Solver::analyze_final(Lit p) {
     if (cr == kNoClause) {
       if (level_[v] > 0) conflict_core_.push_back(~q);
     } else {
-      const Clause& c = clauses_[cr];
-      const Lit* lits = &arena_[c.offset];
-      for (std::uint32_t k = 1; k < c.size; ++k) {
-        if (level_[static_cast<std::size_t>(lits[k].var())] > 0)
-          seen_[static_cast<std::size_t>(lits[k].var())] = true;
+      for (const Lit r : reason_rest(cr, q.var())) {
+        const auto rv = static_cast<std::size_t>(r.var());
+        if (level_[rv] > 0) seen_[rv] = 1;
       }
     }
-    seen_[v] = false;
+    seen_[v] = 0;
   }
-  seen_[static_cast<std::size_t>(p.var())] = false;
+  seen_[static_cast<std::size_t>(p.var())] = 0;
 }
 
 void Solver::cancel_until(int lvl) {
@@ -373,7 +425,7 @@ Lit Solver::pick_branch_lit() {
   while (!heap_empty()) {
     const Var v = heap_pop();
     if (assigns_[static_cast<std::size_t>(v)] == LBool::Undef) {
-      return Lit(v, polarity_[static_cast<std::size_t>(v)]);
+      return Lit(v, polarity_[static_cast<std::size_t>(v)] != 0);
     }
   }
   return Lit();
@@ -382,33 +434,23 @@ Lit Solver::pick_branch_lit() {
 void Solver::reduce_db() {
   ++db_reductions_;
   // Keep the half with lowest LBD (ties by activity).
-  std::vector<ClauseRef> sorted = learnts_;
-  std::sort(sorted.begin(), sorted.end(), [&](ClauseRef a, ClauseRef b) {
-    const Clause& ca = clauses_[a];
-    const Clause& cb = clauses_[b];
-    if (ca.lbd != cb.lbd) return ca.lbd < cb.lbd;
-    return ca.activity > cb.activity;
+  std::sort(learnts_.begin(), learnts_.end(), [&](ClauseRef a, ClauseRef b) {
+    if (clause_lbd(a) != clause_lbd(b)) return clause_lbd(a) < clause_lbd(b);
+    return clause_activity(a) > clause_activity(b);
   });
-  std::vector<ClauseRef> keep;
   // Locked clauses (reason for a current assignment) must be kept.
-  std::vector<bool> locked(clauses_.size(), false);
-  for (Lit p : trail_) {
-    const ClauseRef cr = reason_[static_cast<std::size_t>(p.var())];
-    if (cr != kNoClause) locked[cr] = true;
-  }
-  const std::size_t target = sorted.size() / 2;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    if (i < target || locked[sorted[i]] || clauses_[sorted[i]].lbd <= 2) {
-      keep.push_back(sorted[i]);
+  const std::size_t target = learnts_.size() / 2;
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < learnts_.size(); ++i) {
+    const ClauseRef cr = learnts_[i];
+    if (i < target || locked(cr) || clause_lbd(cr) <= 2) {
+      learnts_[keep++] = cr;
     } else {
-      if (drat_ != nullptr) {
-        const Clause& c = clauses_[sorted[i]];
-        drat_->append(DratLineKind::Delete, &arena_[c.offset], c.size);
-      }
-      detach_clause(sorted[i]);
+      if (drat_ != nullptr) drat_->append(DratLineKind::Delete, clause_lits(cr), clause_size(cr));
+      detach_clause(cr);
     }
   }
-  learnts_ = std::move(keep);
+  learnts_.resize(keep);
 }
 
 SolveResult Solver::solve(const std::vector<Lit>& assumptions, std::int64_t conflict_budget) {
@@ -469,37 +511,35 @@ SolveResult Solver::solve_internal(const std::vector<Lit>& assumptions, const So
         ok_ = false;
         return SolveResult::Unsat;
       }
-      std::vector<Lit> learnt;
       int btlevel;
       std::uint32_t lbd;
-      analyze(confl, learnt, btlevel, lbd);
-      if (corrupt_next_learnt_ && learnt.size() >= 3) {
+      analyze(confl, btlevel, lbd);
+      if (corrupt_next_learnt_ && learnt_.size() >= 3) {
         // Deliberate mis-learn (test hook): negating the asserting literal
         // records the opposite of what conflict analysis derived, so the
         // logged clause is (almost) never RUP. Size and watch positions are
         // unchanged, so the solver keeps running — just unsoundly.
-        learnt[0] = ~learnt[0];
+        learnt_[0] = ~learnt_[0];
         corrupt_next_learnt_ = false;
       }
-      if (drat_ != nullptr) drat_->append(DratLineKind::Add, learnt.data(), learnt.size());
+      if (drat_ != nullptr) drat_->append(DratLineKind::Add, learnt_.data(), learnt_.size());
       if (stats_collect_) {
         ++learned_clauses_;
-        learned_literals_ += learnt.size();
-        trace::observe(trace::Histogram::SatLearnedClauseSize, learnt.size());
+        learned_literals_ += learnt_.size();
+        trace::observe(trace::Histogram::SatLearnedClauseSize, learnt_.size());
         trace::observe(trace::Histogram::SatLearnedClauseLbd, lbd);
       }
       // Never backtrack past the assumptions.
       cancel_until(btlevel);
-      if (learnt.size() == 1) {
+      if (learnt_.size() == 1) {
         // Unit clauses must go to level 0; redo assumptions afterwards.
         cancel_until(0);
-        uncheck_enqueue(learnt[0], kNoClause);
+        uncheck_enqueue(learnt_[0], kNoClause);
       } else {
-        const ClauseRef cr = alloc_clause(learnt, true);
-        clauses_[cr].lbd = lbd;
+        const ClauseRef cr = alloc_clause(learnt_, true, lbd);
         learnts_.push_back(cr);
         attach_clause(cr);
-        uncheck_enqueue(learnt[0], cr);
+        uncheck_enqueue(learnt_[0], cr);
       }
       var_decay_all();
       if (conflict_budget >= 0 &&

@@ -5,10 +5,19 @@
 // restarts, LBD-based learned-clause reduction, incremental solving under
 // assumptions, and a per-call conflict budget (the PDAT pipeline treats a
 // budget hit as "inconclusive" and conservatively keeps the gate).
+//
+// Storage: every clause lives in one arena, a 3-word header (size; learnt
+// bit | LBD << 1; activity as float bits) followed by its literals, and a
+// clause reference is the header's offset. A binary clause propagates from
+// its watcher alone: the watcher's reference carries a tag bit and its
+// blocker is the other literal, so the search never reads the arena for it.
+// Conflict analysis and add_clause work in member scratch buffers and do not
+// allocate once those have grown.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace pdat::sat {
@@ -59,10 +68,16 @@ class Solver {
 
   /// Adds a clause over current variables. Returns false if the solver is
   /// already in an unsatisfiable state.
-  bool add_clause(std::vector<Lit> lits);
-  bool add_clause(Lit a) { return add_clause(std::vector<Lit>{a}); }
-  bool add_clause(Lit a, Lit b) { return add_clause(std::vector<Lit>{a, b}); }
-  bool add_clause(Lit a, Lit b, Lit c) { return add_clause(std::vector<Lit>{a, b, c}); }
+  bool add_clause(std::span<const Lit> lits);
+  bool add_clause(Lit a) { return add_clause(std::span<const Lit>(&a, 1)); }
+  bool add_clause(Lit a, Lit b) {
+    const Lit c[] = {a, b};
+    return add_clause(c);
+  }
+  bool add_clause(Lit a, Lit b, Lit c) {
+    const Lit cl[] = {a, b, c};
+    return add_clause(cl);
+  }
 
   /// Solves under assumptions. conflict_budget < 0 means unlimited.
   SolveResult solve(const std::vector<Lit>& assumptions = {}, std::int64_t conflict_budget = -1);
@@ -106,38 +121,44 @@ class Solver {
   std::uint64_t num_restarts() const { return restarts_; }
 
  private:
-  struct Clause {
-    std::uint32_t offset;  // into arena
-    std::uint32_t size;
-    bool learnt;
-    float activity;
-    std::uint32_t lbd;
-  };
+  /// Arena offset of a clause's header. In a watcher or a reason, kBinary
+  /// marks a binary clause.
   using ClauseRef = std::uint32_t;
   static constexpr ClauseRef kNoClause = UINT32_MAX;
+  static constexpr ClauseRef kBinary = 1u << 31;
+  static constexpr std::uint32_t kHeaderWords = 3;
 
   struct Watcher {
     ClauseRef cref;
-    Lit blocker;
+    Lit blocker;  // for a binary clause, always the other literal
   };
 
-  // Arena of literals; clauses index into it.
+  // The clause arena: per clause, kHeaderWords header words followed by the
+  // literals. A header word is held in the slot's raw Lit::x.
   std::vector<Lit> arena_;
-  std::vector<Clause> clauses_;
   std::vector<ClauseRef> learnts_;
   std::vector<ClauseRef> problem_clauses_;
 
   std::vector<std::vector<Watcher>> watches_;  // indexed by Lit.x
   std::vector<LBool> assigns_;
-  std::vector<bool> polarity_;  // saved phase
+  std::vector<std::uint8_t> polarity_;  // saved phase (1 = negative)
   std::vector<double> activity_;
   std::vector<ClauseRef> reason_;
   std::vector<int> level_;
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
-  std::vector<bool> seen_;
+  std::vector<std::uint8_t> seen_;
   std::vector<LBool> model_;
   std::vector<Lit> conflict_core_;
+
+  // Scratch buffers, reused across calls.
+  std::vector<Lit> add_tmp_;          // add_clause's canonical form
+  std::vector<Lit> learnt_;           // analyze's learnt clause
+  std::vector<Lit> analyze_stack_;    // lit_redundant's DFS
+  std::vector<Lit> analyze_toclear_;  // every seen_ mark analyze leaves
+  std::vector<std::uint64_t> level_stamp_;  // LBD: last stamp per level
+  std::uint64_t lbd_stamp_ = 0;
+  Lit bin_conflict_[2];  // a binary conflict, as [other, ~p]
 
   // VSIDS order: binary heap keyed by activity.
   std::vector<Var> heap_;
@@ -166,22 +187,38 @@ class Solver {
   std::uint64_t max_learnts_ = 8192;
   bool stats_collect_ = false;  // cached trace::collecting() for the current call
 
+  // assigns_ holds False = 0, True = 1, Undef = 2; XOR with the sign flips
+  // only the low bit, so Undef reads back as 2 or 3. Compare the result
+  // against True or False only.
   LBool lit_value(Lit p) const {
-    LBool v = assigns_[static_cast<std::size_t>(p.var())];
-    if (v == LBool::Undef) return LBool::Undef;
-    return (v == LBool::True) != p.sign() ? LBool::True : LBool::False;
+    const auto v = static_cast<std::uint8_t>(assigns_[static_cast<std::size_t>(p.var())]);
+    return static_cast<LBool>(v ^ static_cast<std::uint8_t>(p.x & 1));
   }
+
+  // Clause header and literals.
+  std::uint32_t clause_size(ClauseRef cr) const { return static_cast<std::uint32_t>(arena_[cr].x); }
+  bool clause_learnt(ClauseRef cr) const { return (arena_[cr + 1].x & 1) != 0; }
+  std::uint32_t clause_lbd(ClauseRef cr) const {
+    return static_cast<std::uint32_t>(arena_[cr + 1].x) >> 1;
+  }
+  float clause_activity(ClauseRef cr) const;
+  void bump_clause(ClauseRef cr);
+  Lit* clause_lits(ClauseRef cr) { return &arena_[cr + kHeaderWords]; }
+  const Lit* clause_lits(ClauseRef cr) const { return &arena_[cr + kHeaderWords]; }
+  /// The literals of reason `cr` other than the one it implied on `v`.
+  std::span<const Lit> reason_rest(ClauseRef cr, Var v) const;
+  /// Whether clause `cr` is the reason of a current assignment.
+  bool locked(ClauseRef cr) const;
 
   int decision_level() const { return static_cast<int>(trail_lim_.size()); }
 
   SolveResult solve_internal(const std::vector<Lit>& assumptions, const SolveLimits& limits);
-  ClauseRef alloc_clause(const std::vector<Lit>& lits, bool learnt);
+  ClauseRef alloc_clause(std::span<const Lit> lits, bool learnt, std::uint32_t lbd);
   void attach_clause(ClauseRef cref);
   void detach_clause(ClauseRef cref);
   void uncheck_enqueue(Lit p, ClauseRef from);
   ClauseRef propagate();
-  void analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btlevel,
-               std::uint32_t& out_lbd);
+  void analyze(ClauseRef confl, int& out_btlevel, std::uint32_t& out_lbd);
   void analyze_final(Lit p);
   bool lit_redundant(Lit p, std::uint32_t abstract_levels);
   void cancel_until(int lvl);

@@ -2,13 +2,14 @@
 # tests/CMakeLists.txt):
 #
 #   cmake -DPDAT=<pdat binary> -DARGS="<arguments>" -DEXIT=<status>
-#         [-DTIMEOUT=<seconds>] [-DLINE=<line>] [-DREPORT=<path>]
-#         [-DGOLDEN=<path>] -P cli_test.cmake
+#         [-DTIMEOUT=<seconds>] [-DLINE=<line>] [-DABSENT=<text>]
+#         [-DREPORT=<path>] [-DGOLDEN=<path>] -P cli_test.cmake
 #
 # ARGS is split like a shell command line. The run fails when pdat exits
 # with any other status, is killed by a signal, or outlives TIMEOUT
 # (default 600 s). LINE must appear as a whole line of pdat's stdout, or of
-# REPORT when that is given; GOLDEN must equal REPORT byte for byte.
+# REPORT when that is given; ABSENT must not appear anywhere in pdat's
+# stdout; GOLDEN must equal REPORT byte for byte.
 if(NOT DEFINED TIMEOUT)
   set(TIMEOUT 600)
 endif()
@@ -28,6 +29,12 @@ if(DEFINED LINE)
   string(FIND "\n${text}" "\n${LINE}\n" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "pdat ${ARGS}: no line '${LINE}' in\n${text}")
+  endif()
+endif()
+if(DEFINED ABSENT)
+  string(FIND "${out}" "${ABSENT}" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR "pdat ${ARGS}: '${ABSENT}' in stdout\n${out}")
   endif()
 endif()
 if(DEFINED GOLDEN)

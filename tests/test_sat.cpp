@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "sat/solver.h"
 
 namespace pdat::sat {
@@ -133,6 +138,105 @@ TEST(Sat, DuplicateAndTautologyClausesHandled) {
   EXPECT_TRUE(s.add_clause(mk_lit(b), ~mk_lit(b)));          // tautology
   EXPECT_EQ(s.solve(), SolveResult::Sat);
   EXPECT_TRUE(s.model_value(a));
+}
+
+// Uniform random 3-SAT clauses over `vars`, from a fixed LCG.
+std::vector<std::vector<Lit>> random_3sat(std::uint64_t seed, const std::vector<Var>& vars,
+                                          int clauses) {
+  auto rnd = [&]() {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    return seed >> 33;
+  };
+  std::vector<std::vector<Lit>> out;
+  for (int c = 0; c < clauses; ++c) {
+    std::vector<Lit> cl;
+    for (int k = 0; k < 3; ++k) {
+      const Var v = vars[rnd() % vars.size()];
+      cl.push_back(mk_lit(v, (rnd() & 1) != 0));
+    }
+    out.push_back(cl);
+  }
+  return out;
+}
+
+struct SearchCounters {
+  std::uint64_t conflicts, decisions, propagations, restarts;
+};
+
+void expect_counters(const Solver& s, const SearchCounters& want, const char* what) {
+  EXPECT_EQ(s.num_conflicts(), want.conflicts) << what;
+  EXPECT_EQ(s.num_decisions(), want.decisions) << what;
+  EXPECT_EQ(s.num_propagations(), want.propagations) << what;
+  EXPECT_EQ(s.num_restarts(), want.restarts) << what;
+}
+
+// The search is a pure function of the clause database and the call
+// sequence, and these counts pin it: a change to clause storage, watch
+// lists or conflict analysis that alters any decision, propagation or
+// learnt clause shows up here. Only a change meant to alter the search
+// updates them.
+TEST(Sat, SearchCountersArePinned) {
+  // Random 3-SAT near the threshold, solved under rotating assumptions.
+  Solver a;
+  std::vector<Var> va;
+  for (int i = 0; i < 200; ++i) va.push_back(a.new_var());
+  for (const auto& c : random_3sat(7, va, 800)) a.add_clause(c);
+  std::uint64_t rs = 99;
+  int sat_calls = 0;
+  for (int call = 0; call < 12; ++call) {
+    std::vector<Lit> assume;
+    for (int k = 0; k < 6; ++k) {
+      rs = rs * 6364136223846793005ULL + 1442695040888963407ULL;
+      assume.push_back(mk_lit(va[(rs >> 33) % va.size()], ((rs >> 20) & 1) != 0));
+    }
+    if (a.solve(assume) == SolveResult::Sat) ++sat_calls;
+  }
+  expect_counters(a, {4748, 6306, 2151954, 45}, "random 3-SAT under assumptions");
+  EXPECT_EQ(sat_calls, 10);
+
+  // Incremental: clauses arrive between solves until the instance closes.
+  Solver b;
+  std::vector<Var> vb;
+  for (int i = 0; i < 150; ++i) vb.push_back(b.new_var());
+  const auto extra = random_3sat(11, vb, 1000);
+  std::size_t next = 0;
+  std::string verdicts;
+  Solver b_mid;
+  for (int call = 0; call < 8; ++call) {
+    const std::size_t upto = 450 + 25 * static_cast<std::size_t>(call);
+    for (; next < upto && next < extra.size(); ++next) b.add_clause(extra[next]);
+    verdicts += b.solve() == SolveResult::Sat ? 'S' : 'U';
+    if (call == 2) b_mid = b;
+  }
+  expect_counters(b, {2451, 3227, 759103, 20}, "incremental solves");
+  EXPECT_EQ(verdicts, "SSSSSSSU");
+
+  // A copied solver carries the learnt clauses and activities on.
+  Solver c = b_mid;
+  for (const auto& cl : random_3sat(13, vb, 60)) c.add_clause(cl);
+  std::string copy_verdicts;
+  copy_verdicts += c.solve({mk_lit(vb[0]), ~mk_lit(vb[1])}) == SolveResult::Sat ? 'S' : 'U';
+  copy_verdicts += c.solve() == SolveResult::Sat ? 'S' : 'U';
+  expect_counters(c, {274, 556, 36324, 3}, "solves on a copy");
+  EXPECT_EQ(copy_verdicts, "SS");
+
+  // Pigeonhole 9 -> 8 learns more than 8,192 clauses, so reduce_db runs.
+  Solver d;
+  const int holes = 8, pigeons = 9;
+  std::vector<std::vector<Var>> p(pigeons, std::vector<Var>(holes));
+  for (auto& row : p)
+    for (auto& v : row) v = d.new_var();
+  for (int i = 0; i < pigeons; ++i) {
+    std::vector<Lit> cl;
+    for (int h = 0; h < holes; ++h) cl.push_back(mk_lit(p[i][h]));
+    d.add_clause(cl);
+  }
+  for (int h = 0; h < holes; ++h)
+    for (int i = 0; i < pigeons; ++i)
+      for (int j = i + 1; j < pigeons; ++j) d.add_clause(~mk_lit(p[i][h]), ~mk_lit(p[j][h]));
+  EXPECT_EQ(d.solve(), SolveResult::Unsat);
+  EXPECT_GT(d.num_conflicts(), 8192u);
+  expect_counters(d, {19336, 23881, 62259710, 108}, "pigeonhole 9 -> 8");
 }
 
 TEST(Sat, ManyRandom3SatSmallInstancesAgreeWithBruteForce) {
