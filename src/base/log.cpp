@@ -27,9 +27,6 @@ const char* prefix(LogLevel lvl) {
 
 }  // namespace
 
-LogLevel log_threshold() { return g_threshold; }
-void set_log_threshold(LogLevel lvl) { g_threshold = lvl; }
-
 void log_emit(LogLevel lvl, const std::string& msg) {
   if (static_cast<int>(lvl) < static_cast<int>(g_threshold)) return;
   std::fprintf(stderr, "%s%s\n", prefix(lvl), msg.c_str());

@@ -9,8 +9,6 @@ namespace pdat {
 
 enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Off = 3 };
 
-LogLevel log_threshold();
-void set_log_threshold(LogLevel lvl);
 void log_emit(LogLevel lvl, const std::string& msg);
 
 namespace detail {

@@ -56,9 +56,6 @@ class IbexTestbench {
   const std::vector<iss::Rv32Iss::TraceEntry>& trace(unsigned lane = 0) const {
     return lanes_[lane].trace;
   }
-  std::uint32_t mem_word(std::uint32_t addr, unsigned lane = 0) const {
-    return mem_.read_word(addr, lane);
-  }
   std::uint64_t retired(unsigned lane = 0) const { return lanes_[lane].retired; }
   /// Cycles the lane ran, its halting cycle included.
   std::uint64_t cycles(unsigned lane = 0) const { return lanes_[lane].cycles; }

@@ -114,12 +114,9 @@ inline constexpr std::size_t kDefaultMaxOps = 40;
 
 /// Subset-aware abstract-program generator. Implementations are immutable
 /// after construction and safe to share across worker threads; they differ
-/// only in how they sample ops and encode them.
+/// only in the ops they put in the pools and how they encode them.
 class Generator {
  public:
-  /// `max_ops` bounds a generated program's length (a mutation may double
-  /// it).
-  explicit Generator(std::size_t max_ops) : max_ops_(max_ops) {}
   virtual ~Generator() = default;
 
   /// A fresh program of 4..max_ops sampled ops.
@@ -132,19 +129,45 @@ class Generator {
   /// in-subset halting terminator. Units are 32-bit words for RV32 and
   /// halfwords for Thumb.
   virtual std::vector<std::uint32_t> encode_units(const AbsProgram& p) const = 0;
-  virtual unsigned unit_hex_digits() const = 0;  // 8 (words) or 4 (halfwords)
-  virtual std::string isa_name() const = 0;      // "rv32" or "thumb"
+  unsigned unit_hex_digits() const { return isa_.unit_bits / 4; }  // 8 (words) or 4 (halfwords)
+  std::string isa_name() const { return isa_.name; }               // "rv32" or "thumb"
 
   /// Self-contained gtest source reproducing `p` (written next to the
   /// corpus; drop into tests/repro/ to make it a ctest case).
-  virtual std::string render_repro(const AbsProgram& p, const std::string& case_name,
-                                   const std::string& detail) const = 0;
+  std::string render_repro(const AbsProgram& p, const std::string& case_name,
+                           const std::string& detail) const;
 
  protected:
-  /// Appends one sampled op (or a hazard pair) to `p`.
-  virtual void sample_into(AbsProgram& p, Rng& rng) const = 0;
+  /// The per-ISA constants of serialized programs and reproducers.
+  struct IsaInfo {
+    const char* name;       // `isa` header of .prog files
+    unsigned unit_bits;     // encode_units' unit: 32 (words) or 16 (halfwords)
+    const char* core_dir;   // cores/<dir>/<dir>_core.h and _tb.h, cores::build_<dir>()
+    const char* core_type;  // what cores::build_<dir>() returns
+    const char* cosim;      // cores::<cosim>(netlist, program): "" when they agree
+  };
+
+  /// `max_ops` bounds a generated program's length (a mutation may double
+  /// it).
+  Generator(const IsaInfo& isa, std::string subset_name, std::size_t max_ops)
+      : max_ops_(max_ops), isa_(isa), subset_name_(std::move(subset_name)) {}
+
+  /// Call once the pools are filled: throws PdatError when all are empty,
+  /// and an empty plain pool borrows the branch (else the memory) pool.
+  void check_pools();
 
   std::size_t max_ops_;
+  int terminator_ = -1;  // spec index of the halting terminator
+  // Generation pools (spec indices): ordinary ops, misaligned / multi-cycle
+  // LSU ops, branch-storm members and RAW-pair halves.
+  std::vector<int> plain_, mem_, branch_, raw_;
+
+ private:
+  /// Appends one sampled op (or a hazard pair) to `p`.
+  void sample_into(AbsProgram& p, Rng& rng) const;
+
+  IsaInfo isa_;
+  std::string subset_name_;
 };
 
 // --- oracles -----------------------------------------------------------------

@@ -120,10 +120,63 @@ AbsProgram Generator::mutate(const AbsProgram& in, std::uint64_t seed) const {
   return p;
 }
 
+void Generator::check_pools() {
+  if (plain_.empty() && mem_.empty() && branch_.empty())
+    throw PdatError("fuzz: " + std::string(isa_.name) + " subset '" + subset_name_ +
+                    "' has no generatable instruction");
+  if (plain_.empty()) plain_ = branch_.empty() ? mem_ : branch_;
+}
+
+void Generator::sample_into(AbsProgram& p, Rng& rng) const {
+  switch (pick_class(rng, !raw_.empty(), !mem_.empty(), !branch_.empty())) {
+    case Haz::Plain:
+      p.push_back({pool_pick(rng, plain_), OpClass::Plain, rng.next(),
+                   static_cast<std::uint8_t>(1 + rng.below(6))});
+      break;
+    case Haz::Raw: {
+      const std::uint64_t s = rng.next();
+      p.push_back({pool_pick(rng, raw_), OpClass::RawWrite, s, 1});
+      p.push_back({pool_pick(rng, raw_), OpClass::RawRead, s, 1});
+      break;
+    }
+    case Haz::Mem:
+      p.push_back({pool_pick(rng, mem_), OpClass::MisMem, rng.next(), 1});
+      break;
+    case Haz::Branch:
+      p.push_back({pool_pick(rng, branch_), OpClass::Branch, rng.next(),
+                   static_cast<std::uint8_t>(1 + rng.below(3))});
+      break;
+  }
+}
+
+std::string Generator::render_repro(const AbsProgram& p, const std::string& case_name,
+                                    const std::string& detail) const {
+  const std::string dir = isa_.core_dir;
+  std::ostringstream os;
+  os << "// Auto-generated by the PDAT differential fuzzer — shrunk reproducer.\n"
+     << "// Divergence: " << detail << "\n"
+     << "// Subset: " << subset_name_ << "\n"
+     << "#include <gtest/gtest.h>\n\n"
+     << "#include <cstdint>\n"
+     << "#include <vector>\n\n"
+     << "#include \"cores/" << dir << "/" << dir << "_core.h\"\n"
+     << "#include \"cores/" << dir << "/" << dir << "_tb.h\"\n\n"
+     << "TEST(FuzzRepro, " << case_name << ") {\n"
+     << "  const std::vector<std::uint" << isa_.unit_bits << "_t> program = {\n"
+     << hex_list(encode_units(p), unit_hex_digits(), "      ") << "\n"
+     << "  };\n"
+     << "  const pdat::cores::" << isa_.core_type << " core = pdat::cores::build_" << dir
+     << "();\n"
+     << "  EXPECT_EQ(pdat::cores::" << isa_.cosim << "(core.netlist, program), \"\");\n"
+     << "}\n";
+  return os.str();
+}
+
 // --- RV32 --------------------------------------------------------------------
 
 Rv32Generator::Rv32Generator(isa::RvSubset subset, std::size_t max_ops)
-    : Generator(max_ops), subset_(std::move(subset)) {
+    : Generator({"rv32", 32, "ibex", "IbexCore", "cosim_against_iss"}, subset.name, max_ops),
+      subset_(std::move(subset)) {
   for (const char* t : {"ebreak", "ecall", "c.ebreak"}) {
     if (subset_.contains(t)) {
       terminator_ = isa::rv32_instr_index(t);
@@ -177,9 +230,7 @@ Rv32Generator::Rv32Generator(isa::RvSubset subset, std::size_t max_ops)
       raw_.push_back(idx);
     }
   }
-  if (plain_.empty() && mem_.empty() && branch_.empty())
-    throw PdatError("fuzz: subset '" + subset_.name + "' has no generatable instruction");
-  if (plain_.empty()) plain_ = branch_.empty() ? mem_ : branch_;
+  check_pools();
 }
 
 unsigned Rv32Generator::op_bytes(const AbsOp& op) const {
@@ -354,28 +405,6 @@ std::uint32_t Rv32Generator::encode_op(const AbsOp& op, std::uint32_t at,
   return isa::rv32_encode(spec, f);
 }
 
-void Rv32Generator::sample_into(AbsProgram& p, Rng& rng) const {
-  switch (pick_class(rng, !raw_.empty(), !mem_.empty(), !branch_.empty())) {
-    case Haz::Plain:
-      p.push_back({pool_pick(rng, plain_), OpClass::Plain, rng.next(),
-                   static_cast<std::uint8_t>(1 + rng.below(6))});
-      break;
-    case Haz::Raw: {
-      const std::uint64_t s = rng.next();
-      p.push_back({pool_pick(rng, raw_), OpClass::RawWrite, s, 1});
-      p.push_back({pool_pick(rng, raw_), OpClass::RawRead, s, 1});
-      break;
-    }
-    case Haz::Mem:
-      p.push_back({pool_pick(rng, mem_), OpClass::MisMem, rng.next(), 1});
-      break;
-    case Haz::Branch:
-      p.push_back({pool_pick(rng, branch_), OpClass::Branch, rng.next(),
-                   static_cast<std::uint8_t>(1 + rng.below(3))});
-      break;
-  }
-}
-
 std::vector<std::uint32_t> Rv32Generator::encode_units(const AbsProgram& p) const {
   std::vector<std::uint8_t> bytes;
   if (!mem_.empty()) {
@@ -436,27 +465,6 @@ std::vector<std::uint32_t> Rv32Generator::encode_units(const AbsProgram& p) cons
   return words;
 }
 
-std::string Rv32Generator::render_repro(const AbsProgram& p, const std::string& case_name,
-                                        const std::string& detail) const {
-  std::ostringstream os;
-  os << "// Auto-generated by the PDAT differential fuzzer — shrunk reproducer.\n"
-     << "// Divergence: " << detail << "\n"
-     << "// Subset: " << subset_.name << "\n"
-     << "#include <gtest/gtest.h>\n\n"
-     << "#include <cstdint>\n"
-     << "#include <vector>\n\n"
-     << "#include \"cores/ibex/ibex_core.h\"\n"
-     << "#include \"cores/ibex/ibex_tb.h\"\n\n"
-     << "TEST(FuzzRepro, " << case_name << ") {\n"
-     << "  const std::vector<std::uint32_t> program = {\n"
-     << hex_list(encode_units(p), 8, "      ") << "\n"
-     << "  };\n"
-     << "  const pdat::cores::IbexCore core = pdat::cores::build_ibex();\n"
-     << "  EXPECT_EQ(pdat::cores::cosim_against_iss(core.netlist, program), \"\");\n"
-     << "}\n";
-  return os.str();
-}
-
 // --- Thumb -------------------------------------------------------------------
 
 namespace {
@@ -470,7 +478,8 @@ bool thumb_writes_rd(std::string_view n) {
 }  // namespace
 
 ThumbGenerator::ThumbGenerator(isa::ThumbSubset subset, std::size_t max_ops)
-    : Generator(max_ops), subset_(std::move(subset)) {
+    : Generator({"thumb", 16, "cm0", "Cm0Core", "cm0_cosim_against_iss"}, subset.name, max_ops),
+      subset_(std::move(subset)) {
   for (const char* t : {"bkpt", "udf", "svc"}) {
     if (subset_.contains(t)) {
       terminator_ = isa::thumb_instr_index(t);
@@ -507,9 +516,7 @@ ThumbGenerator::ThumbGenerator(isa::ThumbSubset subset, std::size_t max_ops)
       raw_.push_back(idx);
     }
   }
-  if (plain_.empty() && mem_.empty() && branch_.empty())
-    throw PdatError("fuzz: thumb subset '" + subset_.name + "' has no generatable instruction");
-  if (plain_.empty()) plain_ = branch_.empty() ? mem_ : branch_;
+  check_pools();
 }
 
 unsigned ThumbGenerator::op_halfwords(const AbsOp& op) const {
@@ -652,28 +659,6 @@ std::uint32_t ThumbGenerator::encode_op(const AbsOp& op, std::uint32_t at_hw,
   return isa::thumb_encode(spec, f);
 }
 
-void ThumbGenerator::sample_into(AbsProgram& p, Rng& rng) const {
-  switch (pick_class(rng, !raw_.empty(), !mem_.empty(), !branch_.empty())) {
-    case Haz::Plain:
-      p.push_back({pool_pick(rng, plain_), OpClass::Plain, rng.next(),
-                   static_cast<std::uint8_t>(1 + rng.below(6))});
-      break;
-    case Haz::Raw: {
-      const std::uint64_t s = rng.next();
-      p.push_back({pool_pick(rng, raw_), OpClass::RawWrite, s, 1});
-      p.push_back({pool_pick(rng, raw_), OpClass::RawRead, s, 1});
-      break;
-    }
-    case Haz::Mem:
-      p.push_back({pool_pick(rng, mem_), OpClass::MisMem, rng.next(), 1});
-      break;
-    case Haz::Branch:
-      p.push_back({pool_pick(rng, branch_), OpClass::Branch, rng.next(),
-                   static_cast<std::uint8_t>(1 + rng.below(3))});
-      break;
-  }
-}
-
 std::vector<std::uint32_t> ThumbGenerator::encode_units(const AbsProgram& p) const {
   std::vector<std::uint32_t> halves;
   if (mem_ok_ && !mem_.empty()) {
@@ -719,27 +704,6 @@ std::vector<std::uint32_t> ThumbGenerator::encode_units(const AbsProgram& p) con
   const auto& term = isa::thumb_instructions()[static_cast<std::size_t>(terminator_)];
   halves.push_back(term.match & 0xffff);
   return halves;
-}
-
-std::string ThumbGenerator::render_repro(const AbsProgram& p, const std::string& case_name,
-                                         const std::string& detail) const {
-  std::ostringstream os;
-  os << "// Auto-generated by the PDAT differential fuzzer — shrunk reproducer.\n"
-     << "// Divergence: " << detail << "\n"
-     << "// Subset: " << subset_.name << "\n"
-     << "#include <gtest/gtest.h>\n\n"
-     << "#include <cstdint>\n"
-     << "#include <vector>\n\n"
-     << "#include \"cores/cm0/cm0_core.h\"\n"
-     << "#include \"cores/cm0/cm0_tb.h\"\n\n"
-     << "TEST(FuzzRepro, " << case_name << ") {\n"
-     << "  const std::vector<std::uint16_t> program = {\n"
-     << hex_list(encode_units(p), 4, "      ") << "\n"
-     << "  };\n"
-     << "  const pdat::cores::Cm0Core core = pdat::cores::build_cm0();\n"
-     << "  EXPECT_EQ(pdat::cores::cm0_cosim_against_iss(core.netlist, program), \"\");\n"
-     << "}\n";
-  return os.str();
 }
 
 }  // namespace pdat::fuzz

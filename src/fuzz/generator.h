@@ -27,29 +27,20 @@ class Rv32Generator : public Generator {
   Rv32Generator(isa::RvSubset subset, std::size_t max_ops = kDefaultMaxOps);
 
   std::vector<std::uint32_t> encode_units(const AbsProgram& p) const override;
-  unsigned unit_hex_digits() const override { return 8; }
-  std::string isa_name() const override { return "rv32"; }
-  std::string render_repro(const AbsProgram& p, const std::string& case_name,
-                           const std::string& detail) const override;
-
-  const isa::RvSubset& subset() const { return subset_; }
 
  private:
-  void sample_into(AbsProgram& p, Rng& rng) const override;
   // Encodes one op at byte offset `at`; `target_off` is the byte offset of
   // the op's control-transfer target (terminator offset when past the end).
   std::uint32_t encode_op(const AbsOp& op, std::uint32_t at, std::uint32_t target_off) const;
   unsigned op_bytes(const AbsOp& op) const;
 
   isa::RvSubset subset_;
-  int terminator_ = -1;           // spec index of the halting terminator
   bool have_lui_ = false;         // base/sp prologue uses lui
   bool have_clui_ = false;        // ... or c.lui (base only)
   bool have_addi_ = false;        // ... or addi (low base, short offsets)
   bool sp_set_ = false;           // c.lwsp/c.swsp usable
   std::uint32_t data_base_ = 0;   // value placed in x10
   std::int32_t mem_imm_max_ = 0;  // inclusive aligned-offset bound
-  std::vector<int> plain_, mem_, branch_, raw_;  // generation pools
 };
 
 class ThumbGenerator : public Generator {
@@ -57,22 +48,13 @@ class ThumbGenerator : public Generator {
   ThumbGenerator(isa::ThumbSubset subset, std::size_t max_ops = kDefaultMaxOps);
 
   std::vector<std::uint32_t> encode_units(const AbsProgram& p) const override;
-  unsigned unit_hex_digits() const override { return 4; }
-  std::string isa_name() const override { return "thumb"; }
-  std::string render_repro(const AbsProgram& p, const std::string& case_name,
-                           const std::string& detail) const override;
-
-  const isa::ThumbSubset& subset() const { return subset_; }
 
  private:
-  void sample_into(AbsProgram& p, Rng& rng) const override;
   std::uint32_t encode_op(const AbsOp& op, std::uint32_t at_hw, std::uint32_t target_hw) const;
   unsigned op_halfwords(const AbsOp& op) const;
 
   isa::ThumbSubset subset_;
-  int terminator_ = -1;
   bool mem_ok_ = false;  // movs.i8 + lsls present => base registers settable
-  std::vector<int> plain_, mem_, branch_, raw_;
 };
 
 }  // namespace pdat::fuzz

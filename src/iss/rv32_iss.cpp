@@ -22,7 +22,6 @@ void Rv32Iss::reset(std::uint32_t pc) {
   pc_ = pc;
   halted_ = false;
   illegal_ = false;
-  profile_.clear();
   trace_.clear();
   csrs_.clear();
   instret_ = 0;
@@ -61,15 +60,12 @@ bool Rv32Iss::step() {
   const std::uint32_t raw = load_word(pc_);
   const bool compressed = (raw & 3) != 3;
   std::uint32_t word = raw;
-  std::string retired_name;
   if (compressed) {
-    const RvInstrSpec* cspec = isa::rv32_decode_spec(raw & 0xffff);
-    if (cspec == nullptr) {
+    if (isa::rv32_decode_spec(raw & 0xffff) == nullptr) {
       illegal_ = true;
       halted_ = true;
       return false;
     }
-    retired_name = std::string(cspec->name);
     word = isa::rvc_expand(static_cast<std::uint16_t>(raw & 0xffff));
     if (word == 0) {
       illegal_ = true;
@@ -83,7 +79,6 @@ bool Rv32Iss::step() {
     halted_ = true;
     return false;
   }
-  if (retired_name.empty()) retired_name = std::string(spec->name);
   const RvFields f = isa::rv32_extract(*spec, word);
   const std::uint32_t next_pc_seq = pc_ + (compressed ? 2 : 4);
   std::uint32_t next_pc = next_pc_seq;
@@ -180,7 +175,6 @@ bool Rv32Iss::step() {
   }
 
   if (rd_write && f.rd != 0) regs_[f.rd] = rd_val;
-  ++profile_[retired_name];
   ++instret_;
   if (tracing_ && ((rd_write && f.rd != 0) || te.mem_write)) {
     te.rd = rd_write ? f.rd : 0;

@@ -1,6 +1,6 @@
 // RV32IMC+Zicsr instruction-set simulator — the golden model used to
-// validate the gate-level cores by trace comparison, to run the MiBench-like
-// workloads, and to collect dynamic instruction profiles.
+// validate the gate-level cores by trace comparison and to run the
+// MiBench-like workloads.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +32,6 @@ class Rv32Iss {
   // State access.
   std::uint32_t pc() const { return pc_; }
   std::uint32_t reg(unsigned i) const { return regs_[i]; }
-  void set_reg(unsigned i, std::uint32_t v) {
-    if (i != 0) regs_[i] = v;
-  }
   bool halted() const { return halted_; }
   bool illegal() const { return illegal_; }
 
@@ -42,10 +39,6 @@ class Rv32Iss {
   std::uint8_t load_byte(std::uint32_t addr) const { return mem_.read(addr); }
   void store_word(std::uint32_t addr, std::uint32_t value);
   void store_byte(std::uint32_t addr, std::uint8_t value) { mem_.write(addr, value); }
-
-  /// Dynamic per-mnemonic retire counts (includes c.* when fetched
-  /// compressed).
-  const std::map<std::string, std::uint64_t>& dynamic_profile() const { return profile_; }
 
   /// Architectural trace entry: one per retired instruction that writes a
   /// register or memory (used for lockstep core validation).
@@ -68,7 +61,6 @@ class Rv32Iss {
   bool halted_ = false;
   bool illegal_ = false;
   bool tracing_ = false;
-  std::map<std::string, std::uint64_t> profile_;
   std::vector<TraceEntry> trace_;
   std::map<unsigned, std::uint32_t> csrs_;
   std::uint64_t instret_ = 0;

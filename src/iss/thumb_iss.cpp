@@ -43,7 +43,6 @@ void ThumbIss::reset(std::uint32_t pc, std::uint32_t sp) {
   regs_[15] = pc;
   n_ = z_ = c_ = v_ = false;
   halted_ = undefined_ = wide_pending_ = false;
-  profile_.clear();
   reg_writes_.clear();
   mem_writes_.clear();
 }
@@ -411,7 +410,6 @@ bool ThumbIss::step() {
     return false;
   }
 
-  ++profile_[std::string(n)];
   regs_[15] = next_pc;
   return !halted_;
 }

@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "util/paged_memory.h"
@@ -24,7 +22,6 @@ class ThumbIss {
   std::uint64_t run(std::uint64_t max_steps);
 
   std::uint32_t reg(unsigned i) const { return regs_[i]; }
-  void set_reg(unsigned i, std::uint32_t v) { regs_[i] = v; }
   std::uint32_t pc() const { return regs_[15]; }
   bool halted() const { return halted_; }
   bool undefined() const { return undefined_; }
@@ -37,8 +34,6 @@ class ThumbIss {
   void store_byte(std::uint32_t a, std::uint8_t v) { mem_.write(a, v); }
   std::uint32_t load_word(std::uint32_t a) const;
   void store_word(std::uint32_t a, std::uint32_t v);
-
-  const std::map<std::string, std::uint64_t>& dynamic_profile() const { return profile_; }
 
   // Architectural effect streams for lockstep core validation. Register and
   // memory writes are compared as separate ordered streams so that the
@@ -67,7 +62,6 @@ class ThumbIss {
   // Pending first halfword of a 32-bit encoding.
   bool wide_pending_ = false;
   std::uint16_t wide_first_ = 0;
-  std::map<std::string, std::uint64_t> profile_;
   std::vector<RegWrite> reg_writes_;
   std::vector<MemWrite> mem_writes_;
 

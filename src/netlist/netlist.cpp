@@ -1,7 +1,5 @@
 #include "netlist/netlist.h"
 
-#include <algorithm>
-
 namespace pdat {
 
 NetId Netlist::new_net() {
@@ -75,24 +73,11 @@ void Netlist::add_output(const std::string& name, const std::vector<NetId>& bits
 
 void Netlist::name_net(NetId net, const std::string& name) { net_names_[net] = name; }
 
-std::string Netlist::net_name(NetId net) const {
-  auto it = net_names_.find(net);
-  return it == net_names_.end() ? std::string() : it->second;
-}
-
 NetId Netlist::find_net(const std::string& name) const {
   for (const auto& [net, n] : net_names_) {
     if (n == name) return net;
   }
   return kNoNet;
-}
-
-bool Netlist::is_primary_input(NetId net) const {
-  if (net_driver_[net] != kNoCell) return false;
-  for (const auto& p : inputs_) {
-    if (std::find(p.bits.begin(), p.bits.end(), net) != p.bits.end()) return true;
-  }
-  return false;
 }
 
 const Port* Netlist::find_input(const std::string& name) const {

@@ -52,7 +52,6 @@ class Netlist {
 
   /// Optional debug name for a net.
   void name_net(NetId net, const std::string& name);
-  std::string net_name(NetId net) const;  // empty if unnamed
   /// Drops all internal net names (obfuscation); port names survive.
   void clear_net_names() { net_names_.clear(); }
   /// Reverse name lookup (linear); kNoNet when absent. Names survive
@@ -68,7 +67,6 @@ class Netlist {
 
   /// Driving cell of a net, or kNoCell for primary inputs / floating nets.
   CellId driver(NetId net) const { return net_driver_[net]; }
-  bool is_primary_input(NetId net) const;
 
   const std::vector<Port>& inputs() const { return inputs_; }
   const std::vector<Port>& outputs() const { return outputs_; }

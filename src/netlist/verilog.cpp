@@ -148,12 +148,6 @@ struct Lexer {
 
 }  // namespace
 
-Netlist read_verilog(std::istream& is) {
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return read_verilog_string(buf.str());
-}
-
 Netlist read_verilog_string(const std::string& text) {
   Lexer lx{text};
   Netlist nl;

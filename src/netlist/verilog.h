@@ -19,7 +19,6 @@ std::string to_verilog(const Netlist& nl, const std::string& module_name);
 
 /// Parses a netlist previously produced by write_verilog.
 /// DFF initial values are read from `// init=<0|1|x>` comments.
-Netlist read_verilog(std::istream& is);
 Netlist read_verilog_string(const std::string& text);
 
 }  // namespace pdat

@@ -3,6 +3,7 @@
 #include <array>
 #include <chrono>
 #include <exception>
+#include <optional>
 
 #include "base/types.h"
 #include "runtime/journal.h"
@@ -26,12 +27,10 @@ namespace pdat::runtime {
 
 namespace {
 
-constexpr int kChildExitWriteFailed = 81;  // result pipe write failed in the child
+constexpr int kChildExitWriteFailed = 81;  // the child could not build or write its result
 
-// Pipe record types. The request carries (job, attempt, budget, consumed
-// child_entry failpoint spec); every result carries the child's telemetry
-// delta, then the job state (Done/Retry) or an error message (Crash).
-constexpr std::uint32_t kReqJob = 1;
+// Result record types. Every result carries the child's telemetry delta,
+// then the job state (Done/Retry) or an error message (Crash).
 constexpr std::uint32_t kResDone = 2;
 constexpr std::uint32_t kResRetry = 3;
 constexpr std::uint32_t kResCrash = 4;
@@ -44,16 +43,12 @@ struct ChildProc {
   std::chrono::steady_clock::time_point spawned;
 };
 
-// The parent writes job requests to children that may already be dead
-// (e.g. an injected segfault at entry); that must surface as EPIPE, not a
-// process-killing SIGPIPE.
-void ignore_sigpipe_once() {
-  static const bool done = [] {
-    ::signal(SIGPIPE, SIG_IGN);
-    return true;
-  }();
-  (void)done;
-}
+/// The failpoint actions the parent consumed for one child at spawn; the
+/// child fires each at most once.
+struct ChildFaults {
+  std::optional<std::string> entry;  // procworker.child_entry: before the job runs
+  std::optional<std::string> write;  // procworker.pipe_write: at the result write
+};
 
 bool write_all(int fd, const char* data, std::size_t n) {
   while (n > 0) {
@@ -68,11 +63,12 @@ bool write_all(int fd, const char* data, std::size_t n) {
   return true;
 }
 
-/// Writes one record; an armed procworker.pipe_write failpoint (enospc)
-/// simulates a torn write by shipping only half the record.
-bool write_record(int fd, std::uint32_t type, const std::string& payload) {
+/// Writes the child's result record. A handed pipe_write action fires
+/// here; enospc simulates a torn write by shipping only half the record.
+bool write_result(int fd, std::uint32_t type, const std::string& payload,
+                  const std::optional<std::string>& fault) {
   const std::string rec = encode_record(type, payload);
-  if (util::failpoint("procworker.pipe_write") != 0) {
+  if (fault && util::failpoint_fire("procworker.pipe_write", *fault) != 0) {
     write_all(fd, rec.data(), rec.size() / 2);
     return false;
   }
@@ -101,7 +97,7 @@ std::string signal_name(int sig) {
 std::string describe_wait_status(int status) {
   if (WIFSIGNALED(status)) return "child killed by " + signal_name(WTERMSIG(status));
   if (WIFEXITED(status) && WEXITSTATUS(status) == kChildExitWriteFailed) {
-    return "child could not write its result record";
+    return "child could not build or write its result record";
   }
   if (WIFEXITED(status) && WEXITSTATUS(status) != 0) {
     return "child exited with status " + std::to_string(WEXITSTATUS(status));
@@ -185,67 +181,34 @@ struct Telemetry {
   }
 };
 
-std::string encode_request(const Attempt& a, const std::string& entry_spec) {
-  std::string p;
-  put_u64(p, static_cast<std::uint64_t>(a.job));
-  put_u32(p, static_cast<std::uint32_t>(a.attempt));
-  put_u64(p, static_cast<std::uint64_t>(a.budget.conflicts));
-  return p + entry_spec;
-}
-
-/// Ships one result record — the attempt's telemetry delta, then `body` —
-/// and exits the child.
-[[noreturn]] void child_exit(int res_fd, std::uint32_t type, const Telemetry& start,
-                             const std::string& body) {
-  if (!write_record(res_fd, type, start.delta() + body)) ::_exit(kChildExitWriteFailed);
-  ::_exit(0);
-}
-
-[[noreturn]] void child_main(int req_fd, int res_fd, const JobFn& fn, const ProcLimits& lim) {
+/// Runs the attempt the child was forked with and ships one result record:
+/// the attempt's telemetry delta, then the job state or the error. An
+/// exception while the record is built or written (a bad_alloc under the
+/// address-space cap, a thrown pipe_write action) ends the child like a
+/// torn write: it must never unwind into the parent's frames it inherited.
+[[noreturn]] void child_main(int res_fd, const Attempt& a, const ChildFaults& faults,
+                             const JobFn& fn, const ProcLimits& lim) {
   // The child must die on the signals containment decodes, even if the
   // parent installed cooperative handlers for them.
   ::signal(SIGINT, SIG_DFL);
   ::signal(SIGTERM, SIG_DFL);
   apply_rlimits(lim);
-  const Telemetry start = Telemetry::now();
   try {
-    // Drain the request pipe to EOF (the parent closes its end right after
-    // writing), then decode the single checksummed request record.
-    std::string buf;
-    char chunk[512];
-    for (;;) {
-      const ssize_t r = ::read(req_fd, chunk, sizeof(chunk));
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        throw PdatError("procworker: request read failed");
-      }
-      if (r == 0) break;
-      buf.append(chunk, static_cast<std::size_t>(r));
+    const Telemetry start = Telemetry::now();
+    std::uint32_t type = kResCrash;
+    std::string body;
+    try {
+      if (faults.entry) util::failpoint_fire("procworker.child_entry", *faults.entry);
+      type = fn(a.job, a.attempt, a.budget, body) == JobStatus::Done ? kResDone : kResRetry;
+    } catch (const std::exception& e) {
+      body = e.what();
+    } catch (...) {
+      body = "non-standard exception";
     }
-    if (util::failpoint("procworker.pipe_read") != 0) {
-      throw PdatError("procworker: request read failed (injected)");
-    }
-    std::size_t pos = 0;
-    std::uint32_t type = 0;
-    std::string payload;
-    if (!decode_record(buf, pos, type, payload) || type != kReqJob) {
-      throw PdatError("procworker: malformed job request");
-    }
-    std::size_t p = 0;
-    Attempt a;
-    a.job = static_cast<std::size_t>(get_u64(payload, p));
-    a.attempt = static_cast<int>(get_u32(payload, p));
-    a.budget.conflicts = static_cast<std::int64_t>(get_u64(payload, p));
-    if (p < payload.size()) util::failpoint_fire("procworker.child_entry", payload.substr(p));
-
-    std::string state;
-    const JobStatus status = fn(a.job, a.attempt, a.budget, state);
-    child_exit(res_fd, status == JobStatus::Done ? kResDone : kResRetry, start, state);
-  } catch (const std::exception& e) {
-    child_exit(res_fd, kResCrash, start, e.what());
+    if (write_result(res_fd, type, start.delta() + body, faults.write)) ::_exit(0);
   } catch (...) {
-    child_exit(res_fd, kResCrash, start, "non-standard exception");
   }
+  ::_exit(kChildExitWriteFailed);
 }
 
 }  // namespace
@@ -255,59 +218,32 @@ bool process_isolation_supported() { return true; }
 void run_process_pool(Ladder& ladder, const SupervisorOptions& opt, const JobFn& fn,
                       const ApplyFn& apply) {
   using Clock = std::chrono::steady_clock;
-  ignore_sigpipe_once();
 
   std::vector<ChildProc> inflight;
   const std::size_t max_children = opt.threads < 1 ? 1 : static_cast<std::size_t>(opt.threads);
 
   const auto spawn = [&](const Attempt& a) {
-    // Consume a child_entry injection in the *parent* so a `:count` bound
-    // is global across children (a child's decrement would be lost to
-    // copy-on-write). Spawn order is deterministic: single-threaded loop,
-    // queue order.
-    std::string entry_spec;
-    if (const auto spec = util::failpoint_consume("procworker.child_entry")) {
-      entry_spec = *spec;
-    }
-    int req[2] = {-1, -1};
+    // The child reads its attempt and its failpoint actions from the
+    // memory fork() copies. The actions are consumed here, in spawn order,
+    // so a `:count` bound is global across children (a child's decrement
+    // would be lost to copy-on-write).
+    const ChildFaults faults{util::failpoint_consume("procworker.child_entry"),
+                             util::failpoint_consume("procworker.pipe_write")};
     int res[2] = {-1, -1};
-    if (::pipe(req) != 0) throw PdatError("procworker: pipe() failed");
-    if (::pipe(res) != 0) {
-      ::close(req[0]);
-      ::close(req[1]);
-      throw PdatError("procworker: pipe() failed");
-    }
+    if (::pipe(res) != 0) throw PdatError("procworker: pipe() failed");
     const pid_t pid = ::fork();
     if (pid < 0) {
-      ::close(req[0]);
-      ::close(req[1]);
       ::close(res[0]);
       ::close(res[1]);
       throw PdatError("procworker: fork() failed");
     }
     if (pid == 0) {
-      ::close(req[1]);
       ::close(res[0]);
-      child_main(req[0], res[1], fn, opt.proc_limits);  // never returns
+      child_main(res[1], a, faults, fn, opt.proc_limits);  // never returns
     }
-    ::close(req[0]);
     ::close(res[1]);
     trace::add(trace::Counter::RuntimeProcForks, 1);
-    // Ship the job. A failed write (dead child, injected fault) is fine:
-    // the child then reads a torn request, reports an in-band crash or
-    // dies, and the ladder handles it.
-    try {
-      write_record(req[1], kReqJob, encode_request(a, entry_spec));
-    } catch (const std::exception&) {
-    }
-    ::close(req[1]);
-
-    ChildProc c;
-    c.pid = pid;
-    c.res_fd = res[0];
-    c.a = a;
-    c.spawned = Clock::now();
-    inflight.push_back(std::move(c));
+    inflight.push_back({pid, res[0], {}, a, Clock::now()});
   };
 
   // EOF on the result pipe: reap the child and settle its attempt.

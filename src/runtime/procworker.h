@@ -9,15 +9,17 @@
 //   - the child applies hard setrlimit() caps (RLIMIT_AS / RLIMIT_CPU from
 //     ProcLimits) before touching the job, so a blown-up solver is killed by
 //     the kernel instead of starving the machine;
-//   - the parent writes the job assignment down a pipe and reads the result
-//     back, both framed with the journal's checksummed record codec
-//     (runtime/journal.h) — a torn or corrupt record is detected, never
-//     trusted;
+//   - the child takes its attempt (job, attempt number, budget) and the
+//     failpoint actions the parent consumed for it from the memory fork()
+//     copied, and writes one result record back up a pipe, framed with the
+//     journal's checksummed record codec (runtime/journal.h) — a torn or
+//     corrupt record is detected, never trusted;
 //   - every result record (done, retry, crash) carries the attempt's state
 //     bytes or error and the telemetry the child added, so the parent
 //     applies exactly what a thread-mode attempt would have; any exception
 //     the job throws comes back as a crash record, so no exception escapes
-//     containment in either mode;
+//     containment in either mode, and an exception while the child builds
+//     or writes its record ends the child as a death;
 //   - waitpid() status decoding maps SIGSEGV / SIGABRT / SIGKILL (OOM) /
 //     SIGXCPU (RLIMIT_CPU) / nonzero exits into child deaths, which re-run
 //     the same attempt with the same budget;

@@ -26,19 +26,6 @@ void sort_unique(std::vector<Lit>& lits) {
 
 }  // namespace
 
-std::uint64_t DratLog::content_hash() const {
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < num_lines(); ++i) {
-    h = fnv_mix(h, static_cast<std::uint64_t>(kind(i)));
-    const std::size_t n = line_size(i);
-    h = fnv_mix(h, n);
-    const Lit* lits = line_lits(i);
-    for (std::size_t k = 0; k < n; ++k)
-      h = fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(lits[k].x)));
-  }
-  return h;
-}
-
 // --- DratChecker ------------------------------------------------------------
 
 void DratChecker::ensure_var(Var v) {

@@ -60,10 +60,6 @@ class DratLog {
   /// Wire-footprint estimate used by the cert.proof_bytes counter.
   std::size_t byte_size() const { return lits_.size() * sizeof(Lit) + kinds_.size(); }
 
-  /// FNV-1a over every line (kind, size, literals). Stable across runs, so
-  /// two certificates can be compared by digest.
-  std::uint64_t content_hash() const;
-
   void clear() {
     lits_.clear();
     starts_.clear();

@@ -147,6 +147,4 @@ void BitSim::set_flop_state(CellId flop, std::uint64_t word) {
   vals_[nl_.cell(flop).out] = word;
 }
 
-std::uint64_t BitSim::flop_state(CellId flop) const { return flop_q_[flop]; }
-
 }  // namespace pdat

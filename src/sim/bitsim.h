@@ -86,9 +86,8 @@ class BitSim {
   /// bit transpose instead of 64 read_port calls.
   void read_port_per_slot(const Port& port, std::uint64_t* values) const;
 
-  /// Direct access to flop state (for loading formal counterexamples).
+  /// Loads a flop's state (formal counterexamples).
   void set_flop_state(CellId flop, std::uint64_t word);
-  std::uint64_t flop_state(CellId flop) const;
 
   const Netlist& netlist() const { return nl_; }
   const Levelization& levels() const { return lv_; }

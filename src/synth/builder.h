@@ -34,7 +34,6 @@ class Builder {
   NetId not_(NetId a) { return nl_->add_cell(CellKind::Inv, a); }
   NetId and_(NetId a, NetId b) { return nl_->add_cell(CellKind::And2, a, b); }
   NetId or_(NetId a, NetId b) { return nl_->add_cell(CellKind::Or2, a, b); }
-  NetId nand_(NetId a, NetId b) { return nl_->add_cell(CellKind::Nand2, a, b); }
   NetId nor_(NetId a, NetId b) { return nl_->add_cell(CellKind::Nor2, a, b); }
   NetId xor_(NetId a, NetId b) { return nl_->add_cell(CellKind::Xor2, a, b); }
   NetId xnor_(NetId a, NetId b) { return nl_->add_cell(CellKind::Xnor2, a, b); }
@@ -72,7 +71,6 @@ class Builder {
   NetId eq_const(const Bus& a, std::uint64_t value);
   NetId ne(const Bus& a, const Bus& b) { return not_(eq(a, b)); }
   NetId ult(const Bus& a, const Bus& b);
-  NetId ule(const Bus& a, const Bus& b) { return not_(ult(b, a)); }
   NetId slt(const Bus& a, const Bus& b);
   NetId is_zero(const Bus& a) { return not_(any(a)); }
 

@@ -22,9 +22,9 @@ constexpr const char* kFailpointSites[] = {
     "journal.create",           // journal file creation (header write)
     "journal.append",           // write-ahead journal record append
     "checkpoint.replay",        // proof-journal resume replay
-    "procworker.child_entry",   // forked proof worker, before the job runs
-    "procworker.pipe_write",    // procworker pipe record write (either side)
-    "procworker.pipe_read",     // procworker pipe record read (either side)
+    "procworker.child_entry",   // forked proof worker, before the job runs (consumed per child)
+    "procworker.pipe_write",    // child result-record write (consumed per child)
+    "procworker.pipe_read",     // parent-side result-record read
     "ibex_tb.fetch_fault",      // corrupt fetched R-type words (decoder-fault chaos)
     "cm0_tb.fetch_fault",       // corrupt fetched DP-register halfwords
 };

@@ -72,8 +72,8 @@ const std::vector<std::string>& failpoint_sites();
 /// A child's memory is copy-on-write, so a `:count` bound decremented in
 /// the child would never reach the parent and every subsequent child would
 /// fire again. Instead the *parent* consumes one trigger before forking —
-/// returning the action spec to ship down the job pipe, or nullopt when
-/// the site is unarmed — and the child performs it with failpoint_fire().
+/// returning the action spec the child inherits, or nullopt when the site
+/// is unarmed — and the child performs it with failpoint_fire().
 std::optional<std::string> failpoint_consume(const std::string& site);
 /// Performs a consumed action spec (same semantics as an armed failpoint()
 /// evaluation at `site`: may throw/abort/raise/exit, returns a simulated

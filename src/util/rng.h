@@ -11,12 +11,10 @@
 //                   expand one seed word into generator state;
 //   * derive_seed — keyed stream split: derive_seed(seed, k) for distinct k
 //                   yields statistically independent sub-seeds, so parallel
-//                   workers and named subsystems ("assume", "stimulus") can
-//                   each own a stream without coordinating.
+//                   fuzz jobs can each own a stream without coordinating.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace pdat::util {
 
@@ -29,9 +27,6 @@ inline std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-/// Stateless finalizer: one splitmix64 step of `x` (a strong 64-bit mix).
-inline std::uint64_t mix64(std::uint64_t x) { return splitmix64(x); }
-
 /// Derives the sub-seed of stream `stream` from a master seed. Distinct
 /// streams give independent sequences; the same (seed, stream) pair always
 /// gives the same sub-seed, on every platform.
@@ -40,17 +35,6 @@ inline std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream) {
   const std::uint64_t a = splitmix64(s);
   s = a ^ (stream * 0xd6e8feb86659fd93ULL + 0x2545f4914f6cdd1dULL);
   return splitmix64(s);
-}
-
-/// Named-stream variant: FNV-1a of `tag` selects the stream, so call sites
-/// can write derive_seed(seed, "assume") instead of inventing magic numbers.
-inline std::uint64_t derive_seed(std::uint64_t seed, std::string_view tag) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : tag) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return derive_seed(seed, h);
 }
 
 }  // namespace pdat::util

@@ -16,9 +16,6 @@ ValidationReport run_validation(const Netlist& design, const Netlist& transforme
   const MiterResult m = check_bounded_equivalence(design, transformed, restrict_fn, proven,
                                                   opt.miter);
   rep.miter = m.verdict;
-  rep.miter_violation_frame = m.violation_frame;
-  rep.miter_frames = m.frames;
-  rep.miter_conflicts = m.conflicts;
   rep.miter_detail = m.detail;
   if (m.verdict == Verdict::Fail) {
     log_warn() << "validation: miter FAIL: " << m.detail;

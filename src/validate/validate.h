@@ -3,7 +3,6 @@
 // pipeline reverts the reduced core when either verdict is Fail.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -27,9 +26,6 @@ struct ValidationOptions {
 
 struct ValidationReport {
   Verdict miter = Verdict::Skipped;
-  int miter_violation_frame = -1;
-  int miter_frames = 0;
-  std::uint64_t miter_conflicts = 0;
   std::string miter_detail;
   Verdict lockstep = Verdict::Skipped;
   std::string lockstep_detail;

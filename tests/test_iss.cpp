@@ -144,8 +144,6 @@ TEST(Iss, CompressedExecutionViaExpansion) {
   EXPECT_TRUE(iss.halted());
   EXPECT_FALSE(iss.illegal());
   EXPECT_EQ(iss.reg(10), 10u);
-  EXPECT_EQ(iss.dynamic_profile().at("c.li"), 1u);
-  EXPECT_EQ(iss.dynamic_profile().at("c.addi"), 1u);
 }
 
 TEST(Iss, TraceRecordsWritebacks) {

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -316,6 +318,33 @@ TEST(ProcWorker, PersistentlyDyingJobIsDroppedConservatively) {
   EXPECT_EQ(sup.stats().drops, 1u);
 }
 
+TEST(ProcWorker, NoExceptionEscapesAForkedChild) {
+  SKIP_WITHOUT_FORK();
+  const std::string marker = tmp_path("escaped.marker");
+  std::filesystem::remove(marker);
+  util::ScopedFailpoint fp("procworker.pipe_write", "throw:1");
+  rt::Supervisor sup(proc_opts(1));
+  const pid_t parent = ::getpid();
+  std::vector<rt::JobReport> reports;
+  try {
+    reports = sup.run(1, [](std::size_t, int, const rt::JobBudget&, std::string&) {
+      return rt::JobStatus::Done;
+    });
+  } catch (...) {
+    if (::getpid() == parent) throw;
+    // A child that unwound out of the worker into this frame: leave a
+    // trace without running the rest of the test a second time.
+    std::ofstream(marker).put('1');
+    std::_Exit(0);
+  }
+  EXPECT_FALSE(std::filesystem::exists(marker)) << "an exception escaped a forked child";
+  std::filesystem::remove(marker);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_TRUE(reports[0].completed);
+  EXPECT_EQ(reports[0].child_deaths, 1) << "a thrown result write must read as a death";
+  EXPECT_EQ(sup.stats().crashes, 0u);
+}
+
 /// A one-shot trigger that survives fork(): true for the first caller only,
 /// in whichever process, because that caller creates the marker file. A
 /// child death re-runs the same attempt number, so tests that make only the
@@ -437,6 +466,7 @@ void expect_same_deterministic_stats(const InductionStats& a, const InductionSta
   EXPECT_EQ(a.proven, b.proven);
   EXPECT_EQ(a.job_retries, b.job_retries);
   EXPECT_EQ(a.job_drops, b.job_drops);
+  EXPECT_EQ(a.job_crashes, b.job_crashes);
 }
 
 TEST(ProcInduction, ProcessAndThreadModesAreBitIdentical) {
@@ -470,13 +500,18 @@ TEST(ProcInduction, ChaosScheduleDoesNotChangeTheProvedSet) {
   // The default budget, and a one-conflict budget under which jobs retry
   // and drop: there a child death that moved a job to another attempt
   // number or budget would change the SAT calls, the retries and the
-  // proved set.
+  // proved set. Each site's count is global: two children run at once,
+  // and a trigger fires once however many of them were forked before it.
   struct Case {
     std::int64_t conflict_budget;
+    const char* site;
     const char* schedule;
     std::size_t deaths;
   };
-  for (const Case& c : {Case{200000, "segv:2", 2}, Case{1, "segv:45", 45}}) {
+  for (const Case& c : {Case{200000, "procworker.child_entry", "segv:2", 2},
+                        Case{1, "procworker.child_entry", "segv:45", 45},
+                        Case{200000, "procworker.pipe_read", "throw:1", 1},
+                        Case{200000, "procworker.pipe_write", "enospc:1", 1}}) {
     InductionOptions opt;
     opt.batch_size = 8;
     opt.threads = 2;
@@ -486,10 +521,10 @@ TEST(ProcInduction, ChaosScheduleDoesNotChangeTheProvedSet) {
 
     opt.isolation = rt::Isolation::Process;
     InductionStats chaos;
-    util::ScopedFailpoint fp("procworker.child_entry", c.schedule);
+    util::ScopedFailpoint fp(c.site, c.schedule);
     const auto proven_chaos = prove_invariants(nl, env, cands, opt, &chaos);
 
-    SCOPED_TRACE(c.schedule);
+    SCOPED_TRACE(std::string(c.site) + "=" + c.schedule);
     EXPECT_EQ(describe_all(proven_clean), describe_all(proven_chaos))
         << "a contained child death must never change the proved set";
     expect_same_deterministic_stats(clean, chaos);
